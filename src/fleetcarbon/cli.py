@@ -99,10 +99,13 @@ def cmd_ingest(args) -> int:
 def cmd_report(args) -> int:
     config = _load(args)
     platforms, inventories, factors, dataset = _inputs(config)
+    accounts = reportmod.fold_platforms(
+        dataset, platforms, inventories, factors, config.standard, config.pue
+    )
     fmt = config.output_format
     tables = [
-        reportmod.platform_table(dataset, platforms, inventories, factors, config.standard, config.pue),
-        reportmod.stage_breakdown_table(dataset, platforms, inventories, factors, config.standard, config.pue),
+        reportmod.platform_table(accounts),
+        reportmod.stage_breakdown_table(accounts),
         reportmod.manufacturing_table(platforms, inventories),
     ]
     for table in tables:
@@ -113,9 +116,10 @@ def cmd_report(args) -> int:
 def cmd_cci(args) -> int:
     config = _load(args)
     platforms, inventories, factors, dataset = _inputs(config)
-    table = reportmod.platform_table(
+    accounts = reportmod.fold_platforms(
         dataset, platforms, inventories, factors, config.standard, config.pue
     )
+    table = reportmod.platform_table(accounts)
     sys.stdout.write(table.render(config.output_format))
     return EXIT_OK
 
@@ -163,14 +167,11 @@ def cmd_scenario(args) -> int:
     names = args.scenarios or sorted(factors.scenarios)
     if not names:
         raise ConfigError("no scenarios defined in the factor configuration")
+    accounts = reportmod.fold_platforms(
+        dataset, platforms, inventories, factors, config.standard, config.pue
+    )
     table = reportmod.scenario_table(
-        dataset,
-        platforms,
-        inventories,
-        factors,
-        names,
-        config.pue,
-        baseline_platform=args.baseline_platform,
+        accounts, factors, names, baseline_platform=args.baseline_platform
     )
     print(f"wrote {_write(table, args.output_dir, config.output_format)}")
     return EXIT_OK

@@ -7,6 +7,11 @@ human view with light rounding. Output is deterministic for fixed input:
 rows are built in sorted platform order and nothing time- or
 environment-dependent is written.
 
+The telemetry-driven tables (platforms, stage breakdown, scenarios) read
+one `FleetAccounts`: `fold_platforms` takes each catalog platform through
+aggregation, the embodied breakdown and its CCI report exactly once, and
+a command builds every such table it writes from that one result.
+
 Per the house accounting style, mass columns (kg suffix) are rounded to
 whole kilograms at build time; intensities stay full precision.
 """
@@ -16,15 +21,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
-from .cci import CciReport, build_report
+from .cci import CciReport, build_report, operational_cci
 from .config import FactorConfig
 from .errors import ComputationError
-from .factors import ScenarioSpec, scenario_manufacturing_reduction
-from .lca import MachineInventory, machine_manufacturing, per_chip_embodied
-from .telemetry import FleetDataset, PlatformSpec, aggregate, lifetime_energy_per_chip
+from .factors import scenario_manufacturing_reduction
+from .lca import EmbodiedBreakdown, MachineInventory, machine_manufacturing, per_chip_embodied
+from .telemetry import FleetDataset, FleetWindow, PlatformSpec, aggregate, lifetime_energy_per_chip
 from .weighting import METRIC_FLOPS_PER_S, METRIC_POWER_W, BucketScheme, Observation, balanced_comparison
 from .workload import RunPolicy, WorkloadRun, emissions_per_step, workload_cci
 
@@ -80,28 +84,58 @@ def _round_kg(value: float) -> int:
     return round(value)
 
 
-def platform_table(
+@dataclass(frozen=True)
+class PlatformAccount:
+    """One platform's aggregated window, embodied breakdown and CCI report."""
+
+    spec: PlatformSpec
+    window: FleetWindow
+    breakdown: EmbodiedBreakdown
+    report: CciReport
+
+
+@dataclass(frozen=True)
+class FleetAccounts:
+    """Every catalog platform accounted under one standard and PUE."""
+
+    standard: str
+    factor_g_per_kwh: float
+    pue: float
+    platforms: dict[str, PlatformAccount]  # in sorted platform order
+
+
+def fold_platforms(
     dataset: FleetDataset,
     platforms: dict[str, PlatformSpec],
     inventories: dict[str, MachineInventory],
     factors: FactorConfig,
     standard: str,
     pue: float,
-) -> Table:
-    """Per-platform lifetime accounting under one electricity standard."""
+) -> FleetAccounts:
+    """Aggregate, break down and report each catalog platform once."""
     factor = factors.factor_for(standard)
-    rows = []
+    accounts = {}
     for pid in sorted(platforms):
         spec = platforms[pid]
         window = aggregate(dataset, pid)
         inv = inventories[spec.inventory_ref]
         breakdown = per_chip_embodied(inv, spec)
         rep = build_report(window, spec, inv, factor, pue, standard, breakdown)
-        energy_chip = lifetime_energy_per_chip(window, spec, pue)
+        accounts[pid] = PlatformAccount(spec, window, breakdown, rep)
+    return FleetAccounts(standard, factor, pue, accounts)
+
+
+def platform_table(accounts: FleetAccounts) -> Table:
+    """Per-platform lifetime accounting under one electricity standard."""
+    factor = accounts.factor_g_per_kwh
+    rows = []
+    for pid, acct in accounts.platforms.items():
+        window, breakdown, rep = acct.window, acct.breakdown, acct.report
+        energy_chip = lifetime_energy_per_chip(window, acct.spec, accounts.pue)
         rows.append(
             (
                 pid,
-                standard,
+                accounts.standard,
                 window.sample_count,
                 round(window.mean_machine_power_w, 1),
                 rep.energy_kwh_per_exaflop,
@@ -140,23 +174,11 @@ def platform_table(
     )
 
 
-def stage_breakdown_table(
-    dataset: FleetDataset,
-    platforms: dict[str, PlatformSpec],
-    inventories: dict[str, MachineInventory],
-    factors: FactorConfig,
-    standard: str,
-    pue: float,
-) -> Table:
+def stage_breakdown_table(accounts: FleetAccounts) -> Table:
     """Chart-ready intensity per life-cycle stage, g per ExaFLOP."""
-    factor = factors.factor_for(standard)
     rows = []
-    for pid in sorted(platforms):
-        spec = platforms[pid]
-        window = aggregate(dataset, pid)
-        inv = inventories[spec.inventory_ref]
-        breakdown = per_chip_embodied(inv, spec)
-        rep = build_report(window, spec, inv, factor, pue, standard, breakdown)
+    for pid, acct in accounts.platforms.items():
+        breakdown, rep = acct.breakdown, acct.report
         lef = rep.lifetime_exaflops_per_chip
         stages = (
             ("dc_construction", breakdown.dc_construction * 1000.0 / lef),
@@ -164,7 +186,7 @@ def stage_breakdown_table(
             ("tpu_manufacturing_transport", breakdown.tpu_mt * 1000.0 / lef),
             ("end_of_life", breakdown.eol * 1000.0 / lef),
             ("scope1", breakdown.scope1 * 1000.0 / lef),
-            (f"operational_{standard}", rep.operational_cci),
+            (f"operational_{accounts.standard}", rep.operational_cci),
         )
         for stage, value in stages:
             rows.append((pid, stage, value))
@@ -343,19 +365,18 @@ def dataset_observations(dataset: FleetDataset, platform_ids: list[str]) -> list
 
 
 def scenario_table(
-    dataset: FleetDataset,
-    platforms: dict[str, PlatformSpec],
-    inventories: dict[str, MachineInventory],
+    accounts: FleetAccounts,
     factors: FactorConfig,
     scenario_names: list[str],
-    pue: float,
     baseline_platform: str | None = None,
 ) -> Table:
     """Total CCI under each scenario against its baseline standard.
 
     Ratios compare the baseline-standard intensity (of the platform itself
     and of a named reference platform) to the scenario intensity; above 1
-    means the scenario is an improvement.
+    means the scenario is an improvement. Embodied intensity and energy per
+    ExaFLOP do not depend on the standard, so the baseline totals are
+    re-priced from `accounts` rather than recomputed.
     """
     rows = []
     for name in scenario_names:
@@ -368,19 +389,16 @@ def scenario_table(
             if scenario.apply_manufacturing_reduction
             else 0.0
         )
-        baselines: dict[str, CciReport] = {}
-        for pid in sorted(platforms):
-            spec = platforms[pid]
-            window = aggregate(dataset, pid)
-            inv = inventories[spec.inventory_ref]
-            baselines[pid] = build_report(
-                window, spec, inv, base_factor, pue, scenario.baseline_standard
-            )
-        ref = baseline_platform or sorted(platforms)[0]
-        if ref not in baselines:
+        base_totals = {
+            pid: acct.report.embodied_cci
+            + operational_cci(acct.report.energy_kwh_per_exaflop, base_factor)
+            for pid, acct in accounts.platforms.items()
+        }
+        ref = baseline_platform or next(iter(base_totals))
+        if ref not in base_totals:
             raise ComputationError(f"baseline platform {ref!r} not in catalog")
-        for pid in sorted(platforms):
-            base = baselines[pid]
+        for pid, acct in accounts.platforms.items():
+            base = acct.report
             scen_embodied = base.embodied_cci * (1.0 - reduction)
             scen_operational = (
                 base.energy_kwh_per_exaflop * scenario.operations_factor_g_per_kwh
@@ -391,12 +409,12 @@ def scenario_table(
                     name,
                     pid,
                     scenario.baseline_standard,
-                    base.total_cci,
+                    base_totals[pid],
                     scen_embodied,
                     scen_operational,
                     scen_total,
-                    base.total_cci / scen_total,
-                    baselines[ref].total_cci / scen_total,
+                    base_totals[pid] / scen_total,
+                    base_totals[ref] / scen_total,
                 )
             )
     return Table(

@@ -13,10 +13,11 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ComputationError, IngestError
 
@@ -51,7 +52,6 @@ class PlatformSpec:
     power_readings_include_rectifier: bool = True
     inventory_ref: str = ""
     deployment_year: int | None = None
-    platform_class: str = ""  # e.g. "versatile" / "powerful"
 
     def __post_init__(self) -> None:
         if self.chips_per_machine < 1:
@@ -163,10 +163,6 @@ class FleetWindow:
     duty_cycle_sum: float
 
     @property
-    def machine_days(self) -> float:
-        return self.sample_count * INTERVAL_SECONDS / 86400.0
-
-    @property
     def total_energy_kwh(self) -> float:
         # one sample = one machine running for 300 s = 1/12 h
         return self.power_sum_w * (INTERVAL_SECONDS / 3600.0) / 1000.0
@@ -174,10 +170,6 @@ class FleetWindow:
     @property
     def mean_machine_power_w(self) -> float:
         return self.power_sum_w / self.sample_count
-
-    @property
-    def mean_duty_cycle(self) -> float:
-        return self.duty_cycle_sum / self.sample_count
 
     @property
     def machine_seconds(self) -> float:
@@ -217,24 +209,28 @@ def snap_to_grid(dt: datetime) -> datetime | None:
 
 
 def _parse_flops(raw: str | int | float) -> int:
-    if isinstance(raw, int):
-        return raw
+    if isinstance(raw, str):
+        text = raw.strip()
+        try:
+            raw = int(text)  # exact for arbitrarily large counts
+        except ValueError:
+            raw = float(text)
     if isinstance(raw, float):
         if not math.isfinite(raw):
             raise ValueError(f"non-finite flops {raw!r}")
         return round(raw)
-    text = raw.strip()
-    try:
-        return int(text)  # exact for arbitrarily large counts
-    except ValueError:
-        return round(float(text))
+    if raw > sys.float_info.max:  # the CCI divides counts as floats
+        raise ValueError(f"flops {raw} beyond float range")
+    return raw
 
 
 def _parse_tray_power(raw) -> tuple[float, ...]:
     if isinstance(raw, str):
-        parts = [p for p in raw.split(";") if p.strip() != ""]
-        return tuple(float(p) for p in parts)
-    return tuple(float(p) for p in raw)
+        raw = [p for p in raw.split(";") if p.strip() != ""]
+    readings = tuple(float(p) for p in raw)
+    if not math.isfinite(sum(readings)):  # NaN, inf, or a sum beyond float range
+        raise ValueError(f"non-finite tray power {readings!r}")
+    return readings
 
 
 def _build_sample(record: dict, catalog: dict[str, PlatformSpec]) -> TelemetrySample:
@@ -377,10 +373,12 @@ def aggregate(
 ) -> FleetWindow:
     """Aggregate complete samples of one platform into a FleetWindow.
 
-    `time_range` is a half-open [start, end) filter on interval_start.
-    Every sample is one machine-interval, so the mean machine power is
-    implicitly machine-day weighted; a deployment-count weighted mean would
-    require a machine census this data does not carry.
+    Incomplete samples are skipped, so an unfiltered dataset aggregates to
+    the same window as its `exclude_incomplete` copy. `time_range` is a
+    half-open [start, end) filter on interval_start. Every sample is one
+    machine-interval, so the mean machine power is implicitly machine-day
+    weighted; a deployment-count weighted mean would require a machine
+    census this data does not carry.
     """
     spec = dataset.catalog.get(platform_id)
     if spec is None:
@@ -389,15 +387,15 @@ def aggregate(
     duties: list[float] = []
     flops_total = 0
     for sample in dataset.samples:
-        if sample.platform_id != platform_id:
+        if sample.platform_id != platform_id or not sample.complete:
             continue
         if time_range is not None:
             start, end = time_range
             if not (start <= sample.interval_start < end):
                 continue
         powers.append(machine_power(sample, spec))
-        duties.append(sample.duty_cycle if sample.duty_cycle is not None else 0.0)
-        flops_total += sample.flops if sample.flops is not None else 0
+        duties.append(sample.duty_cycle)
+        flops_total += sample.flops
     if not powers:
         raise ComputationError(f"empty window for platform {platform_id!r}")
     return FleetWindow(
@@ -444,19 +442,5 @@ def read_catalog_mapping(entries: dict) -> dict[str, PlatformSpec]:
             ),
             inventory_ref=str(cfg.get("inventory_ref", platform_id)),
             deployment_year=cfg.get("deployment_year"),
-            platform_class=str(cfg.get("class", "")),
         )
     return catalog
-
-
-def samples_to_rows(samples: Iterable[TelemetrySample]) -> Iterator[dict]:
-    """Render samples back into the documented column schema."""
-    for s in samples:
-        yield {
-            "machine_id": s.machine_id,
-            "platform_id": s.platform_id,
-            "interval_start": s.interval_start.strftime("%Y-%m-%dT%H:%M:%SZ"),
-            "tray_power_w": ";".join(format(w, "g") for w in s.tray_power_w),
-            "duty_cycle": "" if s.duty_cycle is None else format(s.duty_cycle, "g"),
-            "flops": "" if s.flops is None else str(s.flops),
-        }

@@ -3,13 +3,18 @@
 Newer generations tend to run at higher utilization, and higher duty
 cycles mean better energy per FLOP, so raw cross-generation comparisons
 conflate hardware gains with usage patterns. This module removes that
-confounding by inverse-propensity weighting over duty-cycle levels: group
-observations into equal-width duty buckets, score each observation by its
-generation's share of the bucket, and weight it by the inverse share.
+confounding by stratifying on duty-cycle levels: group observations into
+equal-width duty buckets, take each generation's mean within every bucket
+it populates, and combine those means weighted by the bucket's pooled
+size over all generations.
 
-Scores and weights are exact rationals (counts over counts), which makes
-the reweighted per-bucket mass identities hold exactly, not just within
-float tolerance.
+`balanced_comparison` computes that stratified form from per-(generation,
+bucket) sums in one pass. `weights` and `weighted_average` give the same
+estimate by inverse-propensity weighting (IPW): each observation weighted
+by the inverse of its generation's share of its bucket. They are kept as
+the independent reference the tests compare against. Scores and weights
+are exact rationals (counts over counts), which makes the reweighted
+per-bucket mass identities hold exactly, not just within float tolerance.
 """
 
 from __future__ import annotations
@@ -163,29 +168,6 @@ METRIC_FLOPS_PER_S = "flops_per_s"
 _JOULES_PER_KWH = 3.6e6
 
 
-def _weighted_metrics(
-    observations: list[Observation],
-    obs_weights: list[Fraction],
-    factor_g_per_kwh: float,
-    pue: float,
-) -> dict[str, float]:
-    duty = weighted_average([o.duty_cycle for o in observations], obs_weights)
-    power = weighted_average([o.metrics[METRIC_POWER_W] for o in observations], obs_weights)
-    flops_rate = weighted_average(
-        [o.metrics[METRIC_FLOPS_PER_S] for o in observations], obs_weights
-    )
-    out = {
-        "duty_cycle": duty,
-        "power_w": power,
-        "flops_per_s": flops_rate,
-    }
-    if flops_rate > 0:
-        energy_per_ef = power / flops_rate * 1e18 / _JOULES_PER_KWH * pue
-        out["energy_kwh_per_exaflop"] = energy_per_ef
-        out["carbon_g_per_exaflop"] = energy_per_ef * factor_g_per_kwh
-    return out
-
-
 def balanced_comparison(
     cohort: list[Observation],
     scheme: BucketScheme,
@@ -193,12 +175,15 @@ def balanced_comparison(
     factor_g_per_kwh: float = 0.0,
     pue: float = 1.0,
 ) -> BalancedComparison:
-    """Weighted per-generation metrics plus ratios against a baseline.
+    """Duty-balanced per-generation metrics plus ratios against a baseline.
 
-    Generations sharing no populated bucket with the baseline violate
-    positivity; they are flagged "no overlap" and their ratios withheld
-    rather than extrapolated. Buckets missing a generation are reported as
-    warnings.
+    Each metric is the stratified mean sum(pooled_b * mean_b) / sum(pooled_b)
+    over the buckets b the generation populates: pooled_b counts the
+    bucket's observations over all generations, mean_b is the generation's
+    mean within the bucket. Generations sharing no populated bucket with
+    the baseline violate positivity; they are flagged "no overlap" and
+    their ratios withheld rather than extrapolated. Buckets missing a
+    generation are reported as warnings.
     """
     scores = propensity_scores(cohort, scheme)
     generations = scores.generations()
@@ -212,19 +197,32 @@ def balanced_comparison(
         for bucket, gen in scores.missing_pairs()
     ]
 
-    by_gen: dict[str, list[Observation]] = {g: [] for g in generations}
+    # one pass: duty, power and FLOP-rate values per (generation, bucket)
+    cells: dict[tuple[str, int], tuple[list[float], list[float], list[float]]] = {}
     for obs in cohort:
-        by_gen[obs.generation].append(obs)
+        key = (obs.generation, scheme.bucket_of(obs.duty_cycle))
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = ([], [], [])
+        cell[0].append(obs.duty_cycle)
+        cell[1].append(obs.metrics[METRIC_POWER_W])
+        cell[2].append(obs.metrics[METRIC_FLOPS_PER_S])
 
-    buckets_of = {
-        gen: {scores.scheme.bucket_of(o.duty_cycle) for o in group}
-        for gen, group in by_gen.items()
-    }
-
+    buckets_of = {gen: {b for (b, g) in scores.counts if g == gen} for gen in generations}
     weighted: dict[str, dict[str, float]] = {}
-    for gen, group in by_gen.items():
-        w = weights(group, scores)
-        weighted[gen] = _weighted_metrics(group, w, factor_g_per_kwh, pue)
+    for gen in generations:
+        strata = [(scores.bucket_totals[b], cells[gen, b]) for b in buckets_of[gen]]
+        mass = sum(pooled for pooled, _ in strata)
+        duty, power, flops_rate = (
+            math.fsum(pooled * (math.fsum(cell[k]) / len(cell[k])) for pooled, cell in strata) / mass
+            for k in range(3)
+        )
+        metrics = {"duty_cycle": duty, "power_w": power, "flops_per_s": flops_rate}
+        if flops_rate > 0:
+            energy_per_ef = power / flops_rate * 1e18 / _JOULES_PER_KWH * pue
+            metrics["energy_kwh_per_exaflop"] = energy_per_ef
+            metrics["carbon_g_per_exaflop"] = energy_per_ef * factor_g_per_kwh
+        weighted[gen] = metrics
 
     base_metrics = weighted[baseline]
     per_generation: dict[str, GenerationMetrics] = {}
@@ -241,7 +239,7 @@ def balanced_comparison(
                 ratios[key] = None
         per_generation[gen] = GenerationMetrics(
             generation=gen,
-            observations=len(by_gen[gen]),
+            observations=sum(scores.counts[b, gen] for b in buckets_of[gen]),
             weighted=weighted[gen],
             ratios=ratios,
             no_overlap=not overlap,
@@ -252,25 +250,3 @@ def balanced_comparison(
         per_generation=per_generation,
         warnings=tuple(warnings),
     )
-
-
-def stratified_oracle(cohort, scheme: BucketScheme, generation: str, metric) -> float:
-    """Brute-force stratified estimate: per-bucket generation means combined
-    with pooled bucket masses. Equals the inverse-propensity weighted
-    average wherever both are defined; kept as an independent cross-check.
-
-    `metric` maps an Observation to the value being averaged.
-    """
-    scores = propensity_scores(cohort, scheme)
-    per_bucket: dict[int, list[float]] = {}
-    for obs in cohort:
-        if obs.generation != generation:
-            continue
-        per_bucket.setdefault(scheme.bucket_of(obs.duty_cycle), []).append(metric(obs))
-    if not per_bucket:
-        raise ComputationError(f"generation {generation!r} absent from cohort")
-    num = math.fsum(
-        scores.bucket_totals[b] * (math.fsum(vals) / len(vals)) for b, vals in per_bucket.items()
-    )
-    den = math.fsum(scores.bucket_totals[b] for b in per_bucket)
-    return num / den

@@ -159,6 +159,26 @@ class TestIngestCommand:
         log_rows = (tmp_path / "rejections.csv").read_text().splitlines()
         assert len(log_rows) == 3  # header + two rejects
 
+    def test_non_finite_numbers_logged_not_raised(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "machine_id,platform_id,interval_start,tray_power_w,duty_cycle,flops\n"
+            "m0,v4i,2024-10-01T00:00:00Z,300;442;442,0.5,1000\n"
+            "m1,v4i,2024-10-01T00:00:00Z,300;442;442,0.5,1e400\n"
+            "m2,v4i,2024-10-01T00:00:00Z,nan;100,0.5,1000\n"
+        )
+        code, out, err = run_cli(
+            capsys, "ingest", "-o", str(tmp_path), "--telemetry", str(bad)
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["rows_accepted"], summary["rows_rejected"]) == (1, 2)
+        log = read_csv_table(tmp_path / "rejections.csv")
+        assert [(r["row"], r["reason"]) for r in log] == [
+            ("2", "bad number: flops '1e400'"),
+            ("3", "bad number: tray_power_w 'nan;100'"),
+        ]
+
 
 class TestScenarioCommand:
     def test_reference_ratios(self, tmp_path, capsys):

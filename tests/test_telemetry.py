@@ -103,6 +103,29 @@ class TestIngest:
         assert len(ds) == 1
         assert ds.rejections[0].row == 2
 
+    @pytest.mark.parametrize("power", ["nan;100", "inf;1", "300;-inf", "1e400", "1e308;1e308"])
+    def test_non_finite_tray_power_rejected(self, power):
+        ds = ingest(csv_source(f"m0,p1,2024-10-01T00:00:00Z,{power},0.5,1000"), {"p1": spec()})
+        assert len(ds) == 0
+        assert [r.reason for r in ds.rejections] == [f"bad number: tray_power_w {power!r}"]
+
+    @pytest.mark.parametrize("flops", ["1e400", "inf", "-inf", "nan", "1" + "0" * 400])
+    def test_non_finite_flops_rejected(self, flops):
+        ds = ingest(csv_source(f"m0,p1,2024-10-01T00:00:00Z,300,0.5,{flops}"), {"p1": spec()})
+        assert len(ds) == 0
+        assert [r.reason for r in ds.rejections] == [f"bad number: flops {flops!r}"]
+
+    def test_non_finite_json_numbers_rejected(self):
+        records = [
+            {"machine_id": "m0", "platform_id": "p1", "interval_start": "2024-10-01T00:00:00Z",
+             "tray_power_w": [float("nan"), 100.0], "duty_cycle": 0.5, "flops": 1000},
+            {"machine_id": "m1", "platform_id": "p1", "interval_start": "2024-10-01T00:00:00Z",
+             "tray_power_w": [300.0], "duty_cycle": 0.5, "flops": float("inf")},
+        ]
+        ds = ingest(records, {"p1": spec()})
+        assert len(ds) == 0
+        assert [r.reason.split(":")[0] for r in ds.rejections] == ["bad number", "bad number"]
+
     def test_empty_input_is_empty_dataset(self):
         ds = ingest(io.StringIO(CSV_HEADER), {"p1": spec()})
         assert len(ds) == 0 and ds.rejections == ()
@@ -255,6 +278,18 @@ class TestAggregate:
         assert combined.total_energy_kwh == whole.total_energy_kwh
         assert combined.total_flops == whole.total_flops
         assert combined.sample_count == whole.sample_count
+
+    def test_incomplete_samples_skipped_as_if_filtered(self):
+        ds = dataset(
+            [
+                sample(power=(300, 442), minute=0),
+                sample(power=(300, 442), flops=None, minute=5),  # no FLOP counter
+                sample(power=(300, 442), duty=None, minute=10),  # no duty cycle
+                sample(power=(), minute=15),  # no power
+            ]
+        )
+        assert aggregate(ds, "p1") == aggregate(exclude_incomplete(ds), "p1")
+        assert aggregate(ds, "p1").sample_count == 1
 
     def test_combination_order_independent(self):
         parts = [

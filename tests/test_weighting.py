@@ -13,7 +13,6 @@ from fleetcarbon.weighting import (
     Observation,
     balanced_comparison,
     propensity_scores,
-    stratified_oracle,
     weighted_average,
     weights,
 )
@@ -25,6 +24,20 @@ def obs(gen, duty, power=1000.0, rate=1e13):
         duty_cycle=duty,
         metrics={METRIC_POWER_W: power, METRIC_FLOPS_PER_S: rate},
     )
+
+
+def ipw_reference(cohort, scheme, generation, metric):
+    """Inverse-propensity weighted mean of `metric` over one generation."""
+    scores = propensity_scores(cohort, scheme)
+    group = [o for o in cohort if o.generation == generation]
+    return weighted_average([metric(o) for o in group], weights(group, scores))
+
+
+REFERENCE_METRICS = {
+    "duty_cycle": lambda o: o.duty_cycle,
+    "power_w": lambda o: o.metrics[METRIC_POWER_W],
+    "flops_per_s": lambda o: o.metrics[METRIC_FLOPS_PER_S],
+}
 
 
 # observations whose duty cycles land in known buckets (0.05 -> bucket 0, ...)
@@ -174,8 +187,8 @@ class TestWeightedAverage:
 
 
 class TestBalancedComparison:
-    def test_matches_stratified_oracle(self):
-        # estimator must reduce to pooled-mass-weighted per-bucket means
+    def test_matches_ipw_reference(self):
+        # the stratified estimator must equal inverse-propensity weighting
         cohort = []
         for b, (n_old, n_new) in enumerate([(5, 2), (3, 3), (1, 7), (4, 4)]):
             cohort += [obs("old", bucket_midpoint(b), power=1000 + 13 * b) for _ in range(n_old)]
@@ -183,11 +196,9 @@ class TestBalancedComparison:
         scheme = BucketScheme(10)
         comparison = balanced_comparison(cohort, scheme, baseline="old")
         for gen in ("old", "new"):
-            oracle = stratified_oracle(
-                cohort, scheme, gen, lambda o: o.metrics[METRIC_POWER_W]
-            )
+            reference = ipw_reference(cohort, scheme, gen, REFERENCE_METRICS["power_w"])
             assert comparison.per_generation[gen].weighted["power_w"] == pytest.approx(
-                oracle, rel=1e-9
+                reference, rel=1e-12
             )
 
     def test_identical_distributions_leave_metrics_unweighted(self):
@@ -254,13 +265,24 @@ class TestBalancedComparison:
         ratio = comparison.per_generation["new"].ratios["energy_kwh_per_exaflop"]
         assert ratio == pytest.approx(0.5, rel=1e-9)
 
-    @given(cohort_strategy)
-    @settings(max_examples=40)
-    def test_oracle_equivalence_property(self, cohort):
+    @given(cohort_strategy, st.floats(0.0, 1000.0), st.floats(1.0, 2.0))
+    @settings(max_examples=100)
+    def test_every_metric_matches_ipw_reference(self, cohort, factor, pue):
         scheme = BucketScheme(10)
-        comparison = balanced_comparison(cohort, scheme, baseline="old")
+        comparison = balanced_comparison(
+            cohort, scheme, baseline="old", factor_g_per_kwh=factor, pue=pue
+        )
         for gen in ("old", "new"):
-            oracle = stratified_oracle(cohort, scheme, gen, lambda o: o.duty_cycle)
-            assert comparison.per_generation[gen].weighted["duty_cycle"] == pytest.approx(
-                oracle, rel=1e-9, abs=1e-12
-            )
+            want = {
+                name: ipw_reference(cohort, scheme, gen, metric)
+                for name, metric in REFERENCE_METRICS.items()
+            }
+            energy = want["power_w"] / want["flops_per_s"] * 1e18 / 3.6e6 * pue
+            want["energy_kwh_per_exaflop"] = energy
+            want["carbon_g_per_exaflop"] = energy * factor
+            got = comparison.per_generation[gen].weighted
+            assert sorted(got) == sorted(want)
+            for name, value in want.items():
+                # abs only matters for subnormal results (tiny duty cycles or
+                # factors), where no float carries 12 significant digits
+                assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-300), name
