@@ -18,8 +18,6 @@ from .factors import (
     HourlyRecord,
     ScenarioSpec,
     hourly_247_emissions,
-    mb_factor,
-    operational_emissions,
     scenario_manufacturing_reduction,
 )
 from .lca import (

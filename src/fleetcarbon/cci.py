@@ -6,6 +6,11 @@ cradle-to-grave footprint over the work it performs in its lifetime, and
 an operational component driven by measured energy per unit of work under
 a chosen electricity accounting standard. Energy per ExaFLOP is defined
 PUE-inclusive throughout.
+
+This module owns the units (`EXA` FLOPs per ExaFLOP, `J_PER_KWH`) and the
+intensity formulas every other module uses: `kwh_per_exaflop` turns a mean
+power and FLOP rate into energy per ExaFLOP, and `operational_cci` prices
+that energy at a grid factor.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ComputationError
-from .lca import EmbodiedBreakdown, MachineInventory, per_chip_embodied
+from .lca import EmbodiedBreakdown
 from .telemetry import FleetWindow, PlatformSpec
 
-EXA = 1e18
-_JOULES_PER_KWH = 3.6e6
+EXA = 1e18  # FLOPs per ExaFLOP
+J_PER_KWH = 3.6e6
 
 
 @dataclass(frozen=True)
@@ -49,14 +54,22 @@ class WorkloadEstimate:
         return self.embodied_g + self.operational_g
 
 
+def kwh_per_exaflop(power_w: float, flops_per_s: float, pue: float) -> float:
+    """kWh per 10^18 FLOPs at a mean power and utilized FLOP rate, PUE-inclusive."""
+    return power_w / flops_per_s * EXA / J_PER_KWH * pue
+
+
 def energy_per_exaflop(window: FleetWindow, pue: float) -> float:
     """Measured kWh consumed per 10^18 utilized FLOPs, including overhead."""
     if window.total_flops <= 0:
         raise ComputationError(f"no utilized compute in window for {window.platform_id!r}")
-    return window.total_energy_kwh * pue / (window.total_flops / EXA)
+    return kwh_per_exaflop(
+        window.mean_machine_power_w, window.total_flops / window.machine_seconds, pue
+    )
 
 
 def operational_cci(energy_kwh_per_exaflop: float, factor_g_per_kwh: float) -> float:
+    """Grams CO2e for a quantity of energy (per ExaFLOP, or any kWh) at a grid factor."""
     if energy_kwh_per_exaflop < 0 or factor_g_per_kwh < 0:
         raise ValueError("inputs must be non-negative")
     return energy_kwh_per_exaflop * factor_g_per_kwh
@@ -82,15 +95,12 @@ def lifetime_exaflops(window: FleetWindow, spec: PlatformSpec) -> float:
 def build_report(
     window: FleetWindow,
     spec: PlatformSpec,
-    inventory: MachineInventory,
+    breakdown: EmbodiedBreakdown,
     factor_g_per_kwh: float,
     pue: float,
     standard: str,
-    breakdown: EmbodiedBreakdown | None = None,
 ) -> CciReport:
     """Assemble the full carbon-intensity report for one platform."""
-    if breakdown is None:
-        breakdown = per_chip_embodied(inventory, spec)
     epf = energy_per_exaflop(window, pue)
     lef = lifetime_exaflops(window, spec)
     return CciReport(
@@ -119,4 +129,4 @@ def flops_per_joule(energy_kwh_per_exaflop: float) -> float:
     """Utilized performance per watt implied by an energy intensity."""
     if energy_kwh_per_exaflop <= 0:
         raise ValueError("energy intensity must be positive")
-    return EXA / (energy_kwh_per_exaflop * _JOULES_PER_KWH)
+    return EXA / (energy_kwh_per_exaflop * J_PER_KWH)

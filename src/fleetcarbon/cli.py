@@ -64,7 +64,7 @@ def _inputs(config: cfgmod.RunConfig):
     platforms = cfgmod.load_platforms(config.platforms)
     inventories = cfgmod.load_inventories(config.inventories)
     factors = cfgmod.load_factors(config.factors)
-    dataset = exclude_incomplete(ingest(config.telemetry, platforms))
+    dataset = ingest(config.telemetry, platforms)  # tables skip incomplete samples themselves
     return platforms, inventories, factors, dataset
 
 
@@ -196,7 +196,7 @@ def cmd_synth(args) -> int:
     if args.scenario_file is not None:
         try:
             raw = json.loads(args.scenario_file.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: malformed JSON or invalid UTF-8
             raise ConfigError(f"cannot read scenario file {args.scenario_file}: {exc}") from None
         if args.seed is not None:
             raw["seed"] = args.seed

@@ -31,7 +31,6 @@ class RunConfig:
     hourly_series: Path | None = None
     run_manifest: Path | None = None
     run_intervals: Path | None = None
-    gwp_table: Path | None = None
     standard: str = "market"
     pue: float = DEFAULT_PUE
     buckets: int = 10
@@ -82,7 +81,7 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
         raw = json.loads(cfg_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {cfg_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or invalid UTF-8
         raise ConfigError(f"config {cfg_path} is not valid JSON: {exc}") from None
     base = cfg_path.parent
 
@@ -106,7 +105,6 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
         hourly_series=_path("hourly_series"),
         run_manifest=_path("run_manifest"),
         run_intervals=_path("run_intervals"),
-        gwp_table=_path("gwp_table"),
         standard=str(raw.get("standard", "market")),
         pue=float(raw.get("pue", DEFAULT_PUE)),
         buckets=int(raw.get("buckets", 10)),
@@ -130,7 +128,7 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
 def _load_json(path: Path, what: str) -> dict:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or invalid UTF-8
         raise ConfigError(f"cannot load {what} {path}: {exc}") from None
 
 

@@ -1,15 +1,17 @@
-"""Electricity emission factors and operational-emissions accounting.
+"""Electricity emission factors and what-if scenarios.
 
 Supports three standards for valuing consumed electricity:
 
 * location-based: the annual average grid factor, ignoring clean-energy
   procurement;
-* market-based: the location factor net of the annual procurement impact;
+* market-based: the location factor net of the annual procurement impact
+  (`EmissionFactorSet.mb_factor`, the one owner of that rule);
 * hourly matching: procurement credited only against consumption in the
   same grid and the same hour, computed from an hourly series.
 
 Plus what-if scenarios that swap in a target operations factor and scale
-down manufacturing emissions by their electricity share.
+down manufacturing emissions by their electricity share. Pricing energy at
+a factor is `cci.operational_cci`.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ class ScenarioSpec:
     """A what-if configuration for cleaner operations and manufacturing."""
 
     name: str
-    target_cfe_fraction: float
     operations_factor_g_per_kwh: float
     manufacturing_electricity_share: float
     manufacturing_baseline_factor: float
@@ -79,8 +80,8 @@ class ScenarioSpec:
     baseline_standard: str = "hourly247"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.target_cfe_fraction <= 1.0:
-            raise ValueError(f"{self.name}: target_cfe_fraction outside [0, 1]")
+        if self.operations_factor_g_per_kwh < 0:
+            raise ValueError(f"{self.name}: negative operations_factor_g_per_kwh")
         if not 0.0 <= self.manufacturing_electricity_share <= 1.0:
             raise ValueError(f"{self.name}: manufacturing_electricity_share outside [0, 1]")
 
@@ -91,19 +92,6 @@ class HourlyMatchResult:
     factor_g_per_kwh: float
     cfe_share: float
     total_load_kwh: float
-
-
-def mb_factor(lb: float, cfe_impact: float) -> float:
-    """Net market-based factor: location-based minus procurement impact."""
-    if lb < 0:
-        raise ValueError(f"negative location-based factor {lb}")
-    if cfe_impact < 0:
-        raise ValueError(f"negative procurement impact {cfe_impact}")
-    if cfe_impact > lb:
-        raise ComputationError(
-            f"over-procurement not representable under MB (impact {cfe_impact} > factor {lb})"
-        )
-    return lb - cfe_impact
 
 
 def hourly_247_emissions(series: HourlyGridSeries) -> HourlyMatchResult:
@@ -157,13 +145,6 @@ def annual_matched_emissions(series: HourlyGridSeries) -> float:
         budget -= credited
         residuals.append((rec.load_kwh - credited) * rec.grid_factor)
     return math.fsum(residuals)
-
-
-def operational_emissions(energy_kwh: float, factor_g_per_kwh: float) -> float:
-    """Grams CO2e for a quantity of consumed electricity."""
-    if energy_kwh < 0 or factor_g_per_kwh < 0:
-        raise ValueError("energy and factor must be non-negative")
-    return energy_kwh * factor_g_per_kwh
 
 
 def scenario_manufacturing_reduction(spec: ScenarioSpec) -> float:
@@ -227,7 +208,6 @@ def read_scenarios(mapping: dict) -> dict[str, ScenarioSpec]:
         try:
             scenarios[name] = ScenarioSpec(
                 name=name,
-                target_cfe_fraction=float(cfg["target_cfe_fraction"]),
                 operations_factor_g_per_kwh=float(cfg["operations_factor_g_per_kwh"]),
                 manufacturing_electricity_share=float(cfg["manufacturing_electricity_share"]),
                 manufacturing_baseline_factor=float(cfg["manufacturing_baseline_factor"]),

@@ -155,14 +155,15 @@ def gwp_convert(gas: str, mass_kg: float, table: GwpTable) -> float:
     return mass_kg * table.multipliers[gas]
 
 
-def _tray_multiplicity(inv: MachineInventory, tray: str) -> int:
+def tray_multiplicity(inv: MachineInventory, tray: str) -> int:
+    """How many trays of a role one machine holds."""
     return inv.accelerator_trays if tray == "accelerator" else 1
 
 
 def machine_manufacturing(inv: MachineInventory, tray: str | None = None) -> float:
     """Manufacturing kgCO2e per machine: tray entries times tray count."""
     return math.fsum(
-        entry.kg_co2e * _tray_multiplicity(inv, entry.tray)
+        entry.kg_co2e * tray_multiplicity(inv, entry.tray)
         for entry in inv.components
         if tray is None or entry.tray == tray
     )

@@ -27,9 +27,9 @@ from .cci import CciReport, build_report, operational_cci
 from .config import FactorConfig
 from .errors import ComputationError
 from .factors import scenario_manufacturing_reduction
-from .lca import EmbodiedBreakdown, MachineInventory, machine_manufacturing, per_chip_embodied
+from .lca import EmbodiedBreakdown, MachineInventory, machine_manufacturing, per_chip_embodied, tray_multiplicity
 from .telemetry import FleetDataset, FleetWindow, PlatformSpec, aggregate, lifetime_energy_per_chip
-from .weighting import METRIC_FLOPS_PER_S, METRIC_POWER_W, BucketScheme, Observation, balanced_comparison
+from .weighting import BucketScheme, Observation, balanced_comparison
 from .workload import RunPolicy, WorkloadRun, emissions_per_step, workload_cci
 
 
@@ -118,9 +118,8 @@ def fold_platforms(
     for pid in sorted(platforms):
         spec = platforms[pid]
         window = aggregate(dataset, pid)
-        inv = inventories[spec.inventory_ref]
-        breakdown = per_chip_embodied(inv, spec)
-        rep = build_report(window, spec, inv, factor, pue, standard, breakdown)
+        breakdown = per_chip_embodied(inventories[spec.inventory_ref], spec)
+        rep = build_report(window, spec, breakdown, factor, pue, standard)
         accounts[pid] = PlatformAccount(spec, window, breakdown, rep)
     return FleetAccounts(standard, factor, pue, accounts)
 
@@ -206,13 +205,12 @@ def manufacturing_table(
         spec = platforms[pid]
         inv = inventories[spec.inventory_ref]
         for entry in inv.components:
-            count = inv.accelerator_trays if entry.tray == "accelerator" else 1
             rows.append(
                 (
                     pid,
                     entry.tray,
                     entry.category,
-                    entry.kg_co2e * count / spec.chips_per_machine,
+                    entry.kg_co2e * tray_multiplicity(inv, entry.tray) / spec.chips_per_machine,
                 )
             )
         rows.append(
@@ -355,10 +353,8 @@ def dataset_observations(dataset: FleetDataset, platform_ids: list[str]) -> list
             Observation(
                 generation=sample.platform_id,
                 duty_cycle=sample.duty_cycle,
-                metrics={
-                    METRIC_POWER_W: machine_power(sample, spec),
-                    METRIC_FLOPS_PER_S: sample.flops / INTERVAL_SECONDS,
-                },
+                power_w=machine_power(sample, spec),
+                flops_per_s=sample.flops / INTERVAL_SECONDS,
             )
         )
     return observations

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+from .cci import kwh_per_exaflop
 from .errors import ConfigError
+from .telemetry import INTERVAL_SECONDS
 
 IDLE_POWER_FRACTION = 0.6
-INTERVAL_SECONDS = 300
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,7 @@ class GenerationSpec:
     missing_rate: float = 0.0  # fraction of rows emitted without duty/flops
 
     def energy_kwh_per_exaflop_at_full_duty(self) -> float:
-        joules_per_flop = self.active_power_w / self.flops_per_s_at_full_duty
-        return joules_per_flop * 1e18 / 3.6e6
+        return kwh_per_exaflop(self.active_power_w, self.flops_per_s_at_full_duty, 1.0)
 
 
 @dataclass(frozen=True)

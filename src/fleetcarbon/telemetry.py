@@ -47,7 +47,6 @@ class PlatformSpec:
     chips_per_machine: int
     trays_per_machine: int  # host tray plus accelerator trays
     lifetime_years: float = 6.0
-    peak_flops_per_s: float = 0.0  # rated peak at the vendor's stated precision
     rectifier_overhead: float = 0.04
     power_readings_include_rectifier: bool = True
     inventory_ref: str = ""
@@ -196,7 +195,10 @@ def parse_rfc3339(text: str) -> datetime:
     dt = datetime.fromisoformat(cleaned)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # an offset pushes the instant outside years 1-9999
+        raise ValueError(f"{text!r} is outside the representable UTC range") from None
 
 
 def snap_to_grid(dt: datetime) -> datetime | None:
@@ -242,10 +244,9 @@ def _build_sample(record: dict, catalog: dict[str, PlatformSpec]) -> TelemetrySa
     if raw_ts in (None, ""):
         raise ValueError("missing interval_start")
     try:
-        dt = parse_rfc3339(str(raw_ts))
+        snapped = snap_to_grid(parse_rfc3339(str(raw_ts)))
     except ValueError as exc:
         raise ValueError(f"bad timestamp {raw_ts!r}: {exc}") from None
-    snapped = snap_to_grid(dt)
     if snapped is None:
         raise ValueError(f"timestamp {raw_ts!r} off the 5-minute grid")
 
@@ -254,7 +255,7 @@ def _build_sample(record: dict, catalog: dict[str, PlatformSpec]) -> TelemetrySa
     if raw_power not in (None, ""):
         try:
             tray_power = _parse_tray_power(raw_power)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"bad number: tray_power_w {raw_power!r}") from None
 
     raw_duty = record.get("duty_cycle")
@@ -262,7 +263,7 @@ def _build_sample(record: dict, catalog: dict[str, PlatformSpec]) -> TelemetrySa
     if raw_duty not in (None, ""):
         try:
             duty = float(raw_duty)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"bad number: duty_cycle {raw_duty!r}") from None
 
     raw_flops = record.get("flops")
@@ -286,49 +287,50 @@ def _build_sample(record: dict, catalog: dict[str, PlatformSpec]) -> TelemetrySa
         raise ValueError(f"range violation: {exc}") from None
 
 
-def _iter_records(source, fmt: str | None) -> Iterator[dict]:
-    """Yield raw record dicts from a path, file object, or iterable of dicts."""
+def _iter_records(source) -> Iterator[dict | str]:
+    """Yield raw records from a path, a CSV text file, or an iterable of dicts.
+
+    A JSON-lines file yields its non-blank lines undecoded, so that `ingest`
+    can reject a malformed line as one row and read on.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        fmt = fmt or ("jsonl" if path.suffix in (".jsonl", ".ndjson", ".json") else "csv")
         try:
             with path.open("r", encoding="utf-8", newline="") as fh:
-                yield from _iter_records(fh, fmt)
-        except OSError as exc:
+                if path.suffix in (".jsonl", ".ndjson", ".json"):
+                    yield from (line for line in fh if line.strip())
+                else:
+                    yield from csv.DictReader(fh)
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise IngestError(f"cannot read telemetry {path}: {exc}") from None
         return
     if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        if fmt == "jsonl":
-            for line in source:
-                line = line.strip()
-                if not line:
-                    continue
-                yield json.loads(line)
-        else:
-            yield from csv.DictReader(source)
+        yield from csv.DictReader(source)
         return
     yield from source
 
 
-def ingest(source, catalog: dict[str, PlatformSpec], fmt: str | None = None) -> FleetDataset:
+def ingest(source, catalog: dict[str, PlatformSpec]) -> FleetDataset:
     """Parse a telemetry stream against a platform catalog.
 
     `source` may be a path (CSV by default, JSON-lines for .jsonl), an open
-    text file, or an iterable of record dicts. Every unparseable row is
-    recorded in the rejection log with its 1-based row number; an empty
-    input yields an empty dataset.
+    CSV text file, or an iterable of record dicts. Every unparseable row,
+    malformed JSON included, is recorded in the rejection log with its
+    1-based row number; an empty input yields an empty dataset.
     """
     samples: list[TelemetrySample] = []
     rejections: list[Rejection] = []
-    for row_no, record in enumerate(_iter_records(source, fmt), start=1):
+    for row_no, record in enumerate(_iter_records(source), start=1):
         try:
+            if isinstance(record, str):
+                record = json.loads(record)
             if not isinstance(record, dict):
                 raise ValueError("record is not an object")
             samples.append(_build_sample(record, catalog))
-        except ValueError as exc:
-            rejections.append(Rejection(row=row_no, reason=str(exc)))
         except json.JSONDecodeError as exc:
             rejections.append(Rejection(row=row_no, reason=f"bad JSON: {exc.msg}"))
+        except ValueError as exc:
+            rejections.append(Rejection(row=row_no, reason=str(exc)))
     return FleetDataset(samples=tuple(samples), catalog=dict(catalog), rejections=tuple(rejections))
 
 
@@ -435,7 +437,6 @@ def read_catalog_mapping(entries: dict) -> dict[str, PlatformSpec]:
             chips_per_machine=int(cfg["chips_per_machine"]),
             trays_per_machine=int(cfg["trays_per_machine"]),
             lifetime_years=float(cfg.get("lifetime_years", 6.0)),
-            peak_flops_per_s=float(cfg.get("peak_flops_per_s", 0.0)),
             rectifier_overhead=float(cfg.get("rectifier_overhead", 0.04)),
             power_readings_include_rectifier=bool(
                 cfg.get("power_readings_include_rectifier", True)

@@ -9,37 +9,41 @@ it populates, and combine those means weighted by the bucket's pooled
 size over all generations.
 
 `balanced_comparison` computes that stratified form from per-(generation,
-bucket) sums in one pass. `weights` and `weighted_average` give the same
-estimate by inverse-propensity weighting (IPW): each observation weighted
-by the inverse of its generation's share of its bucket. They are kept as
-the independent reference the tests compare against. Scores and weights
-are exact rationals (counts over counts), which makes the reweighted
-per-bucket mass identities hold exactly, not just within float tolerance.
+bucket) sums in one pass over the observations, which also yields the
+bucket counts; energy and carbon per ExaFLOP follow from the balanced power
+and FLOP rate through `cci`'s formulas. `propensity_scores`, `weights` and
+`weighted_average` give the same estimate by inverse-propensity weighting
+(IPW): each observation weighted by the inverse of its generation's share
+of its bucket. They are kept as the independent reference the tests
+compare against. Scores and weights are exact rationals (counts over
+counts), which makes the reweighted per-bucket mass identities hold
+exactly, not just within float tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
+from .cci import kwh_per_exaflop, operational_cci
 from .errors import ComputationError
 
 
 @dataclass(frozen=True)
 class Observation:
-    """One machine-interval: which generation, how busy, and its metrics."""
+    """One machine-interval: which generation, how busy, its power and FLOP rate."""
 
     generation: str
     duty_cycle: float
-    metrics: dict[str, float] = field(default_factory=dict)
+    power_w: float
+    flops_per_s: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise ValueError(f"duty_cycle {self.duty_cycle} outside [0, 1]")
-        for name, value in self.metrics.items():
-            if not math.isfinite(value):
-                raise ValueError(f"metric {name!r} is not finite")
+        if not (math.isfinite(self.power_w) and math.isfinite(self.flops_per_s)):
+            raise ValueError("power_w and flops_per_s must be finite")
 
 
 @dataclass(frozen=True)
@@ -161,13 +165,6 @@ def weighted_average(values: list[float], obs_weights: list[Fraction | float]) -
     return math.fsum(float(w) * v for w, v in zip(obs_weights, values)) / total_weight
 
 
-# Metric keys consumed from Observation.metrics.
-METRIC_POWER_W = "power_w"
-METRIC_FLOPS_PER_S = "flops_per_s"
-
-_JOULES_PER_KWH = 3.6e6
-
-
 def balanced_comparison(
     cohort: list[Observation],
     scheme: BucketScheme,
@@ -185,7 +182,22 @@ def balanced_comparison(
     their ratios withheld rather than extrapolated. Buckets missing a
     generation are reported as warnings.
     """
-    scores = propensity_scores(cohort, scheme)
+    # one pass: duty, power and FLOP-rate values per (bucket, generation)
+    cells: dict[tuple[int, str], tuple[list[float], list[float], list[float]]] = {}
+    for obs in cohort:
+        key = (scheme.bucket_of(obs.duty_cycle), obs.generation)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = ([], [], [])
+        cell[0].append(obs.duty_cycle)
+        cell[1].append(obs.power_w)
+        cell[2].append(obs.flops_per_s)
+
+    counts = {key: len(cell[0]) for key, cell in cells.items()}
+    bucket_totals: dict[int, int] = {}
+    for (b, _), count in counts.items():
+        bucket_totals[b] = bucket_totals.get(b, 0) + count
+    scores = PropensityScores(scheme, bucket_totals, counts)
     generations = scores.generations()
     if len(generations) < 2:
         raise ComputationError("balanced comparison needs at least two generations")
@@ -197,21 +209,10 @@ def balanced_comparison(
         for bucket, gen in scores.missing_pairs()
     ]
 
-    # one pass: duty, power and FLOP-rate values per (generation, bucket)
-    cells: dict[tuple[str, int], tuple[list[float], list[float], list[float]]] = {}
-    for obs in cohort:
-        key = (obs.generation, scheme.bucket_of(obs.duty_cycle))
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = ([], [], [])
-        cell[0].append(obs.duty_cycle)
-        cell[1].append(obs.metrics[METRIC_POWER_W])
-        cell[2].append(obs.metrics[METRIC_FLOPS_PER_S])
-
     buckets_of = {gen: {b for (b, g) in scores.counts if g == gen} for gen in generations}
     weighted: dict[str, dict[str, float]] = {}
     for gen in generations:
-        strata = [(scores.bucket_totals[b], cells[gen, b]) for b in buckets_of[gen]]
+        strata = [(scores.bucket_totals[b], cells[b, gen]) for b in buckets_of[gen]]
         mass = sum(pooled for pooled, _ in strata)
         duty, power, flops_rate = (
             math.fsum(pooled * (math.fsum(cell[k]) / len(cell[k])) for pooled, cell in strata) / mass
@@ -219,9 +220,9 @@ def balanced_comparison(
         )
         metrics = {"duty_cycle": duty, "power_w": power, "flops_per_s": flops_rate}
         if flops_rate > 0:
-            energy_per_ef = power / flops_rate * 1e18 / _JOULES_PER_KWH * pue
+            energy_per_ef = kwh_per_exaflop(power, flops_rate, pue)
             metrics["energy_kwh_per_exaflop"] = energy_per_ef
-            metrics["carbon_g_per_exaflop"] = energy_per_ef * factor_g_per_kwh
+            metrics["carbon_g_per_exaflop"] = operational_cci(energy_per_ef, factor_g_per_kwh)
         weighted[gen] = metrics
 
     base_metrics = weighted[baseline]

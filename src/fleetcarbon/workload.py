@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .cci import EXA, J_PER_KWH
 from .errors import ComputationError, ConfigError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
 from .telemetry import PlatformSpec, parse_rfc3339
 
 DEFAULT_DUTY_THRESHOLD = 0.8
-_JOULES_PER_KWH = 3.6e6
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def emissions_per_step(
     if inventory is None:
         raise ConfigError(f"run {run.run_id}: no inventory for {run.platform_id!r}")
     duty = on_duty_power(run, threshold)
-    operational = duty.power_w * run.step_time_s * pue * factor_g_per_kwh / _JOULES_PER_KWH
+    operational = duty.power_w * run.step_time_s * pue * factor_g_per_kwh / J_PER_KWH
     embodied = embodied_rate_g_per_s(inventory, spec) * run.step_time_s
     return StepEmissions(
         run_id=run.run_id,
@@ -161,7 +161,7 @@ def workload_cci(step_total_g: float, flops_per_step: float) -> float:
     """Carbon intensity of the workload itself, g per 10^18 FLOPs."""
     if flops_per_step <= 0:
         raise ValueError("flops_per_step must be > 0")
-    return step_total_g / (flops_per_step / 1e18)
+    return step_total_g / (flops_per_step / EXA)
 
 
 def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[WorkloadRun, ...]:
@@ -173,7 +173,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     """
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or invalid UTF-8
         raise IngestError(f"cannot read run manifest {manifest_path}: {exc}") from None
 
     runs_cfg = manifest["runs"] if isinstance(manifest, dict) else manifest
@@ -201,7 +201,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     raise IngestError(
                         f"{intervals_path}: bad interval record at line {line_no}: {exc}"
                     ) from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read run intervals {intervals_path}: {exc}") from None
 
     runs = []

@@ -13,6 +13,7 @@ from fleetcarbon.cci import (
     operational_cci,
 )
 from fleetcarbon.errors import ComputationError
+from fleetcarbon.lca import per_chip_embodied
 from fleetcarbon.telemetry import FleetWindow, PlatformSpec, aggregate
 
 
@@ -161,15 +162,16 @@ class TestReportAndEstimates:
     ):
         w = aggregate(fleet_dataset, "v5p")
         s = platforms["v5p"]
-        inv = inventories["v5p"]
-        mb = build_report(w, s, inv, 135.0, 1.10, "market")
-        lb = build_report(w, s, inv, 366.0, 1.10, "location")
+        breakdown = per_chip_embodied(inventories["v5p"], s)
+        mb = build_report(w, s, breakdown, 135.0, 1.10, "market")
+        lb = build_report(w, s, breakdown, 366.0, 1.10, "location")
         assert lb.embodied_cci == mb.embodied_cci
         assert lb.operational_cci / mb.operational_cci == pytest.approx(366 / 135, rel=1e-12)
 
     def test_full_report_totals_exact(self, fleet_dataset, platforms, inventories):
         for pid, s in platforms.items():
             w = aggregate(fleet_dataset, pid)
-            rep = build_report(w, s, inventories[s.inventory_ref], 135.0, 1.10, "market")
+            breakdown = per_chip_embodied(inventories[s.inventory_ref], s)
+            rep = build_report(w, s, breakdown, 135.0, 1.10, "market")
             assert rep.total_cci == rep.embodied_cci + rep.operational_cci
             assert rep.embodied_cci >= 0 and rep.operational_cci >= 0

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fleetcarbon
 from fleetcarbon.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_INGEST, main
 from fleetcarbon.config import bundled_config_path
 
@@ -12,6 +17,31 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+INVALID_UTF8 = b'{"a": "\xff\xfe"}\n'
+OVERSIZED_CSV_FIELD = b"machine_id,platform_id\n" + b"x" * 131_073 + b",v4i\n"
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a child interpreter, so an uncaught error shows as a traceback."""
+    src = str(Path(fleetcarbon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "fleetcarbon.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def write_config(tmp_path, **overrides):
+    """The bundled demo config with absolute input paths, plus overrides."""
+    cfg = json.loads(bundled_config_path().read_text())
+    base = bundled_config_path().parent
+    for key in ("telemetry", "platforms", "inventories", "factors", "run_manifest", "run_intervals"):
+        cfg[key] = str(base / cfg[key])
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 def read_csv_table(path):
@@ -125,6 +155,37 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "scenario", "not-a-scenario", "-o", str(tmp_path))
         assert code == EXIT_COMPUTE
 
+    @pytest.mark.parametrize(
+        "key,content,command,expected",
+        [
+            ("config", INVALID_UTF8, "report", EXIT_CONFIG),
+            ("platforms", INVALID_UTF8, "report", EXIT_CONFIG),
+            ("inventories", INVALID_UTF8, "report", EXIT_CONFIG),
+            ("factors", INVALID_UTF8, "report", EXIT_CONFIG),
+            ("telemetry", INVALID_UTF8, "report", EXIT_INGEST),
+            ("telemetry", OVERSIZED_CSV_FIELD, "ingest", EXIT_INGEST),
+            ("run_manifest", INVALID_UTF8, "workload", EXIT_INGEST),
+            ("run_intervals", INVALID_UTF8, "workload", EXIT_INGEST),
+        ],
+        ids=[
+            "config",
+            "catalog",
+            "inventories",
+            "factors",
+            "telemetry",
+            "telemetry-oversized-field",
+            "run-manifest",
+            "run-intervals",
+        ],
+    )
+    def test_undecodable_input_exits_without_traceback(self, tmp_path, key, content, command, expected):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        cfg_path = bad if key == "config" else write_config(tmp_path, **{key: str(bad)})
+        proc = run_cli_process(command, "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestIngestCommand:
     def test_summary_and_rejection_log(self, tmp_path, capsys):
@@ -179,6 +240,21 @@ class TestIngestCommand:
             ("3", "bad number: tray_power_w 'nan;100'"),
         ]
 
+    def test_malformed_json_line_logged_not_raised(self, tmp_path, capsys):
+        good = (
+            '{"machine_id": "m0", "platform_id": "v4i", "interval_start": '
+            '"2024-10-01T00:00:00Z", "tray_power_w": [300, 442, 442], "duty_cycle": 0.5, "flops": 1000}'
+        )
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f"{good}\n{{oops\n{good}\n")
+        code, out, err = run_cli(capsys, "ingest", "-o", str(tmp_path), "--telemetry", str(bad))
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["rows_accepted"], summary["rows_rejected"]) == (2, 1)
+        log = read_csv_table(tmp_path / "rejections.csv")
+        assert [r["row"] for r in log] == ["2"]
+        assert log[0]["reason"].startswith("bad JSON: ")
+
 
 class TestScenarioCommand:
     def test_reference_ratios(self, tmp_path, capsys):
@@ -221,7 +297,7 @@ class TestSynthCommand:
             cfg[key] = str(base / cfg[key])
         cfg["telemetry"] = str(tmp_path / "synthetic_telemetry.csv")
         cfg["platforms"] = str(tmp_path / "synthetic_manifest.json")
-        for key in ("hourly_series", "run_manifest", "run_intervals", "gwp_table"):
+        for key in ("hourly_series", "run_manifest", "run_intervals"):
             cfg.pop(key, None)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fleetcarbon.errors import ComputationError
+from fleetcarbon.cci import operational_cci
+from fleetcarbon.errors import ComputationError, ConfigError
 from fleetcarbon.factors import (
     EmissionFactorSet,
     HourlyGridSeries,
@@ -14,8 +15,7 @@ from fleetcarbon.factors import (
     annual_matched_emissions,
     hourly_247_emissions,
     location_based_emissions,
-    mb_factor,
-    operational_emissions,
+    read_scenarios,
     scenario_manufacturing_reduction,
 )
 
@@ -30,6 +30,10 @@ def series(hours, grid="g1"):
     )
 
 
+def mb_factor(lb, cfe_impact):
+    return EmissionFactorSet(label="mb", year=2023, lb_factor=lb, cfe_impact=cfe_impact).mb_factor
+
+
 class TestMbFactor:
     def test_reference_identity(self):
         assert mb_factor(366, 231) == 135
@@ -41,7 +45,7 @@ class TestMbFactor:
         assert mb_factor(400, 400) == 0
 
     def test_over_procurement_rejected(self):
-        with pytest.raises(ComputationError, match="over-procurement"):
+        with pytest.raises(ValueError, match="cfe_impact"):
             mb_factor(100, 101)
 
     def test_negative_inputs_rejected(self):
@@ -50,9 +54,10 @@ class TestMbFactor:
         with pytest.raises(ValueError):
             mb_factor(10, -1)
 
-    def test_factor_set_derives_the_same(self):
-        fs = EmissionFactorSet(label="mb", year=2023, lb_factor=366, cfe_impact=231)
-        assert fs.mb_factor == mb_factor(366, 231)
+    def test_factor_set_derives_the_same(self, factor_config):
+        # the config resolves a standard name to its factor set's market-based factor
+        for name, fs in factor_config.standards.items():
+            assert factor_config.factor_for(name) == fs.lb_factor - fs.cfe_impact
 
 
 class TestHourlyMatching:
@@ -153,13 +158,13 @@ class TestOperationalEmissions:
     def test_reference_chip_market_based(self):
         # lifetime energy for the oldest versatile platform against both factors
         energy = 1184 / 8 * 52596 * 1.10 / 1000  # 8562.6288 kWh
-        mb_kg = operational_emissions(energy, 135) / 1000
-        lb_kg = operational_emissions(energy, 366) / 1000
+        mb_kg = operational_cci(energy, 135) / 1000
+        lb_kg = operational_cci(energy, 366) / 1000
         assert mb_kg == pytest.approx(1166, rel=0.01)
         assert lb_kg == pytest.approx(3137, rel=0.01)
 
     def test_zero_energy(self):
-        assert operational_emissions(0, 135) == 0
+        assert operational_cci(0, 135) == 0
 
     @given(
         e=st.floats(0, 1e6),
@@ -167,18 +172,17 @@ class TestOperationalEmissions:
         k=st.floats(0, 100),
     )
     def test_bilinear(self, e, f, k):
-        assert operational_emissions(k * e, f) == pytest.approx(
-            k * operational_emissions(e, f), rel=1e-12, abs=1e-9
+        assert operational_cci(k * e, f) == pytest.approx(
+            k * operational_cci(e, f), rel=1e-12, abs=1e-9
         )
-        assert operational_emissions(e, k * f) == pytest.approx(
-            k * operational_emissions(e, f), rel=1e-12, abs=1e-9
+        assert operational_cci(e, k * f) == pytest.approx(
+            k * operational_cci(e, f), rel=1e-12, abs=1e-9
         )
 
 
 def scenario(share=0.5, baseline=517.0, target=31.0):
     return ScenarioSpec(
         name="s",
-        target_cfe_fraction=0.9,
         operations_factor_g_per_kwh=31.0,
         manufacturing_electricity_share=share,
         manufacturing_baseline_factor=baseline,
@@ -206,6 +210,17 @@ class TestScenarioReduction:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
             scenario_manufacturing_reduction(scenario(baseline=0.0))
+
+    def test_negative_operations_factor_is_config_error(self):
+        # cci.operational_cci refuses a negative factor, so the config must too
+        cfg = {
+            "operations_factor_g_per_kwh": -1.0,
+            "manufacturing_electricity_share": 0.5,
+            "manufacturing_baseline_factor": 517.0,
+            "manufacturing_target_factor": 31.0,
+        }
+        with pytest.raises(ConfigError, match="operations_factor_g_per_kwh"):
+            read_scenarios({"s": cfg})
 
 
 def test_factor_set_invariants():

@@ -2,13 +2,14 @@ import io
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fleetcarbon.errors import ComputationError
+from fleetcarbon.errors import ComputationError, IngestError
 from fleetcarbon.telemetry import (
     REASON_MISSING_POWER,
     REASON_MISSING_UTILIZATION,
+    TELEMETRY_COLUMNS,
     FleetDataset,
     PlatformSpec,
     TelemetrySample,
@@ -78,9 +79,12 @@ class TestIngest:
         assert [r.reason for r in ds.rejections] == ["unknown platform_id 'nope'"]
 
     def test_bad_timestamp_rejected(self):
-        ds = ingest(csv_source("m0,p1,not-a-time,300,0.5,1000"), {"p1": spec()})
-        assert len(ds.rejections) == 1
-        assert "bad timestamp" in ds.rejections[0].reason
+        # the last two are valid ISO dates whose UTC instant falls outside years 1-9999
+        for ts in ("not-a-time", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"):
+            ds = ingest(csv_source(f"m0,p1,{ts},300,0.5,1000"), {"p1": spec()})
+            assert len(ds) == 0
+            assert len(ds.rejections) == 1
+            assert "bad timestamp" in ds.rejections[0].reason
 
     def test_off_grid_timestamp_snapped_within_tolerance(self):
         ds = ingest(csv_source("m0,p1,2024-10-01T00:00:03Z,300,0.5,1000"), {"p1": spec()})
@@ -125,6 +129,59 @@ class TestIngest:
         ds = ingest(records, {"p1": spec()})
         assert len(ds) == 0
         assert [r.reason.split(":")[0] for r in ds.rejections] == ["bad number", "bad number"]
+
+    @pytest.mark.parametrize("field", ["duty_cycle", "tray_power_w"])
+    def test_json_integer_beyond_float_range_rejected(self, field):
+        record = {"machine_id": "m0", "platform_id": "p1", "interval_start": "2024-10-01T00:00:00Z",
+                  "tray_power_w": [300.0], "duty_cycle": 0.5, "flops": 1000}
+        record[field] = 10**400 if field == "duty_cycle" else [10**400]
+        ds = ingest([record], {"p1": spec()})
+        assert len(ds) == 0
+        assert ds.rejections[0].reason.startswith(f"bad number: {field}")
+
+    def test_malformed_json_line_rejected_and_later_rows_read(self, tmp_path):
+        good = (
+            '{"machine_id": "m0", "platform_id": "p1", "interval_start": '
+            '"2024-10-01T00:00:00Z", "tray_power_w": [300], "duty_cycle": 0.5, "flops": 1}'
+        )
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join([good, "{oops", "", "[1, 2]", good]) + "\n")
+        ds = ingest(path, {"p1": spec()})
+        assert len(ds) == 2
+        assert [r.row for r in ds.rejections] == [2, 3]
+        assert ds.rejections[0].reason.startswith("bad JSON: ")
+        assert ds.rejections[1].reason == "record is not an object"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"machine_id,platform_id\n\xff\xfe,p1\n", CSV_HEADER.encode() + b"m0," + b"x" * 131_073 + b"\n"],
+        ids=["invalid-utf8", "oversized-field"],
+    )
+    def test_unreadable_file_is_ingest_error(self, tmp_path, content):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        with pytest.raises(IngestError, match="cannot read telemetry"):
+            ingest(path, {"p1": spec()})
+
+    @given(
+        rows=st.lists(
+            st.dictionaries(
+                st.sampled_from(TELEMETRY_COLUMNS),
+                st.one_of(
+                    st.text(),
+                    st.sampled_from(["p1", "2024-10-01T00:05:00Z", "0.5", "300;442", "1000", ""]),
+                ),
+            ),
+            max_size=20,
+        )
+    )
+    # the first st.text() draw in a fresh checkout builds hypothesis's Unicode table
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    @example(rows=[{"platform_id": "p1", "interval_start": "0001-01-01T00:00:00+01:00"}])
+    @example(rows=[{"platform_id": "p1", "interval_start": "9999-12-31T23:59:59-01:00"}])
+    def test_every_row_ends_in_exactly_one_place(self, rows):
+        ds = ingest(rows, {"p1": spec()})
+        assert len(ds.samples) + len(ds.rejections) == len(rows)
 
     def test_empty_input_is_empty_dataset(self):
         ds = ingest(io.StringIO(CSV_HEADER), {"p1": spec()})

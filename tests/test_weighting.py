@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from fleetcarbon.errors import ComputationError
 from fleetcarbon.weighting import (
-    METRIC_FLOPS_PER_S,
-    METRIC_POWER_W,
     BucketScheme,
     Observation,
     balanced_comparison,
@@ -19,11 +17,7 @@ from fleetcarbon.weighting import (
 
 
 def obs(gen, duty, power=1000.0, rate=1e13):
-    return Observation(
-        generation=gen,
-        duty_cycle=duty,
-        metrics={METRIC_POWER_W: power, METRIC_FLOPS_PER_S: rate},
-    )
+    return Observation(generation=gen, duty_cycle=duty, power_w=power, flops_per_s=rate)
 
 
 def ipw_reference(cohort, scheme, generation, metric):
@@ -35,8 +29,8 @@ def ipw_reference(cohort, scheme, generation, metric):
 
 REFERENCE_METRICS = {
     "duty_cycle": lambda o: o.duty_cycle,
-    "power_w": lambda o: o.metrics[METRIC_POWER_W],
-    "flops_per_s": lambda o: o.metrics[METRIC_FLOPS_PER_S],
+    "power_w": lambda o: o.power_w,
+    "flops_per_s": lambda o: o.flops_per_s,
 }
 
 
@@ -210,7 +204,7 @@ class TestBalancedComparison:
         comparison = balanced_comparison(cohort, BucketScheme(10), baseline="old")
         for gen in ("old", "new"):
             group = [o for o in cohort if o.generation == gen]
-            plain_power = math.fsum(o.metrics[METRIC_POWER_W] for o in group) / len(group)
+            plain_power = math.fsum(o.power_w for o in group) / len(group)
             plain_duty = math.fsum(o.duty_cycle for o in group) / len(group)
             gm = comparison.per_generation[gen]
             assert gm.weighted["power_w"] == pytest.approx(plain_power, rel=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fleetcarbon.errors import ComputationError
+from fleetcarbon.errors import ComputationError, IngestError
 from fleetcarbon.lca import machine_manufacturing, machine_transport
 from fleetcarbon.workload import (
     OnDutyPower,
@@ -244,3 +244,14 @@ class TestReadRuns:
         }
         for run_id, power in expected.items():
             assert on_duty_power(runs[run_id]).power_w == power
+
+    def test_timestamp_outside_utc_range_is_ingest_error(self, tmp_path):
+        manifest = tmp_path / "runs.json"
+        manifest.write_text('{"runs": [{"run_id": "r", "platform_id": "p", "machines": ["m"], "step_time_s": 1}]}')
+        intervals = tmp_path / "intervals.jsonl"
+        intervals.write_text(
+            '{"run_id": "r", "machine_id": "m", "interval_start": "0001-01-01T00:00:00+01:00", '
+            '"power_w": 1, "duty_cycle": 1}\n'
+        )
+        with pytest.raises(IngestError, match="line 1"):
+            read_runs(manifest, intervals)
