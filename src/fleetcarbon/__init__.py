@@ -22,12 +22,9 @@ from .factors import (
 )
 from .lca import (
     EmbodiedBreakdown,
-    GwpTable,
     LcaComponentEntry,
     MachineInventory,
     TransportLeg,
-    dc_construction_per_chip,
-    gwp_convert,
     inventory_views,
     machine_manufacturing,
     machine_transport,

@@ -124,9 +124,3 @@ def estimate_workload(flops_total: float, report: CciReport) -> WorkloadEstimate
         operational_g=exaflops * report.operational_cci,
     )
 
-
-def flops_per_joule(energy_kwh_per_exaflop: float) -> float:
-    """Utilized performance per watt implied by an energy intensity."""
-    if energy_kwh_per_exaflop <= 0:
-        raise ValueError("energy intensity must be positive")
-    return EXA / (energy_kwh_per_exaflop * J_PER_KWH)

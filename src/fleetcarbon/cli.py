@@ -100,7 +100,7 @@ def cmd_report(args) -> int:
     config = _load(args)
     platforms, inventories, factors, dataset = _inputs(config)
     accounts = reportmod.fold_platforms(
-        dataset, platforms, inventories, factors, config.standard, config.pue
+        dataset, inventories, factors, config.standard, config.pue
     )
     fmt = config.output_format
     tables = [
@@ -115,9 +115,9 @@ def cmd_report(args) -> int:
 
 def cmd_cci(args) -> int:
     config = _load(args)
-    platforms, inventories, factors, dataset = _inputs(config)
+    _, inventories, factors, dataset = _inputs(config)
     accounts = reportmod.fold_platforms(
-        dataset, platforms, inventories, factors, config.standard, config.pue
+        dataset, inventories, factors, config.standard, config.pue
     )
     table = reportmod.platform_table(accounts)
     sys.stdout.write(table.render(config.output_format))
@@ -163,12 +163,12 @@ def cmd_workload(args) -> int:
 
 def cmd_scenario(args) -> int:
     config = _load(args)
-    platforms, inventories, factors, dataset = _inputs(config)
+    _, inventories, factors, dataset = _inputs(config)
     names = args.scenarios or sorted(factors.scenarios)
     if not names:
         raise ConfigError("no scenarios defined in the factor configuration")
     accounts = reportmod.fold_platforms(
-        dataset, platforms, inventories, factors, config.standard, config.pue
+        dataset, inventories, factors, config.standard, config.pue
     )
     table = reportmod.scenario_table(
         accounts, factors, names, baseline_platform=args.baseline_platform

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .factors import EmissionFactorSet, ScenarioSpec, read_factor_sets, read_scenarios
-from .lca import GwpTable, MachineInventory, read_inventories
+from .lca import MachineInventory, read_inventories
 from .telemetry import PlatformSpec, read_catalog_mapping
 
 DEFAULT_PUE = 1.10
@@ -77,12 +77,7 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     Keyword overrides win over file values, mirroring CLI flags.
     """
     cfg_path = Path(path) if path is not None else bundled_config_path()
-    try:
-        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {cfg_path}: {exc}") from None
-    except ValueError as exc:  # malformed JSON or invalid UTF-8
-        raise ConfigError(f"config {cfg_path} is not valid JSON: {exc}") from None
+    raw = _load_json(cfg_path, "config")
     base = cfg_path.parent
 
     def _path(key: str) -> Path | None:
@@ -126,19 +121,23 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
 
 
 def _load_json(path: Path, what: str) -> dict:
+    """A JSON file whose top level must be an object."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: malformed JSON or invalid UTF-8
         raise ConfigError(f"cannot load {what} {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return raw
 
 
 def load_platforms(path: str | Path) -> dict[str, PlatformSpec]:
     raw = _load_json(Path(path), "platform catalog")
     # synth manifests carry their catalog under a "platforms" key
-    mapping = raw.get("platforms", raw) if isinstance(raw, dict) else raw
+    mapping = raw.get("platforms", raw)
     try:
         return read_catalog_mapping(mapping)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad platform catalog {path}: {exc}") from None
 
 
@@ -172,9 +171,3 @@ def load_factors(path: str | Path) -> FactorConfig:
         standards=read_factor_sets(raw.get("standards", {}), year=year),
         scenarios=read_scenarios(raw.get("scenarios", {})),
     )
-
-
-def load_bundled_gwp_table() -> GwpTable:
-    from .lca import load_gwp_table
-
-    return load_gwp_table(bundled_data_dir() / "gwp_ar5.json")

@@ -1,18 +1,18 @@
 """Cradle-to-grave embodied emissions per machine and per chip.
 
-Inventories arrive as data (component entries in kgCO2e per tray instance,
-transport legs, a per-chip construction allocation); this module composes
-them, allocates them per chip, and exposes both an amortized life-cycle
-view and a corporate-inventory view that books hardware in year one.
+Inventories arrive as data, already in kgCO2e: component entries per tray
+instance, transport legs, and per-chip construction and direct-fuel
+allocations. This module composes them, allocates them per chip, and
+exposes both an amortized life-cycle view and a corporate-inventory view
+that books hardware in year one. `inventory_for` is the one place a
+platform's `inventory_ref` is resolved.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import ConfigError
 from .telemetry import PlatformSpec
@@ -108,20 +108,6 @@ class MachineInventory:
 
 
 @dataclass(frozen=True)
-class GwpTable:
-    """GWP100 multipliers converting non-CO2 gas mass to CO2e."""
-
-    multipliers: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if self.multipliers.get("CO2") != 1.0:
-            raise ValueError("GWP table must map CO2 to exactly 1")
-        for gas, value in self.multipliers.items():
-            if value <= 0:
-                raise ValueError(f"GWP multiplier for {gas} must be > 0")
-
-
-@dataclass(frozen=True)
 class EmbodiedBreakdown:
     """Per-chip embodied emissions, kgCO2e, by source."""
 
@@ -147,12 +133,17 @@ class InventoryViews:
     corporate_first_year: tuple[float, ...]  # hardware booked entirely in year 1
 
 
-def gwp_convert(gas: str, mass_kg: float, table: GwpTable) -> float:
-    """Convert a gas mass to kgCO2e via its 100-year warming potential."""
-    if gas not in table.multipliers:
-        known = ", ".join(sorted(table.multipliers))
-        raise ConfigError(f"unknown gas {gas!r}; known gases: {known}")
-    return mass_kg * table.multipliers[gas]
+def inventory_for(
+    spec: PlatformSpec, inventories: dict[str, MachineInventory]
+) -> MachineInventory:
+    """The inventory a catalog platform names through its `inventory_ref`."""
+    inv = inventories.get(spec.inventory_ref)
+    if inv is None:
+        raise ConfigError(
+            f"platform {spec.platform_id!r} names inventory {spec.inventory_ref!r}, "
+            "which the inventories file does not define"
+        )
+    return inv
 
 
 def tray_multiplicity(inv: MachineInventory, tray: str) -> int:
@@ -197,28 +188,6 @@ def per_chip_embodied(inv: MachineInventory, spec: PlatformSpec) -> EmbodiedBrea
     )
 
 
-def dc_construction_per_chip(
-    total_dc_kg: float,
-    machine_share_of_energy: float,
-    chips: int,
-    lifetime_years: float = 6.0,
-    amortization_years: float = 20.0,
-) -> float:
-    """Construction emissions allocated to one chip.
-
-    The facility footprint amortizes over its own (longer) life; a machine
-    carries the slice matching its share of facility energy over its own
-    lifetime.
-    """
-    if amortization_years <= 0:
-        raise ValueError("amortization_years must be > 0")
-    if not 0.0 <= machine_share_of_energy <= 1.0:
-        raise ValueError("machine_share_of_energy outside [0, 1]")
-    if chips < 1:
-        raise ValueError("chips must be >= 1")
-    return total_dc_kg * machine_share_of_energy * (lifetime_years / amortization_years) / chips
-
-
 def _even_series(total: float, n: int) -> tuple[float, ...]:
     """n near-equal slices whose float sum is exactly `total`."""
     if n == 1:
@@ -228,15 +197,14 @@ def _even_series(total: float, n: int) -> tuple[float, ...]:
     return (per_year,) * (n - 1) + (last,)
 
 
-def inventory_views(
-    inv: MachineInventory, spec: PlatformSpec, deployment_year: int | None = None
-) -> InventoryViews:
+def inventory_views(inv: MachineInventory, spec: PlatformSpec) -> InventoryViews:
     """Per-chip embodied emissions per year under both conventions.
 
     The amortized view spreads everything evenly across the machine
     lifetime. The corporate view books all hardware embodied emissions in
     the first year, with only the construction allocation still following
-    its own multi-year schedule.
+    its own multi-year schedule. Years count from the platform's
+    deployment year (1 when the catalog gives none).
     """
     lifetime = int(round(spec.lifetime_years))
     if lifetime < 1:
@@ -244,7 +212,7 @@ def inventory_views(
     breakdown = per_chip_embodied(inv, spec)
     hardware = breakdown.cpu_mt + breakdown.tpu_mt + breakdown.eol + breakdown.scope1
     dc = breakdown.dc_construction
-    start = deployment_year if deployment_year is not None else (spec.deployment_year or 1)
+    start = spec.deployment_year or 1
     years = tuple(range(start, start + lifetime))
     lca_series = _even_series(hardware + dc, lifetime)
     dc_series = _even_series(dc, lifetime)
@@ -255,14 +223,6 @@ def inventory_views(
         lca_amortized=lca_series,
         corporate_first_year=corporate,
     )
-
-
-def load_gwp_table(path: str | Path) -> GwpTable:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load GWP table {path}: {exc}") from None
-    return GwpTable(multipliers={str(k): float(v) for k, v in data.items()})
 
 
 def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
@@ -307,6 +267,6 @@ def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
                 scope1_kg_per_chip=float(cfg.get("scope1_kg_per_chip", 0.0)),
                 eol_credit_fraction=float(cfg.get("eol_credit_fraction", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad inventory for {platform_id!r}: {exc}") from None
     return inventories

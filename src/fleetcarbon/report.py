@@ -25,9 +25,17 @@ from dataclasses import dataclass
 
 from .cci import CciReport, build_report, operational_cci
 from .config import FactorConfig
-from .errors import ComputationError
+from .errors import ComputationError, ConfigError
 from .factors import scenario_manufacturing_reduction
-from .lca import EmbodiedBreakdown, MachineInventory, machine_manufacturing, per_chip_embodied, tray_multiplicity
+from .lca import (
+    EmbodiedBreakdown,
+    MachineInventory,
+    inventory_for,
+    inventory_views,
+    machine_manufacturing,
+    per_chip_embodied,
+    tray_multiplicity,
+)
 from .telemetry import FleetDataset, FleetWindow, PlatformSpec, aggregate, lifetime_energy_per_chip
 from .weighting import BucketScheme, Observation, balanced_comparison
 from .workload import RunPolicy, WorkloadRun, emissions_per_step, workload_cci
@@ -106,19 +114,18 @@ class FleetAccounts:
 
 def fold_platforms(
     dataset: FleetDataset,
-    platforms: dict[str, PlatformSpec],
     inventories: dict[str, MachineInventory],
     factors: FactorConfig,
     standard: str,
     pue: float,
 ) -> FleetAccounts:
-    """Aggregate, break down and report each catalog platform once."""
+    """Aggregate, break down and report each platform of the dataset's catalog once."""
     factor = factors.factor_for(standard)
     accounts = {}
-    for pid in sorted(platforms):
-        spec = platforms[pid]
+    for pid in sorted(dataset.catalog):
+        spec = dataset.catalog[pid]
         window = aggregate(dataset, pid)
-        breakdown = per_chip_embodied(inventories[spec.inventory_ref], spec)
+        breakdown = per_chip_embodied(inventory_for(spec, inventories), spec)
         rep = build_report(window, spec, breakdown, factor, pue, standard)
         accounts[pid] = PlatformAccount(spec, window, breakdown, rep)
     return FleetAccounts(standard, factor, pue, accounts)
@@ -203,7 +210,7 @@ def manufacturing_table(
     rows = []
     for pid in sorted(platforms):
         spec = platforms[pid]
-        inv = inventories[spec.inventory_ref]
+        inv = inventory_for(spec, inventories)
         for entry in inv.components:
             rows.append(
                 (
@@ -238,9 +245,12 @@ def workload_table(
         if verdict == "rejected":
             rows.append((run.run_id, run.workload, run.platform_id, "rejected") + (None,) * 8)
             continue
-        spec = platforms[run.platform_id]
-        inv = inventories[spec.inventory_ref]
-        step = emissions_per_step(run, factor_g_per_kwh, inv, spec, pue=pue)
+        spec = platforms.get(run.platform_id)
+        if spec is None:
+            raise ConfigError(f"run {run.run_id}: platform {run.platform_id!r} not in catalog")
+        step = emissions_per_step(
+            run, factor_g_per_kwh, inventory_for(spec, inventories), spec, pue=pue
+        )
         cci = (
             workload_cci(step.total_g, run.flops_per_step)
             if run.flops_per_step
@@ -434,12 +444,10 @@ def amortization_table(
     platforms: dict[str, PlatformSpec], inventories: dict[str, MachineInventory]
 ) -> Table:
     """Yearly per-chip embodied emissions under both accounting views."""
-    from .lca import inventory_views
-
     rows = []
     for pid in sorted(platforms):
         spec = platforms[pid]
-        views = inventory_views(inventories[spec.inventory_ref], spec)
+        views = inventory_views(inventory_for(spec, inventories), spec)
         for i, year in enumerate(views.years):
             rows.append(
                 (pid, year, i + 1, views.lca_amortized[i], views.corporate_first_year[i])

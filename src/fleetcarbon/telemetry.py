@@ -10,7 +10,6 @@ energy and FLOP totals.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import sys
@@ -101,26 +100,8 @@ class TelemetrySample:
         return len(self.tray_power_w) > 0
 
     @property
-    def has_duty_cycle(self) -> bool:
-        return self.duty_cycle is not None
-
-    @property
-    def has_flops(self) -> bool:
-        return self.flops is not None
-
-    @property
     def complete(self) -> bool:
-        return self.has_power and self.has_duty_cycle and self.has_flops
-
-    def missing_fields(self) -> tuple[str, ...]:
-        missing = []
-        if not self.has_power:
-            missing.append("tray_power_w")
-        if not self.has_duty_cycle:
-            missing.append("duty_cycle")
-        if not self.has_flops:
-            missing.append("flops")
-        return tuple(missing)
+        return self.has_power and self.duty_cycle is not None and self.flops is not None
 
 
 @dataclass(frozen=True)
@@ -288,7 +269,7 @@ def _build_sample(record: dict, catalog: dict[str, PlatformSpec]) -> TelemetrySa
 
 
 def _iter_records(source) -> Iterator[dict | str]:
-    """Yield raw records from a path, a CSV text file, or an iterable of dicts.
+    """Yield raw records from a path or an iterable of dicts.
 
     A JSON-lines file yields its non-blank lines undecoded, so that `ingest`
     can reject a malformed line as one row and read on.
@@ -304,17 +285,15 @@ def _iter_records(source) -> Iterator[dict | str]:
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise IngestError(f"cannot read telemetry {path}: {exc}") from None
         return
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        yield from csv.DictReader(source)
-        return
     yield from source
 
 
 def ingest(source, catalog: dict[str, PlatformSpec]) -> FleetDataset:
     """Parse a telemetry stream against a platform catalog.
 
-    `source` may be a path (CSV by default, JSON-lines for .jsonl), an open
-    CSV text file, or an iterable of record dicts. Every unparseable row,
+    `source` may be a path (CSV by default, JSON lines for .jsonl, .ndjson
+    or .json) or an iterable of record dicts; wrap an open CSV text file in
+    `csv.DictReader` to pass it as the latter. Every unparseable row,
     malformed JSON included, is recorded in the rejection log with its
     1-based row number; an empty input yields an empty dataset.
     """

@@ -60,17 +60,10 @@ class BucketScheme:
         if self.buckets < 1:
             raise ValueError("bucket count must be >= 1")
 
-    @property
-    def width(self) -> float:
-        return 1.0 / self.buckets
-
     def bucket_of(self, duty_cycle: float) -> int:
         if not 0.0 <= duty_cycle <= 1.0:
             raise ValueError(f"duty_cycle {duty_cycle} outside [0, 1]")
         return max(0, math.ceil(duty_cycle * self.buckets) - 1)
-
-    def boundaries(self) -> tuple[float, ...]:
-        return tuple(i / self.buckets for i in range(self.buckets + 1))
 
 
 @dataclass(frozen=True)
@@ -92,15 +85,12 @@ class PropensityScores:
     def generations(self) -> tuple[str, ...]:
         return tuple(sorted({gen for (_, gen) in self.counts}))
 
-    def populated_buckets(self) -> tuple[int, ...]:
-        return tuple(sorted(self.bucket_totals))
-
     def missing_pairs(self) -> tuple[tuple[int, str], ...]:
         """(bucket, generation) pairs where a populated bucket lacks a generation."""
         gens = self.generations()
         return tuple(
             (bucket, gen)
-            for bucket in self.populated_buckets()
+            for bucket in sorted(self.bucket_totals)
             for gen in gens
             if (bucket, gen) not in self.counts
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cci import EXA, J_PER_KWH
-from .errors import ComputationError, ConfigError, IngestError
+from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
 from .telemetry import PlatformSpec, parse_rfc3339
 
@@ -137,16 +137,13 @@ def emissions_per_step(
     inventory: MachineInventory,
     spec: PlatformSpec,
     pue: float = 1.0,
-    threshold: float = DEFAULT_DUTY_THRESHOLD,
 ) -> StepEmissions:
     """Operational plus embodied grams per machine-step.
 
     Pass pue=1.0 (the default) to account at the machine meter; a real PUE
     folds cooling overhead into the per-step figure.
     """
-    if inventory is None:
-        raise ConfigError(f"run {run.run_id}: no inventory for {run.platform_id!r}")
-    duty = on_duty_power(run, threshold)
+    duty = on_duty_power(run)
     operational = duty.power_w * run.step_time_s * pue * factor_g_per_kwh / J_PER_KWH
     embodied = embodied_rate_g_per_s(inventory, spec) * run.step_time_s
     return StepEmissions(
@@ -176,8 +173,11 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     except (OSError, ValueError) as exc:  # ValueError: malformed JSON or invalid UTF-8
         raise IngestError(f"cannot read run manifest {manifest_path}: {exc}") from None
 
-    runs_cfg = manifest["runs"] if isinstance(manifest, dict) else manifest
-    wanted = {str(r["run_id"]) for r in runs_cfg}
+    try:
+        runs_cfg = manifest["runs"] if isinstance(manifest, dict) else manifest
+        wanted = {str(r["run_id"]) for r in runs_cfg}
+    except (KeyError, TypeError) as exc:
+        raise IngestError(f"run manifest {manifest_path}: no list of runs with ids: {exc!r}") from None
     per_run: dict[str, dict[str, dict[str, dict[str, float]]]] = {
         run_id: {} for run_id in wanted
     }
@@ -197,7 +197,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     machine = str(rec["machine_id"])
                     slot["power"][machine] = float(rec["power_w"])
                     slot["duty"][machine] = float(rec["duty_cycle"])
-                except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise IngestError(
                         f"{intervals_path}: bad interval record at line {line_no}: {exc}"
                     ) from None
@@ -211,8 +211,8 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
             RunInterval(timestamp=ts, power_w=slot["power"], duty_cycle=slot["duty"])
             for ts, slot in sorted(per_run[run_id].items())
         )
-        runs.append(
-            WorkloadRun(
+        try:
+            run = WorkloadRun(
                 run_id=run_id,
                 workload=str(cfg.get("workload", "")),
                 platform_id=str(cfg["platform_id"]),
@@ -224,5 +224,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     float(cfg["flops_per_step"]) if "flops_per_step" in cfg else None
                 ),
             )
-        )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise IngestError(f"run manifest {manifest_path}: bad run {run_id!r}: {exc!r}") from None
+        runs.append(run)
     return tuple(runs)

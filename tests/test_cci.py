@@ -8,7 +8,6 @@ from fleetcarbon.cci import (
     embodied_cci,
     energy_per_exaflop,
     estimate_workload,
-    flops_per_joule,
     lifetime_exaflops,
     operational_cci,
 )
@@ -67,14 +66,6 @@ class TestOperationalCci:
 
     def test_high_cfe_reference(self):
         assert operational_cci(0.86, 31) == pytest.approx(27, rel=0.04)
-
-    def test_product_and_quotient_forms_agree(self):
-        # factor / (FLOPs-per-joule expressed per-ExaFLOP-kWh) is the same number
-        for epf in (2.53, 1.65, 0.86):
-            for factor in (135.0, 212.0, 366.0):
-                product = operational_cci(epf, factor)
-                quotient = factor / (flops_per_joule(epf) * 3.6e6 / 1e18)
-                assert product == pytest.approx(quotient, rel=1e-12)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,23 @@ def run_cli(capsys, *argv):
 
 INVALID_UTF8 = b'{"a": "\xff\xfe"}\n'
 OVERSIZED_CSV_FIELD = b"machine_id,platform_id\n" + b"x" * 131_073 + b",v4i\n"
+NOT_AN_OBJECT = b"[]\n"
+# v4i rows of the bundled telemetry aggregate, but its inventory is absent
+MISSING_INVENTORY_CATALOG = (
+    b'{"v4i": {"chips_per_machine": 4, "trays_per_machine": 3, "inventory_ref": "gen-a"}}\n'
+)
+HUGE_INT = "1" + "0" * 400  # a JSON integer beyond float range
+HUGE_POWER_INTERVAL = (
+    '{"run_id": "rlhf-v5e-r1", "machine_id": "m0", "interval_start": "2024-10-01T00:00:00Z", '
+    f'"power_w": {HUGE_INT}, "duty_cycle": 0.9}}\n'
+).encode()
+
+
+def run_manifest(**run):
+    """A one-run manifest; a field given as None is left out."""
+    fields = {"run_id": "r1", "platform_id": "v5e", "machines": ["m0"], "step_time_s": 1.0}
+    fields.update(run)
+    return json.dumps({"runs": [{k: v for k, v in fields.items() if v is not None}]}).encode()
 
 
 def run_cli_process(*argv):
@@ -166,6 +183,21 @@ class TestExitCodes:
             ("telemetry", OVERSIZED_CSV_FIELD, "ingest", EXIT_INGEST),
             ("run_manifest", INVALID_UTF8, "workload", EXIT_INGEST),
             ("run_intervals", INVALID_UTF8, "workload", EXIT_INGEST),
+            ("config", NOT_AN_OBJECT, "report", EXIT_CONFIG),
+            ("platforms", NOT_AN_OBJECT, "report", EXIT_CONFIG),
+            ("inventories", NOT_AN_OBJECT, "report", EXIT_CONFIG),
+            ("factors", NOT_AN_OBJECT, "report", EXIT_CONFIG),
+            ("platforms", b'{"platforms": []}', "report", EXIT_CONFIG),
+            ("inventories", b'{"v4i": []}', "report", EXIT_CONFIG),
+            ("platforms", MISSING_INVENTORY_CATALOG, "cci", EXIT_CONFIG),
+            ("platforms", MISSING_INVENTORY_CATALOG, "lca", EXIT_CONFIG),
+            ("run_manifest", b"{}", "workload", EXIT_INGEST),
+            ("run_manifest", run_manifest(platform_id=None), "workload", EXIT_INGEST),
+            ("run_manifest", run_manifest(machines=None), "workload", EXIT_INGEST),
+            ("run_manifest", run_manifest(step_time_s=None), "workload", EXIT_INGEST),
+            ("run_manifest", run_manifest(step_time_s=int(HUGE_INT)), "workload", EXIT_INGEST),
+            ("run_manifest", run_manifest(platform_id="v9"), "workload", EXIT_CONFIG),
+            ("run_intervals", HUGE_POWER_INTERVAL, "workload", EXIT_INGEST),
         ],
         ids=[
             "config",
@@ -176,6 +208,21 @@ class TestExitCodes:
             "telemetry-oversized-field",
             "run-manifest",
             "run-intervals",
+            "config-not-object",
+            "catalog-not-object",
+            "inventories-not-object",
+            "factors-not-object",
+            "manifest-catalog-not-object",
+            "inventory-entry-not-object",
+            "catalog-missing-inventory-cci",
+            "catalog-missing-inventory-lca",
+            "run-manifest-empty-object",
+            "run-manifest-no-platform",
+            "run-manifest-no-machines",
+            "run-manifest-no-step-time",
+            "run-manifest-huge-step-time",
+            "run-manifest-unknown-platform",
+            "run-intervals-huge-power",
         ],
     )
     def test_undecodable_input_exits_without_traceback(self, tmp_path, key, content, command, expected):

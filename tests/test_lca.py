@@ -2,15 +2,10 @@ import math
 
 import pytest
 
-from fleetcarbon.config import load_bundled_gwp_table
-from fleetcarbon.errors import ConfigError
 from fleetcarbon.lca import (
-    GwpTable,
     LcaComponentEntry,
     MachineInventory,
     TransportLeg,
-    dc_construction_per_chip,
-    gwp_convert,
     inventory_views,
     machine_manufacturing,
     machine_transport,
@@ -19,9 +14,13 @@ from fleetcarbon.lca import (
 from fleetcarbon.telemetry import PlatformSpec
 
 
-def spec(pid="v5e", chips=8, trays=3, lifetime=6):
+def spec(pid="v5e", chips=8, trays=3, lifetime=6, deployed=None):
     return PlatformSpec(
-        platform_id=pid, chips_per_machine=chips, trays_per_machine=trays, lifetime_years=lifetime
+        platform_id=pid,
+        chips_per_machine=chips,
+        trays_per_machine=trays,
+        lifetime_years=lifetime,
+        deployment_year=deployed,
     )
 
 
@@ -43,27 +42,6 @@ def inventory(components=(), legs=(), acc_trays=2, dc=0.0, eol=0.0, scope1=0.0, 
         scope1_kg_per_chip=scope1,
         eol_credit_fraction=eol,
     )
-
-
-class TestGwp:
-    def test_co2_identity(self):
-        table = GwpTable({"CO2": 1.0, "CH4": 28.0})
-        assert gwp_convert("CO2", 5.0, table) == 5.0
-
-    def test_methane_from_bundled_table(self):
-        table = load_bundled_gwp_table()
-        assert gwp_convert("CH4", 2.0, table) == 56.0
-
-    def test_unknown_gas_lists_known_ones(self):
-        table = GwpTable({"CO2": 1.0, "CH4": 28.0})
-        with pytest.raises(ConfigError, match="CH4"):
-            gwp_convert("unobtainium", 1.0, table)
-
-    def test_table_requires_exact_co2_unit(self):
-        with pytest.raises(ValueError):
-            GwpTable({"CO2": 1.1})
-        with pytest.raises(ValueError):
-            GwpTable({"CH4": 28.0})
 
 
 class TestManufacturing:
@@ -196,36 +174,12 @@ class TestPerChipEmbodied:
             inventory(eol=0.05)
 
 
-class TestDcConstruction:
-    def test_share_and_amortization(self):
-        # fixture chosen to land on the oldest platform's 59 kg/chip
-        total = 59 * 8 / (0.01 * (6 / 20))
-        got = dc_construction_per_chip(total, machine_share_of_energy=0.01, chips=8)
-        assert got == pytest.approx(59.0, rel=1e-12)
-
-    def test_zero_share(self):
-        assert dc_construction_per_chip(1e6, 0.0, chips=8) == 0
-
-    def test_linearity_in_share(self):
-        one = dc_construction_per_chip(5e5, 0.01, chips=4)
-        two = dc_construction_per_chip(5e5, 0.02, chips=4)
-        assert two == pytest.approx(2 * one, rel=1e-12)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            dc_construction_per_chip(1e6, 0.5, chips=8, amortization_years=0)
-        with pytest.raises(ValueError):
-            dc_construction_per_chip(1e6, 1.5, chips=8)
-        with pytest.raises(ValueError):
-            dc_construction_per_chip(1e6, 0.5, chips=0)
-
-
 class TestInventoryViews:
     def test_even_spread_and_first_year_booking(self):
         inv = inventory(components=[entry(300.0)], acc_trays=1, pid="p")
         # 300 kg per machine, 1 chip in this spec: 300 kg/chip over 6 years
-        one_chip = spec(chips=1, trays=2)
-        views = inventory_views(inv, one_chip, deployment_year=2024)
+        one_chip = spec(chips=1, trays=2, deployed=2024)
+        views = inventory_views(inv, one_chip)
         assert views.lca_amortized == (50.0,) * 6
         assert views.corporate_first_year == (300.0, 0, 0, 0, 0, 0)
         assert views.years == tuple(range(2024, 2030))
@@ -256,7 +210,7 @@ class TestInventoryViews:
         s = platforms["v4i"]
         inv = inventories["v4i"]
         cohort_sizes = {0: 1, 1: 2, 2: 4, 3: 8}
-        views = inventory_views(inv, s, deployment_year=0)
+        views = inventory_views(inv, s)
         year = 3
         corporate_total = 0.0
         lca_total = 0.0

@@ -1,3 +1,4 @@
+import csv
 import io
 from datetime import datetime, timedelta, timezone
 
@@ -52,7 +53,7 @@ CSV_HEADER = "machine_id,platform_id,interval_start,tray_power_w,duty_cycle,flop
 
 
 def csv_source(*rows):
-    return io.StringIO(CSV_HEADER + "".join(r + "\n" for r in rows))
+    return csv.DictReader(io.StringIO(CSV_HEADER + "".join(r + "\n" for r in rows)))
 
 
 class TestIngest:
@@ -184,14 +185,14 @@ class TestIngest:
         assert len(ds.samples) + len(ds.rejections) == len(rows)
 
     def test_empty_input_is_empty_dataset(self):
-        ds = ingest(io.StringIO(CSV_HEADER), {"p1": spec()})
+        ds = ingest(csv_source(), {"p1": spec()})
         assert len(ds) == 0 and ds.rejections == ()
 
     def test_missing_fields_kept_as_incomplete(self):
         ds = ingest(csv_source("m0,p1,2024-10-01T00:00:00Z,300,,"), {"p1": spec()})
         assert len(ds) == 1
         assert not ds.samples[0].complete
-        assert ds.samples[0].missing_fields() == ("duty_cycle", "flops")
+        assert ds.samples[0].duty_cycle is None and ds.samples[0].flops is None
 
     def test_jsonl_source(self, tmp_path):
         path = tmp_path / "t.jsonl"

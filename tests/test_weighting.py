@@ -61,10 +61,6 @@ class TestBucketScheme:
         assert scheme.bucket_of(0.3) == 2
         assert scheme.bucket_of(1.0) == 9
 
-    def test_boundaries_cover_unit_interval(self):
-        scheme = BucketScheme(4)
-        assert scheme.boundaries() == (0.0, 0.25, 0.5, 0.75, 1.0)
-
     @given(st.floats(0.0, 1.0, allow_nan=False), st.integers(1, 50))
     def test_every_duty_lands_in_a_valid_bucket(self, duty, n):
         scheme = BucketScheme(n)

@@ -230,21 +230,6 @@ def write_factors() -> None:
     (DATA / "factors.json").write_text(json.dumps(data, indent=2) + "\n")
 
 
-def write_gwp() -> None:
-    table = {
-        "CO2": 1.0,
-        "CH4": 28.0,
-        "N2O": 265.0,
-        "SF6": 23500.0,
-        "NF3": 16100.0,
-        "CF4": 6630.0,
-        "C2F6": 11100.0,
-        "HFC-23": 12400.0,
-        "HFC-134a": 1300.0,
-    }
-    (DATA / "gwp_ar5.json").write_text(json.dumps(table, indent=2) + "\n")
-
-
 def write_hourly() -> None:
     rows = []
     for h in range(48):
@@ -326,7 +311,6 @@ def write_config() -> None:
         "hourly_series": "hourly_series.csv",
         "run_manifest": "workload_manifest.json",
         "run_intervals": "workload_runs.jsonl",
-        "gwp_table": "gwp_ar5.json",
         "standard": "market",
         "pue": 1.10,
         "buckets": 10,
@@ -344,7 +328,6 @@ def main() -> None:
     write_telemetry()
     write_inventories()
     write_factors()
-    write_gwp()
     write_hourly()
     write_workloads()
     write_config()
