@@ -41,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--standard",
         default=None,
-        help="accounting standard: location, market, hourly247, or scenario:<name>",
+        help="accounting standard: a name from the factors file, or scenario:<name>",
     )
     parser.add_argument("--pue", type=float, default=None, help="data-center PUE override")
     parser.add_argument("--telemetry", type=Path, default=None, help="telemetry file override")
@@ -194,13 +194,13 @@ def cmd_weight(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.scenario_file is not None:
-        try:
-            raw = json.loads(args.scenario_file.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: malformed JSON or invalid UTF-8
-            raise ConfigError(f"cannot read scenario file {args.scenario_file}: {exc}") from None
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        scenario = synthmod.scenario_from_mapping(raw)
+
+        def build(raw: dict) -> synthmod.SynthScenario:
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            return synthmod.scenario_from_mapping(raw)
+
+        scenario = cfgmod.read_document(args.scenario_file, "synth scenario", build)
     else:
         scenario = synthmod.default_scenario(seed=args.seed if args.seed is not None else 20241001)
     args.output_dir.mkdir(parents=True, exist_ok=True)

@@ -9,9 +9,11 @@ runs it points to) ships inside the package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .errors import ConfigError
 from .factors import EmissionFactorSet, ScenarioSpec, read_factor_sets, read_scenarios
@@ -19,7 +21,7 @@ from .lca import MachineInventory, read_inventories
 from .telemetry import PlatformSpec, read_catalog_mapping
 
 DEFAULT_PUE = 1.10
-STANDARD_NAMES = ("location", "market", "hourly247")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,10 @@ class RunConfig:
         ):
             if not path.exists():
                 raise ConfigError(f"{label} file does not exist: {path}")
-        if not (
-            self.standard in STANDARD_NAMES or self.standard.startswith("scenario:")
-        ):
-            raise ConfigError(
-                f"unknown accounting standard {self.standard!r}; "
-                f"expected one of {', '.join(STANDARD_NAMES)} or scenario:<name>"
-            )
-        if self.pue < 1.0:
-            raise ConfigError(f"pue {self.pue} must be >= 1")
+        if not 1.0 <= self.pue < math.inf:
+            raise ConfigError(f"pue {self.pue} must be finite and >= 1")
+        if self.buckets < 1:
+            raise ConfigError(f"buckets {self.buckets} must be >= 1")
         if self.output_format not in ("csv", "json", "md"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
@@ -77,42 +74,39 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     Keyword overrides win over file values, mirroring CLI flags.
     """
     cfg_path = Path(path) if path is not None else bundled_config_path()
-    raw = _load_json(cfg_path, "config")
-    base = cfg_path.parent
 
-    def _path(key: str) -> Path | None:
-        value = raw.get(key)
-        return (base / value) if value else None
+    def build(raw: dict) -> RunConfig:
+        def _path(key: str) -> Path | None:
+            value = raw.get(key)
+            return (cfg_path.parent / value) if value else None
 
-    required = {}
-    for key in ("telemetry", "platforms", "inventories", "factors"):
-        p = _path(key)
-        if p is None:
-            raise ConfigError(f"config {cfg_path} is missing {key!r}")
-        required[key] = p
+        for key in ("telemetry", "platforms", "inventories", "factors"):
+            if not raw.get(key):
+                raise ConfigError(f"config {cfg_path} is missing {key!r}")
+        incomplete = raw.get("incomplete_runs", {})
+        return RunConfig(
+            telemetry=_path("telemetry"),
+            platforms=_path("platforms"),
+            inventories=_path("inventories"),
+            factors=_path("factors"),
+            hourly_series=_path("hourly_series"),
+            run_manifest=_path("run_manifest"),
+            run_intervals=_path("run_intervals"),
+            standard=str(raw.get("standard", "market")),
+            pue=float(raw.get("pue", DEFAULT_PUE)),
+            buckets=int(raw.get("buckets", 10)),
+            output_format=str(raw.get("format", "csv")),
+            workload_factor_g_per_kwh=(
+                float(raw["workload_factor_g_per_kwh"])
+                if "workload_factor_g_per_kwh" in raw
+                else None
+            ),
+            workload_pue=float(raw.get("workload_pue", 1.0)),
+            incomplete_accept=tuple(incomplete.get("accept", ())),
+            incomplete_reject=tuple(incomplete.get("reject", ())),
+        )
 
-    incomplete = raw.get("incomplete_runs", {})
-    config = RunConfig(
-        telemetry=required["telemetry"],
-        platforms=required["platforms"],
-        inventories=required["inventories"],
-        factors=required["factors"],
-        hourly_series=_path("hourly_series"),
-        run_manifest=_path("run_manifest"),
-        run_intervals=_path("run_intervals"),
-        standard=str(raw.get("standard", "market")),
-        pue=float(raw.get("pue", DEFAULT_PUE)),
-        buckets=int(raw.get("buckets", 10)),
-        output_format=str(raw.get("format", "csv")),
-        workload_factor_g_per_kwh=(
-            float(raw["workload_factor_g_per_kwh"])
-            if "workload_factor_g_per_kwh" in raw
-            else None
-        ),
-        workload_pue=float(raw.get("workload_pue", 1.0)),
-        incomplete_accept=tuple(incomplete.get("accept", ())),
-        incomplete_reject=tuple(incomplete.get("reject", ())),
-    )
+    config = read_document(cfg_path, "config", build)
     clean = {k: v for k, v in overrides.items() if v is not None}
     if clean:
         config = replace(config, **clean)
@@ -120,29 +114,44 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     return config
 
 
-def _load_json(path: Path, what: str) -> dict:
-    """A JSON file whose top level must be an object."""
+def _finite_float(text: str) -> float:
+    """JSON number hook: NaN, Infinity and floats beyond range are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_document(path: str | Path, what: str, build: Callable[[dict], T]) -> T:
+    """Decode a JSON-object document and build a model from it.
+
+    The one error policy for configuration documents: an unreadable file,
+    malformed JSON, a non-finite number, a top level that is not an object,
+    and a shape or value `build` cannot use all raise ConfigError.
+    """
+    path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or invalid UTF-8
+        text = path.read_text(encoding="utf-8")
+        raw = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or number
         raise ConfigError(f"cannot load {what} {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} {path} is not a JSON object")
-    return raw
+    try:
+        return build(raw)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {what} {path}: {exc!r}") from None
 
 
 def load_platforms(path: str | Path) -> dict[str, PlatformSpec]:
-    raw = _load_json(Path(path), "platform catalog")
     # synth manifests carry their catalog under a "platforms" key
-    mapping = raw.get("platforms", raw)
-    try:
-        return read_catalog_mapping(mapping)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad platform catalog {path}: {exc}") from None
+    return read_document(
+        path, "platform catalog", lambda raw: read_catalog_mapping(raw.get("platforms", raw))
+    )
 
 
 def load_inventories(path: str | Path) -> dict[str, MachineInventory]:
-    return read_inventories(_load_json(Path(path), "inventories"))
+    return read_document(path, "inventories", read_inventories)
 
 
 @dataclass(frozen=True)
@@ -164,10 +173,12 @@ class FactorConfig:
 
 
 def load_factors(path: str | Path) -> FactorConfig:
-    raw = _load_json(Path(path), "factor sets")
-    year = int(raw.get("year", 0))
-    return FactorConfig(
-        year=year,
-        standards=read_factor_sets(raw.get("standards", {}), year=year),
-        scenarios=read_scenarios(raw.get("scenarios", {})),
-    )
+    def build(raw: dict) -> FactorConfig:
+        year = int(raw.get("year", 0))
+        return FactorConfig(
+            year=year,
+            standards=read_factor_sets(raw.get("standards", {}), year=year),
+            scenarios=read_scenarios(raw.get("scenarios", {})),
+        )
+
+    return read_document(path, "factor sets", build)

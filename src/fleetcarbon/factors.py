@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ComputationError, ConfigError, IngestError
+from .errors import ComputationError, IngestError
 
 
 @dataclass(frozen=True)
@@ -188,33 +188,27 @@ def read_hourly_series(path: str | Path) -> dict[str, HourlyGridSeries]:
 
 def read_factor_sets(mapping: dict, year: int = 0) -> dict[str, EmissionFactorSet]:
     """Build factor sets from the config's named accounting standards."""
-    sets: dict[str, EmissionFactorSet] = {}
-    for name, cfg in mapping.items():
-        try:
-            sets[name] = EmissionFactorSet(
-                label=str(cfg.get("label", name)),
-                year=int(cfg.get("year", year)),
-                lb_factor=float(cfg["lb_factor"]),
-                cfe_impact=float(cfg.get("cfe_impact", 0.0)),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad factor set {name!r}: {exc}") from None
-    return sets
+    return {
+        name: EmissionFactorSet(
+            label=str(cfg.get("label", name)),
+            year=int(cfg.get("year", year)),
+            lb_factor=float(cfg["lb_factor"]),
+            cfe_impact=float(cfg.get("cfe_impact", 0.0)),
+        )
+        for name, cfg in mapping.items()
+    }
 
 
 def read_scenarios(mapping: dict) -> dict[str, ScenarioSpec]:
-    scenarios: dict[str, ScenarioSpec] = {}
-    for name, cfg in mapping.items():
-        try:
-            scenarios[name] = ScenarioSpec(
-                name=name,
-                operations_factor_g_per_kwh=float(cfg["operations_factor_g_per_kwh"]),
-                manufacturing_electricity_share=float(cfg["manufacturing_electricity_share"]),
-                manufacturing_baseline_factor=float(cfg["manufacturing_baseline_factor"]),
-                manufacturing_target_factor=float(cfg["manufacturing_target_factor"]),
-                apply_manufacturing_reduction=bool(cfg.get("apply_manufacturing_reduction", False)),
-                baseline_standard=str(cfg.get("baseline_standard", "hourly247")),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad scenario {name!r}: {exc}") from None
-    return scenarios
+    return {
+        name: ScenarioSpec(
+            name=name,
+            operations_factor_g_per_kwh=float(cfg["operations_factor_g_per_kwh"]),
+            manufacturing_electricity_share=float(cfg["manufacturing_electricity_share"]),
+            manufacturing_baseline_factor=float(cfg["manufacturing_baseline_factor"]),
+            manufacturing_target_factor=float(cfg["manufacturing_target_factor"]),
+            apply_manufacturing_reduction=bool(cfg.get("apply_manufacturing_reduction", False)),
+            baseline_standard=str(cfg.get("baseline_standard", "hourly247")),
+        )
+        for name, cfg in mapping.items()
+    }

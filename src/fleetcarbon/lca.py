@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ComputationError, ConfigError
 from .telemetry import PlatformSpec
 
 COMPONENT_CATEGORIES = (
@@ -208,7 +208,7 @@ def inventory_views(inv: MachineInventory, spec: PlatformSpec) -> InventoryViews
     """
     lifetime = int(round(spec.lifetime_years))
     if lifetime < 1:
-        raise ValueError("lifetime must be at least one year")
+        raise ComputationError(f"{spec.platform_id}: lifetime rounds to zero years")
     breakdown = per_chip_embodied(inv, spec)
     hardware = breakdown.cpu_mt + breakdown.tpu_mt + breakdown.eol + breakdown.scope1
     dc = breakdown.dc_construction
@@ -227,10 +227,11 @@ def inventory_views(inv: MachineInventory, spec: PlatformSpec) -> InventoryViews
 
 def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
     """Build machine inventories from a parsed config mapping."""
-    inventories: dict[str, MachineInventory] = {}
-    for platform_id, cfg in mapping.items():
-        try:
-            components = tuple(
+    return {
+        platform_id: MachineInventory(
+            platform_id=platform_id,
+            accelerator_trays=int(cfg["accelerator_trays"]),
+            components=tuple(
                 LcaComponentEntry(
                     name=str(c["name"]),
                     category=str(c["category"]),
@@ -241,8 +242,8 @@ def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
                     ),
                 )
                 for c in cfg.get("components", [])
-            )
-            legs = tuple(
+            ),
+            transport_legs=tuple(
                 TransportLeg(
                     description=str(leg["description"]),
                     mode=str(leg["mode"]),
@@ -257,16 +258,10 @@ def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
                     ),
                 )
                 for leg in cfg.get("transport_legs", [])
-            )
-            inventories[platform_id] = MachineInventory(
-                platform_id=platform_id,
-                accelerator_trays=int(cfg["accelerator_trays"]),
-                components=components,
-                transport_legs=legs,
-                dc_construction_kg_per_chip=float(cfg.get("dc_construction_kg_per_chip", 0.0)),
-                scope1_kg_per_chip=float(cfg.get("scope1_kg_per_chip", 0.0)),
-                eol_credit_fraction=float(cfg.get("eol_credit_fraction", 0.0)),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inventory for {platform_id!r}: {exc}") from None
-    return inventories
+            ),
+            dc_construction_kg_per_chip=float(cfg.get("dc_construction_kg_per_chip", 0.0)),
+            scope1_kg_per_chip=float(cfg.get("scope1_kg_per_chip", 0.0)),
+            eol_credit_fraction=float(cfg.get("eol_credit_fraction", 0.0)),
+        )
+        for platform_id, cfg in mapping.items()
+    }

@@ -43,6 +43,14 @@ class GenerationSpec:
     power_noise: float = 0.02  # multiplicative jitter on power readings
     missing_rate: float = 0.0  # fraction of rows emitted without duty/flops
 
+    def __post_init__(self) -> None:
+        if self.trays_per_machine < 1:
+            raise ValueError(f"{self.name}: trays_per_machine must be >= 1")
+        if not (self.duty_a > 0 and self.duty_b > 0):
+            raise ValueError(f"{self.name}: duty_a and duty_b must be > 0")
+        if self.duty_dist not in ("beta", "uniform") or self.duty_snap not in ("midpoint", "none"):
+            raise ValueError(f"{self.name}: unknown duty_dist or duty_snap")
+
     def energy_kwh_per_exaflop_at_full_duty(self) -> float:
         return kwh_per_exaflop(self.active_power_w, self.flops_per_s_at_full_duty, 1.0)
 
@@ -55,6 +63,10 @@ class SynthScenario:
     buckets: int = 10  # lattice used when duty_snap == "midpoint"
     generations: tuple[GenerationSpec, ...] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        if self.buckets < 1:
+            raise ValueError(f"buckets {self.buckets} must be >= 1")
+
 
 def machine_power_at(duty: float, active_power_w: float) -> float:
     """Idle draw plus a linear ramp to full power at duty one."""
@@ -64,10 +76,8 @@ def machine_power_at(duty: float, active_power_w: float) -> float:
 def _draw_duty(rng: random.Random, gen: GenerationSpec, buckets: int) -> float:
     if gen.duty_dist == "beta":
         d = rng.betavariate(gen.duty_a, gen.duty_b)
-    elif gen.duty_dist == "uniform":
-        d = rng.uniform(0.0, 1.0)
     else:
-        raise ConfigError(f"unknown duty distribution {gen.duty_dist!r}")
+        d = rng.uniform(0.0, 1.0)
     if gen.duty_snap == "midpoint":
         # snap into the center of the duty-cycle level the draw fell in
         idx = min(buckets - 1, int(d * buckets))
@@ -182,34 +192,31 @@ def write_fleet(scenario: SynthScenario, telemetry_path: str | Path, manifest_pa
 
 def scenario_from_mapping(cfg: dict) -> SynthScenario:
     """Parse a scenario description (e.g. loaded from JSON)."""
-    try:
-        generations = tuple(
-            GenerationSpec(
-                name=str(g["name"]),
-                machines=int(g["machines"]),
-                chips_per_machine=int(g.get("chips_per_machine", 8)),
-                trays_per_machine=int(g.get("trays_per_machine", 3)),
-                active_power_w=float(g.get("active_power_w", 1200.0)),
-                tdp_w=float(g.get("tdp_w", 3.0 * float(g.get("active_power_w", 1200.0)))),
-                flops_per_s_at_full_duty=float(g.get("flops_per_s_at_full_duty", 1.0e14)),
-                duty_dist=str(g.get("duty_dist", "beta")),
-                duty_a=float(g.get("duty_a", 4.0)),
-                duty_b=float(g.get("duty_b", 4.0)),
-                duty_snap=str(g.get("duty_snap", "midpoint")),
-                power_noise=float(g.get("power_noise", 0.02)),
-                missing_rate=float(g.get("missing_rate", 0.0)),
-            )
-            for g in cfg["generations"]
+    generations = tuple(
+        GenerationSpec(
+            name=str(g["name"]),
+            machines=int(g["machines"]),
+            chips_per_machine=int(g.get("chips_per_machine", 8)),
+            trays_per_machine=int(g.get("trays_per_machine", 3)),
+            active_power_w=float(g.get("active_power_w", 1200.0)),
+            tdp_w=float(g.get("tdp_w", 3.0 * float(g.get("active_power_w", 1200.0)))),
+            flops_per_s_at_full_duty=float(g.get("flops_per_s_at_full_duty", 1.0e14)),
+            duty_dist=str(g.get("duty_dist", "beta")),
+            duty_a=float(g.get("duty_a", 4.0)),
+            duty_b=float(g.get("duty_b", 4.0)),
+            duty_snap=str(g.get("duty_snap", "midpoint")),
+            power_noise=float(g.get("power_noise", 0.02)),
+            missing_rate=float(g.get("missing_rate", 0.0)),
         )
-        return SynthScenario(
-            seed=int(cfg["seed"]),
-            intervals=int(cfg.get("intervals", 96)),
-            start=str(cfg.get("start", "2024-10-01T00:00:00Z")),
-            buckets=int(cfg.get("buckets", 10)),
-            generations=generations,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth scenario: {exc}") from None
+        for g in cfg["generations"]
+    )
+    return SynthScenario(
+        seed=int(cfg["seed"]),
+        intervals=int(cfg.get("intervals", 96)),
+        start=str(cfg.get("start", "2024-10-01T00:00:00Z")),
+        buckets=int(cfg.get("buckets", 10)),
+        generations=generations,
+    )
 
 
 def default_scenario(seed: int = 20241001) -> SynthScenario:

@@ -308,6 +308,8 @@ def ingest(source, catalog: dict[str, PlatformSpec]) -> FleetDataset:
             samples.append(_build_sample(record, catalog))
         except json.JSONDecodeError as exc:
             rejections.append(Rejection(row=row_no, reason=f"bad JSON: {exc.msg}"))
+        except RecursionError:
+            rejections.append(Rejection(row=row_no, reason="bad JSON: nested too deeply"))
         except ValueError as exc:
             rejections.append(Rejection(row=row_no, reason=str(exc)))
     return FleetDataset(samples=tuple(samples), catalog=dict(catalog), rejections=tuple(rejections))
@@ -421,6 +423,8 @@ def read_catalog_mapping(entries: dict) -> dict[str, PlatformSpec]:
                 cfg.get("power_readings_include_rectifier", True)
             ),
             inventory_ref=str(cfg.get("inventory_ref", platform_id)),
-            deployment_year=cfg.get("deployment_year"),
+            deployment_year=(
+                int(cfg["deployment_year"]) if "deployment_year" in cfg else None
+            ),
         )
     return catalog

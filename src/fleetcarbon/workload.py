@@ -170,7 +170,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     """
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or invalid UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise IngestError(f"cannot read run manifest {manifest_path}: {exc}") from None
 
     try:
@@ -197,7 +197,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     machine = str(rec["machine_id"])
                     slot["power"][machine] = float(rec["power_w"])
                     slot["duty"][machine] = float(rec["duty_cycle"])
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                     raise IngestError(
                         f"{intervals_path}: bad interval record at line {line_no}: {exc}"
                     ) from None

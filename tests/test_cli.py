@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,16 +50,40 @@ def run_cli_process(*argv):
     )
 
 
-def write_config(tmp_path, **overrides):
-    """The bundled demo config with absolute input paths, plus overrides."""
+def demo_config():
+    """The bundled demo config with absolute input paths."""
     cfg = json.loads(bundled_config_path().read_text())
     base = bundled_config_path().parent
     for key in ("telemetry", "platforms", "inventories", "factors", "run_manifest", "run_intervals"):
         cfg[key] = str(base / cfg[key])
+    return cfg
+
+
+def write_config(tmp_path, **overrides):
+    """The bundled demo config with absolute input paths, plus overrides."""
+    cfg = demo_config()
     cfg.update(overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def config_json(**raw):
+    """The demo config as JSON bytes, with each keyword's value appended as raw
+    JSON text; the decoder keeps the last of duplicate keys, so it wins."""
+    text = json.dumps(demo_config())[:-1]
+    return (text + "".join(f', "{k}": {v}' for k, v in raw.items()) + "}").encode()
+
+
+def bundled_json(name, edit):
+    """A bundled data file as JSON bytes, after `edit` changed the parsed document."""
+    doc = json.loads((bundled_config_path().parent / name).read_text())
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+DEEP = b"[" * 100_000 + b"]" * 100_000  # far beyond the decoder's recursion limit
+CATALOG_V4I = '{{"v4i": {{"chips_per_machine": 8, "trays_per_machine": 3, {}}}}}'
 
 
 def read_csv_table(path):
@@ -137,6 +162,11 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "report", "-o", str(tmp_path), "--standard", "vibes")
         assert code == EXIT_CONFIG
 
+    def test_non_finite_pue_flag(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "scenario", "-o", str(tmp_path), "--pue", "nan")
+        assert code == EXIT_CONFIG
+        assert "pue nan" in err
+
     def test_unreadable_telemetry(self, tmp_path, capsys):
         cfg = json.loads(bundled_config_path().read_text())
         base = bundled_config_path().parent
@@ -198,6 +228,27 @@ class TestExitCodes:
             ("run_manifest", run_manifest(step_time_s=int(HUGE_INT)), "workload", EXIT_INGEST),
             ("run_manifest", run_manifest(platform_id="v9"), "workload", EXIT_CONFIG),
             ("run_intervals", HUGE_POWER_INTERVAL, "workload", EXIT_INGEST),
+            ("config", config_json(pue='"x"'), "scenario", EXIT_CONFIG),
+            ("config", config_json(pue='"inf"'), "scenario", EXIT_CONFIG),
+            ("config", config_json(buckets="null"), "weight", EXIT_CONFIG),
+            ("config", config_json(buckets="1e400"), "weight", EXIT_CONFIG),
+            ("config", config_json(buckets="0"), "weight", EXIT_CONFIG),
+            ("config", config_json(incomplete_runs="[]"), "workload", EXIT_CONFIG),
+            ("config", config_json(workload_factor_g_per_kwh='"x"'), "workload", EXIT_CONFIG),
+            ("config", config_json(telemetry="5"), "report", EXIT_CONFIG),
+            ("factors", b'{"year": "x"}', "report", EXIT_CONFIG),
+            ("factors", b'{"standards": []}', "report", EXIT_CONFIG),
+            ("factors", b'{"standards": {"market": []}}', "report", EXIT_CONFIG),
+            ("factors", b'{"standards": {"market": {"lb_factor": null}}}', "report", EXIT_CONFIG),
+            ("factors", b'{"scenarios": {"x": []}}', "report", EXIT_CONFIG),
+            ("platforms", CATALOG_V4I.format('"deployment_year": "x"').encode(), "lca", EXIT_CONFIG),
+            ("platforms", CATALOG_V4I.format('"lifetime_years": 0.3').encode(), "lca", EXIT_COMPUTE),
+            ("config", DEEP, "report", EXIT_CONFIG),
+            ("platforms", DEEP, "report", EXIT_CONFIG),
+            ("inventories", DEEP, "report", EXIT_CONFIG),
+            ("factors", DEEP, "report", EXIT_CONFIG),
+            ("run_manifest", DEEP, "workload", EXIT_INGEST),
+            ("run_intervals", DEEP, "workload", EXIT_INGEST),
         ],
         ids=[
             "config",
@@ -223,6 +274,27 @@ class TestExitCodes:
             "run-manifest-huge-step-time",
             "run-manifest-unknown-platform",
             "run-intervals-huge-power",
+            "config-pue-text",
+            "config-pue-text-inf",
+            "config-buckets-null",
+            "config-buckets-overflow",
+            "config-buckets-zero",
+            "config-incomplete-runs-list",
+            "config-workload-factor-text",
+            "config-telemetry-number",
+            "factors-year-text",
+            "factors-standards-list",
+            "factors-standard-list",
+            "factors-lb-factor-null",
+            "factors-scenario-list",
+            "catalog-deployment-year-text",
+            "catalog-lifetime-under-half-year",
+            "config-deep",
+            "catalog-deep",
+            "inventories-deep",
+            "factors-deep",
+            "run-manifest-deep",
+            "run-intervals-deep",
         ],
     )
     def test_undecodable_input_exits_without_traceback(self, tmp_path, key, content, command, expected):
@@ -232,6 +304,51 @@ class TestExitCodes:
         proc = run_cli_process(command, "--config", str(cfg_path), "-o", str(tmp_path / "out"))
         assert proc.returncode == expected, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "key,content,command",
+        [
+            ("config", config_json(pue="NaN"), "scenario"),
+            ("config", config_json(workload_factor_g_per_kwh="NaN"), "workload"),
+            ("platforms", CATALOG_V4I.format('"lifetime_years": Infinity').encode(), "cci"),
+            (
+                "inventories",
+                bundled_json("inventories.json", lambda d: d["v4i"].update(scope1_kg_per_chip=math.nan)),
+                "report",
+            ),
+            (
+                "factors",
+                bundled_json(
+                    "factors.json",
+                    lambda d: d["scenarios"]["cfe90"].update(operations_factor_g_per_kwh=math.inf),
+                ),
+                "scenario",
+            ),
+        ],
+        ids=["config-pue", "config-workload-factor", "catalog", "inventories", "factors"],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, key, content, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        cfg_path = bad if key == "config" else write_config(tmp_path, **{key: str(bad)})
+        proc = run_cli_process(command, "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "non-finite number" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_factors_file_defines_the_standards(self, tmp_path, capsys):
+        factors = tmp_path / "factors.json"
+        factors.write_bytes(
+            bundled_json(
+                "factors.json",
+                lambda d: d["standards"].update(residual={"lb_factor": 366.0, "cfe_impact": 100.0}),
+            )
+        )
+        cfg_path = write_config(tmp_path, factors=str(factors))
+        code, out, err = run_cli(capsys, "cci", "--config", str(cfg_path), "--standard", "residual")
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(r["standard"] == "residual" for r in rows)
 
 
 class TestIngestCommand:
@@ -325,6 +442,25 @@ class TestScenarioCommand:
 
 
 class TestSynthCommand:
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[]",
+            b'{"generations": [{"name": "g", "machines": 1, "trays_per_machine": 0}]}',
+            b'{"generations": [{"name": "g", "machines": 1, "duty_a": -1}]}',
+            DEEP,
+        ],
+        ids=["not-object", "zero-trays", "negative-duty-a", "deep"],
+    )
+    def test_bad_scenario_file_exits_before_writing(self, tmp_path, content):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(content)
+        out = tmp_path / "out"
+        proc = run_cli_process("synth", "--scenario-file", str(scenario), "--seed", "3", "-o", str(out))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "synthetic_telemetry.csv").exists()
+
     def test_deterministic_for_seed(self, tmp_path, capsys):
         run_cli(capsys, "synth", "--seed", "5", "-o", str(tmp_path / "a"))
         run_cli(capsys, "synth", "--seed", "5", "-o", str(tmp_path / "b"))

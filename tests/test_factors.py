@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fleetcarbon.cci import operational_cci
+from fleetcarbon.config import load_factors
 from fleetcarbon.errors import ComputationError, ConfigError
 from fleetcarbon.factors import (
     EmissionFactorSet,
@@ -15,7 +17,6 @@ from fleetcarbon.factors import (
     annual_matched_emissions,
     hourly_247_emissions,
     location_based_emissions,
-    read_scenarios,
     scenario_manufacturing_reduction,
 )
 
@@ -211,7 +212,7 @@ class TestScenarioReduction:
         with pytest.raises(ValueError, match="baseline"):
             scenario_manufacturing_reduction(scenario(baseline=0.0))
 
-    def test_negative_operations_factor_is_config_error(self):
+    def test_negative_operations_factor_is_config_error(self, tmp_path):
         # cci.operational_cci refuses a negative factor, so the config must too
         cfg = {
             "operations_factor_g_per_kwh": -1.0,
@@ -219,8 +220,10 @@ class TestScenarioReduction:
             "manufacturing_baseline_factor": 517.0,
             "manufacturing_target_factor": 31.0,
         }
+        path = tmp_path / "factors.json"
+        path.write_text(json.dumps({"scenarios": {"s": cfg}}))
         with pytest.raises(ConfigError, match="operations_factor_g_per_kwh"):
-            read_scenarios({"s": cfg})
+            load_factors(path)
 
 
 def test_factor_set_invariants():

@@ -11,7 +11,7 @@ from fleetcarbon.lca import (
     machine_transport,
     per_chip_embodied,
 )
-from fleetcarbon.telemetry import PlatformSpec
+from fleetcarbon.telemetry import PlatformSpec, read_catalog_mapping
 
 
 def spec(pid="v5e", chips=8, trays=3, lifetime=6, deployed=None):
@@ -183,6 +183,13 @@ class TestInventoryViews:
         assert views.lca_amortized == (50.0,) * 6
         assert views.corporate_first_year == (300.0, 0, 0, 0, 0, 0)
         assert views.years == tuple(range(2024, 2030))
+
+    def test_deployment_year_given_as_text(self):
+        inv = inventory(components=[entry(300.0)], acc_trays=1, pid="p")
+        catalog = read_catalog_mapping(
+            {"p": {"chips_per_machine": 1, "trays_per_machine": 2, "deployment_year": "2020"}}
+        )
+        assert inventory_views(inv, catalog["p"]).years == tuple(range(2020, 2026))
 
     def test_views_conserve_totals(self, inventories, platforms):
         for pid, s in platforms.items():

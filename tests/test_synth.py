@@ -104,6 +104,27 @@ class TestGroundTruth:
         assert missing / len(ds) == pytest.approx(0.2, abs=0.05)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"trays_per_machine": 0},
+        {"duty_a": 0.0},
+        {"duty_b": -1.0},
+        {"duty_dist": "gamma"},
+        {"duty_snap": "floor"},
+    ],
+    ids=["zero-trays", "zero-duty-a", "negative-duty-b", "unknown-dist", "unknown-snap"],
+)
+def test_generation_spec_rejects_values_the_generator_cannot_draw(field):
+    with pytest.raises(ValueError):
+        GenerationSpec(name="g", machines=1, **field)
+
+
+def test_scenario_rejects_zero_buckets():
+    with pytest.raises(ValueError, match="buckets"):
+        SynthScenario(seed=1, buckets=0)
+
+
 def test_scenario_from_mapping_round_trip(tmp_path):
     raw = {
         "seed": 5,

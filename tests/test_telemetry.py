@@ -146,12 +146,14 @@ class TestIngest:
             '"2024-10-01T00:00:00Z", "tray_power_w": [300], "duty_cycle": 0.5, "flops": 1}'
         )
         path = tmp_path / "t.jsonl"
-        path.write_text("\n".join([good, "{oops", "", "[1, 2]", good]) + "\n")
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_text("\n".join([good, "{oops", "", "[1, 2]", deep, good]) + "\n")
         ds = ingest(path, {"p1": spec()})
         assert len(ds) == 2
-        assert [r.row for r in ds.rejections] == [2, 3]
+        assert [r.row for r in ds.rejections] == [2, 3, 4]
         assert ds.rejections[0].reason.startswith("bad JSON: ")
         assert ds.rejections[1].reason == "record is not an object"
+        assert ds.rejections[2].reason.startswith("bad JSON: ")
 
     @pytest.mark.parametrize(
         "content",
