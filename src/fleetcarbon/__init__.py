@@ -31,10 +31,11 @@ from .lca import (
     per_chip_embodied,
 )
 from .telemetry import (
+    BucketScheme,
+    Cell,
     FleetDataset,
     FleetWindow,
     PlatformSpec,
-    TelemetrySample,
     aggregate,
     exclude_incomplete,
     ingest,
@@ -43,7 +44,6 @@ from .telemetry import (
 )
 from .weighting import (
     BalancedComparison,
-    BucketScheme,
     Observation,
     balanced_comparison,
     propensity_scores,

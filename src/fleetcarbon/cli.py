@@ -24,7 +24,7 @@ from . import config as cfgmod
 from . import report as reportmod
 from . import synth as synthmod
 from .errors import ComputationError, ConfigError, IngestError
-from .telemetry import exclude_incomplete, ingest, write_rejection_log
+from .telemetry import BucketScheme, ingest, write_rejection_log
 from .workload import RunPolicy, read_runs
 
 EXIT_OK = 0
@@ -64,7 +64,7 @@ def _inputs(config: cfgmod.RunConfig):
     platforms = cfgmod.load_platforms(config.platforms)
     inventories = cfgmod.load_inventories(config.inventories)
     factors = cfgmod.load_factors(config.factors)
-    dataset = ingest(config.telemetry, platforms)  # tables skip incomplete samples themselves
+    dataset = ingest(config.telemetry, platforms, BucketScheme(config.buckets))
     return platforms, inventories, factors, dataset
 
 
@@ -79,7 +79,6 @@ def cmd_ingest(args) -> int:
     config = _load(args)
     platforms = cfgmod.load_platforms(config.platforms)
     dataset = ingest(config.telemetry, platforms)
-    filtered = exclude_incomplete(dataset)
     args.output_dir.mkdir(parents=True, exist_ok=True)
     log_path = args.output_dir / "rejections.csv"
     with log_path.open("w", encoding="utf-8", newline="") as fh:
@@ -87,8 +86,8 @@ def cmd_ingest(args) -> int:
     summary = {
         "rows_accepted": len(dataset),
         "rows_rejected": len(dataset.rejections),
-        "complete_samples": len(filtered),
-        "excluded_incomplete": filtered.exclusions,
+        "complete_samples": dataset.complete_rows,
+        "excluded_incomplete": dataset.exclusions,
         "platforms": list(dataset.platform_ids()),
         "rejection_log": str(log_path),
     }
@@ -184,7 +183,7 @@ def cmd_weight(args) -> int:
     baseline = args.baseline or cohort[0]
     factor = factors.factor_for(config.standard)
     table, warnings = reportmod.weighting_table(
-        dataset, cohort, baseline, config.buckets, factor, pue=config.pue
+        dataset, cohort, baseline, factor, pue=config.pue
     )
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

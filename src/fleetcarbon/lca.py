@@ -223,45 +223,3 @@ def inventory_views(inv: MachineInventory, spec: PlatformSpec) -> InventoryViews
         lca_amortized=lca_series,
         corporate_first_year=corporate,
     )
-
-
-def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
-    """Build machine inventories from a parsed config mapping."""
-    return {
-        platform_id: MachineInventory(
-            platform_id=platform_id,
-            accelerator_trays=int(cfg["accelerator_trays"]),
-            components=tuple(
-                LcaComponentEntry(
-                    name=str(c["name"]),
-                    category=str(c["category"]),
-                    tray=str(c["tray"]),
-                    kg_co2e=float(c["kg_co2e"]),
-                    electricity_share=(
-                        float(c["electricity_share"]) if "electricity_share" in c else None
-                    ),
-                )
-                for c in cfg.get("components", [])
-            ),
-            transport_legs=tuple(
-                TransportLeg(
-                    description=str(leg["description"]),
-                    mode=str(leg["mode"]),
-                    tray=str(leg["tray"]),
-                    kg_co2e=(float(leg["kg_co2e"]) if "kg_co2e" in leg else None),
-                    mass_kg=(float(leg["mass_kg"]) if "mass_kg" in leg else None),
-                    distance_km=(float(leg["distance_km"]) if "distance_km" in leg else None),
-                    mode_factor_g_per_tkm=(
-                        float(leg["mode_factor_g_per_tkm"])
-                        if "mode_factor_g_per_tkm" in leg
-                        else None
-                    ),
-                )
-                for leg in cfg.get("transport_legs", [])
-            ),
-            dc_construction_kg_per_chip=float(cfg.get("dc_construction_kg_per_chip", 0.0)),
-            scope1_kg_per_chip=float(cfg.get("scope1_kg_per_chip", 0.0)),
-            eol_credit_fraction=float(cfg.get("eol_credit_fraction", 0.0)),
-        )
-        for platform_id, cfg in mapping.items()
-    }

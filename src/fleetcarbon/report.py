@@ -7,10 +7,14 @@ human view with light rounding. Output is deterministic for fixed input:
 rows are built in sorted platform order and nothing time- or
 environment-dependent is written.
 
-The telemetry-driven tables (platforms, stage breakdown, scenarios) read
-one `FleetAccounts`: `fold_platforms` takes each catalog platform through
-aggregation, the embodied breakdown and its CCI report exactly once, and
-a command builds every such table it writes from that one result.
+The telemetry-driven tables read the ledger `telemetry.ingest` builds,
+whose cells hold each (platform, duty-bucket) total of the complete rows;
+no table walks rows. The platforms, stage breakdown and scenario tables
+read one `FleetAccounts`: `fold_platforms` combines each catalog
+platform's cells into a window and takes it through the embodied
+breakdown and its CCI report exactly once, and a command builds every such
+table it writes from that one result. The weighting table hands the
+cohort's cells to the duty-balanced comparison as its strata.
 
 Per the house accounting style, mass columns (kg suffix) are rounded to
 whole kilograms at build time; intensities stay full precision.
@@ -36,8 +40,15 @@ from .lca import (
     per_chip_embodied,
     tray_multiplicity,
 )
-from .telemetry import FleetDataset, FleetWindow, PlatformSpec, aggregate, lifetime_energy_per_chip
-from .weighting import BucketScheme, Observation, balanced_comparison
+from .telemetry import (
+    Cell,
+    FleetDataset,
+    FleetWindow,
+    PlatformSpec,
+    aggregate,
+    lifetime_energy_per_chip,
+)
+from .weighting import balanced_comparison
 from .workload import RunPolicy, WorkloadRun, emissions_per_step, workload_cci
 
 
@@ -296,17 +307,17 @@ def weighting_table(
     dataset: FleetDataset,
     cohort_platforms: list[str],
     baseline: str,
-    buckets: int,
     factor_g_per_kwh: float,
     pue: float = 1.0,
 ) -> tuple[Table, tuple[str, ...]]:
-    """Balanced cross-generation comparison for one cohort of platforms."""
-    observations = dataset_observations(dataset, cohort_platforms)
-    if not observations:
+    """Balanced cross-generation comparison for one cohort of platforms,
+    stratified by the duty buckets the dataset was ingested under."""
+    cells = dataset_observations(dataset, cohort_platforms)
+    if not cells:
         raise ComputationError(f"no complete samples for cohort {cohort_platforms}")
     comparison = balanced_comparison(
-        observations,
-        BucketScheme(buckets),
+        cells,
+        dataset.scheme,
         baseline=baseline,
         factor_g_per_kwh=factor_g_per_kwh,
         pue=pue,
@@ -349,25 +360,12 @@ def weighting_table(
     return table, comparison.warnings
 
 
-def dataset_observations(dataset: FleetDataset, platform_ids: list[str]) -> list[Observation]:
-    """Turn complete samples of the chosen platforms into weighting inputs."""
-    from .telemetry import INTERVAL_SECONDS, machine_power
-
+def dataset_observations(
+    dataset: FleetDataset, platform_ids: list[str]
+) -> dict[tuple[str, int], Cell]:
+    """The ledger cells of the chosen platforms: the weighting strata."""
     wanted = set(platform_ids)
-    observations = []
-    for sample in dataset.samples:
-        if sample.platform_id not in wanted or not sample.complete:
-            continue
-        spec = dataset.catalog[sample.platform_id]
-        observations.append(
-            Observation(
-                generation=sample.platform_id,
-                duty_cycle=sample.duty_cycle,
-                power_w=machine_power(sample, spec),
-                flops_per_s=sample.flops / INTERVAL_SECONDS,
-            )
-        )
-    return observations
+    return {key: cell for key, cell in dataset.samples.items() if key[0] in wanted}
 
 
 def scenario_table(

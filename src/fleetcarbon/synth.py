@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .cci import kwh_per_exaflop
-from .errors import ConfigError
+from .config import finite_number
 from .telemetry import INTERVAL_SECONDS
 
 IDLE_POWER_FRACTION = 0.6
@@ -50,6 +50,8 @@ class GenerationSpec:
             raise ValueError(f"{self.name}: duty_a and duty_b must be > 0")
         if self.duty_dist not in ("beta", "uniform") or self.duty_snap not in ("midpoint", "none"):
             raise ValueError(f"{self.name}: unknown duty_dist or duty_snap")
+        if not (self.active_power_w > 0 and self.flops_per_s_at_full_duty > 0):
+            raise ValueError(f"{self.name}: active_power_w and flops_per_s_at_full_duty must be > 0")
 
     def energy_kwh_per_exaflop_at_full_duty(self) -> float:
         return kwh_per_exaflop(self.active_power_w, self.flops_per_s_at_full_duty, 1.0)
@@ -66,6 +68,13 @@ class SynthScenario:
     def __post_init__(self) -> None:
         if self.buckets < 1:
             raise ValueError(f"buckets {self.buckets} must be >= 1")
+        if not self.generations:
+            raise ValueError("scenario has no generations")
+        self.start_time  # a malformed start raises ValueError here, before any file is opened
+
+    @property
+    def start_time(self) -> datetime:
+        return datetime.fromisoformat(self.start.replace("Z", "+00:00")).astimezone(timezone.utc)
 
 
 def machine_power_at(duty: float, active_power_w: float) -> float:
@@ -98,9 +107,7 @@ def generate(scenario: SynthScenario):
     (generation, machine) derived from the scenario seed, so adding a
     generation never shifts another generation's draws.
     """
-    if not scenario.generations:
-        raise ConfigError("scenario has no generations")
-    t0 = datetime.fromisoformat(scenario.start.replace("Z", "+00:00")).astimezone(timezone.utc)
+    t0 = scenario.start_time
     for gen in scenario.generations:
         for machine_idx in range(gen.machines):
             rng = random.Random(f"{scenario.seed}/{gen.name}/{machine_idx}")
@@ -165,7 +172,12 @@ def build_manifest(scenario: SynthScenario) -> dict:
 
 
 def write_fleet(scenario: SynthScenario, telemetry_path: str | Path, manifest_path: str | Path) -> dict:
-    """Write the telemetry CSV and ground-truth manifest; returns the manifest."""
+    """Write the telemetry CSV and ground-truth manifest; returns the manifest.
+
+    The manifest is built before either file is opened, so a scenario it
+    cannot describe leaves nothing written.
+    """
+    manifest = build_manifest(scenario)
     telemetry_path = Path(telemetry_path)
     with telemetry_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(
@@ -183,7 +195,6 @@ def write_fleet(scenario: SynthScenario, telemetry_path: str | Path, manifest_pa
         writer.writeheader()
         for row in generate(scenario):
             writer.writerow(row)
-    manifest = build_manifest(scenario)
     Path(manifest_path).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -198,15 +209,15 @@ def scenario_from_mapping(cfg: dict) -> SynthScenario:
             machines=int(g["machines"]),
             chips_per_machine=int(g.get("chips_per_machine", 8)),
             trays_per_machine=int(g.get("trays_per_machine", 3)),
-            active_power_w=float(g.get("active_power_w", 1200.0)),
-            tdp_w=float(g.get("tdp_w", 3.0 * float(g.get("active_power_w", 1200.0)))),
-            flops_per_s_at_full_duty=float(g.get("flops_per_s_at_full_duty", 1.0e14)),
+            active_power_w=finite_number(g.get("active_power_w", 1200.0)),
+            tdp_w=finite_number(g.get("tdp_w", 3.0 * finite_number(g.get("active_power_w", 1200.0)))),
+            flops_per_s_at_full_duty=finite_number(g.get("flops_per_s_at_full_duty", 1.0e14)),
             duty_dist=str(g.get("duty_dist", "beta")),
-            duty_a=float(g.get("duty_a", 4.0)),
-            duty_b=float(g.get("duty_b", 4.0)),
+            duty_a=finite_number(g.get("duty_a", 4.0)),
+            duty_b=finite_number(g.get("duty_b", 4.0)),
             duty_snap=str(g.get("duty_snap", "midpoint")),
-            power_noise=float(g.get("power_noise", 0.02)),
-            missing_rate=float(g.get("missing_rate", 0.0)),
+            power_noise=finite_number(g.get("power_noise", 0.02)),
+            missing_rate=finite_number(g.get("missing_rate", 0.0)),
         )
         for g in cfg["generations"]
     )

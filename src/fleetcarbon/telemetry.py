@@ -1,10 +1,19 @@
-"""Fleet interval telemetry: ingest, validation, filtering, aggregation.
+"""Fleet interval telemetry: one validating pass into a per-cell ledger.
 
 Machines report one row per five-minute interval: per-tray average power,
-duty cycle, and executed FLOPs. Rows are validated against a platform
-catalog on ingest (malformed rows land in a rejection log, never dropped
-silently), filtered for completeness, and aggregated into per-platform
-energy and FLOP totals.
+duty cycle, and executed FLOPs. `ingest` reads the rows once and builds no
+object per row. Each row is validated against a platform catalog
+(malformed rows land in a rejection log with their reason, never dropped
+silently); a row lacking power, duty cycle or FLOPs is only counted in
+`exclusions`; every complete row is folded into the cell of its platform
+and duty-cycle bucket, which keeps the row count, exact sums of machine
+power and duty cycle, and the FLOP total as an integer.
+
+Everything downstream reads those cells: `aggregate` combines one
+platform's cells into a `FleetWindow`, and the duty-balanced comparison
+takes a cohort's cells as its strata. Because the power and duty sums are
+exact (Shewchuk partials), a window's totals are the correctly rounded
+sums of its rows whatever order the rows arrived in.
 """
 
 from __future__ import annotations
@@ -13,10 +22,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ComputationError, IngestError
 
@@ -24,7 +34,7 @@ INTERVAL_SECONDS = 300
 GRID_SNAP_TOLERANCE_S = 5
 HOURS_PER_YEAR = 8766.0  # 365.25 days
 
-# Exclusion reasons reported by exclude_incomplete.
+# Reasons an accepted row is kept out of the cells, counted in `exclusions`.
 REASON_MISSING_POWER = "missing power"
 REASON_MISSING_UTILIZATION = "missing utilization/performance"
 
@@ -36,6 +46,10 @@ TELEMETRY_COLUMNS = (
     "duty_cycle",
     "flops",
 )
+
+# Distinct raw timestamps remembered at once; a fleet repeats each interval's
+# text once per machine, so the cache only fills on pathological input.
+_SNAP_CACHE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,39 +83,62 @@ class PlatformSpec:
 
 
 @dataclass(frozen=True)
-class TelemetrySample:
-    """One machine's record for one five-minute interval.
+class BucketScheme:
+    """Equal-width, right-closed duty-cycle levels covering [0, 1].
 
-    Missing fields are represented as an empty tray list / None; they mark
-    the sample incomplete rather than invalid.
+    The first bucket additionally includes 0 itself: idle machines still
+    burn power and must stay in the analysis.
     """
 
-    machine_id: str
-    platform_id: str
-    interval_start: datetime
-    tray_power_w: tuple[float, ...] = ()
-    duty_cycle: float | None = None
-    flops: int | None = None
+    buckets: int = 10
 
     def __post_init__(self) -> None:
-        if self.duty_cycle is not None and not 0.0 <= self.duty_cycle <= 1.0:
-            raise ValueError(f"duty_cycle {self.duty_cycle} outside [0, 1]")
-        if self.flops is not None and self.flops < 0:
-            raise ValueError(f"flops {self.flops} is negative")
-        for w in self.tray_power_w:
-            if w < 0:
-                raise ValueError(f"tray power {w} is negative")
-        epoch_s = self.interval_start.timestamp()
-        if epoch_s % INTERVAL_SECONDS != 0:
-            raise ValueError("interval_start not aligned to the 5-minute grid")
+        if self.buckets < 1:
+            raise ValueError("bucket count must be >= 1")
 
-    @property
-    def has_power(self) -> bool:
-        return len(self.tray_power_w) > 0
+    def bucket_of(self, duty_cycle: float) -> int:
+        if not 0.0 <= duty_cycle <= 1.0:
+            raise ValueError(f"duty_cycle {duty_cycle} outside [0, 1]")
+        return max(0, math.ceil(duty_cycle * self.buckets) - 1)
 
-    @property
-    def complete(self) -> bool:
-        return self.has_power and self.duty_cycle is not None and self.flops is not None
+
+def _grow(partials: list[float], x: float) -> None:
+    """Add x to a list of Shewchuk partials, keeping their sum exact."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+class Cell:
+    """Running totals of the complete rows in one (platform, duty-bucket) cell.
+
+    `power` and `duty` are Shewchuk partials: non-overlapping floats whose
+    exact sum is the exact sum of every machine power (W) or duty cycle
+    added, so `math.fsum` over the partials of any set of cells is the
+    correctly rounded total of their rows.
+    """
+
+    __slots__ = ("count", "power", "duty", "flops")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.power: list[float] = []
+        self.duty: list[float] = []
+        self.flops = 0
+
+    def add(self, power_w: float, duty_cycle: float, flops: int) -> None:
+        self.count += 1
+        _grow(self.power, power_w)
+        _grow(self.duty, duty_cycle)
+        self.flops += flops
 
 
 @dataclass(frozen=True)
@@ -114,18 +151,29 @@ class Rejection:
 
 @dataclass(frozen=True)
 class FleetDataset:
-    """Parsed samples plus the catalog they were validated against."""
+    """The ledger of one ingest, plus the catalog its rows were validated against.
 
-    samples: tuple[TelemetrySample, ...]
+    `samples` maps (platform_id, duty bucket under `scheme`) to the Cell of
+    that platform's complete rows. `accepted` counts every accepted row per
+    platform, incomplete ones included; `len()` is their total.
+    """
+
+    samples: dict[tuple[str, int], Cell]
     catalog: dict[str, PlatformSpec]
+    scheme: BucketScheme = BucketScheme()
+    accepted: dict[str, int] = field(default_factory=dict)
     rejections: tuple[Rejection, ...] = ()
     exclusions: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return sum(self.accepted.values())
+
+    @property
+    def complete_rows(self) -> int:
+        return sum(cell.count for cell in self.samples.values())
 
     def platform_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({s.platform_id for s in self.samples}))
+        return tuple(sorted(self.accepted))
 
 
 @dataclass(frozen=True)
@@ -209,184 +257,264 @@ def _parse_flops(raw: str | int | float) -> int:
 
 def _parse_tray_power(raw) -> tuple[float, ...]:
     if isinstance(raw, str):
-        raw = [p for p in raw.split(";") if p.strip() != ""]
-    readings = tuple(float(p) for p in raw)
+        try:
+            readings = tuple(map(float, raw.split(";")))
+        except ValueError:  # blank readings are skipped; anything else is an error
+            readings = tuple(float(p) for p in raw.split(";") if p.strip() != "")
+    else:
+        readings = tuple(map(float, raw))
     if not math.isfinite(sum(readings)):  # NaN, inf, or a sum beyond float range
         raise ValueError(f"non-finite tray power {readings!r}")
     return readings
 
 
-def _build_sample(record: dict, catalog: dict[str, PlatformSpec]) -> TelemetrySample:
-    platform_id = str(record.get("platform_id") or "").strip()
-    if platform_id not in catalog:
-        raise ValueError(f"unknown platform_id {platform_id!r}")
-
-    raw_ts = record.get("interval_start")
-    if raw_ts in (None, ""):
-        raise ValueError("missing interval_start")
-    try:
-        snapped = snap_to_grid(parse_rfc3339(str(raw_ts)))
-    except ValueError as exc:
-        raise ValueError(f"bad timestamp {raw_ts!r}: {exc}") from None
-    if snapped is None:
-        raise ValueError(f"timestamp {raw_ts!r} off the 5-minute grid")
-
-    raw_power = record.get("tray_power_w")
-    tray_power: tuple[float, ...] = ()
-    if raw_power not in (None, ""):
-        try:
-            tray_power = _parse_tray_power(raw_power)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"bad number: tray_power_w {raw_power!r}") from None
-
-    raw_duty = record.get("duty_cycle")
-    duty: float | None = None
-    if raw_duty not in (None, ""):
-        try:
-            duty = float(raw_duty)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"bad number: duty_cycle {raw_duty!r}") from None
-
-    raw_flops = record.get("flops")
-    flops: int | None = None
-    if raw_flops not in (None, ""):
-        try:
-            flops = _parse_flops(raw_flops)
-        except (TypeError, ValueError):
-            raise ValueError(f"bad number: flops {raw_flops!r}") from None
-
-    try:
-        return TelemetrySample(
-            machine_id=str(record.get("machine_id") or "").strip(),
-            platform_id=platform_id,
-            interval_start=snapped,
-            tray_power_w=tray_power,
-            duty_cycle=duty,
-            flops=flops,
-        )
-    except ValueError as exc:
-        raise ValueError(f"range violation: {exc}") from None
-
-
-def _iter_records(source) -> Iterator[dict | str]:
-    """Yield raw records from a path or an iterable of dicts.
-
-    A JSON-lines file yields its non-blank lines undecoded, so that `ingest`
-    can reject a malformed line as one row and read on.
-    """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            with path.open("r", encoding="utf-8", newline="") as fh:
-                if path.suffix in (".jsonl", ".ndjson", ".json"):
-                    yield from (line for line in fh if line.strip())
-                else:
-                    yield from csv.DictReader(fh)
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise IngestError(f"cannot read telemetry {path}: {exc}") from None
-        return
-    yield from source
-
-
-def ingest(source, catalog: dict[str, PlatformSpec]) -> FleetDataset:
-    """Parse a telemetry stream against a platform catalog.
-
-    `source` may be a path (CSV by default, JSON lines for .jsonl, .ndjson
-    or .json) or an iterable of record dicts; wrap an open CSV text file in
-    `csv.DictReader` to pass it as the latter. Every unparseable row,
-    malformed JSON included, is recorded in the rejection log with its
-    1-based row number; an empty input yields an empty dataset.
-    """
-    samples: list[TelemetrySample] = []
-    rejections: list[Rejection] = []
-    for row_no, record in enumerate(_iter_records(source), start=1):
-        try:
-            if isinstance(record, str):
-                record = json.loads(record)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-            samples.append(_build_sample(record, catalog))
-        except json.JSONDecodeError as exc:
-            rejections.append(Rejection(row=row_no, reason=f"bad JSON: {exc.msg}"))
-        except RecursionError:
-            rejections.append(Rejection(row=row_no, reason="bad JSON: nested too deeply"))
-        except ValueError as exc:
-            rejections.append(Rejection(row=row_no, reason=str(exc)))
-    return FleetDataset(samples=tuple(samples), catalog=dict(catalog), rejections=tuple(rejections))
-
-
-def exclude_incomplete(dataset: FleetDataset) -> FleetDataset:
-    """Keep only samples with power, duty cycle, and FLOPs all present.
-
-    Machines may report power but lack utilization or performance counters
-    (e.g. freshly deployed ones); keeping them would skew per-FLOP figures,
-    so they are dropped here with per-reason counts. Idempotent.
-    """
-    kept: list[TelemetrySample] = []
-    excluded: dict[str, int] = {}
-    for sample in dataset.samples:
-        if sample.complete:
-            kept.append(sample)
-        elif not sample.has_power:
-            excluded[REASON_MISSING_POWER] = excluded.get(REASON_MISSING_POWER, 0) + 1
-        else:
-            excluded[REASON_MISSING_UTILIZATION] = excluded.get(REASON_MISSING_UTILIZATION, 0) + 1
-    return replace(dataset, samples=tuple(kept), exclusions=excluded)
-
-
-def machine_power(sample: TelemetrySample, spec: PlatformSpec) -> float:
+def machine_power(tray_power_w: Sequence[float], spec: PlatformSpec) -> float:
     """Whole-machine power in watts: the sum over tray PSU readings.
 
     When the catalog declares that readings exclude rectifier losses, the
     configured overhead fraction is added on top; by default readings are
     taken at the PSU and already include it.
     """
-    if not sample.has_power:
-        raise ComputationError(f"no power data for {sample.machine_id} at {sample.interval_start}")
-    total = math.fsum(sample.tray_power_w)
+    if not tray_power_w:
+        raise ComputationError(f"no power data for platform {spec.platform_id!r}")
+    total = math.fsum(tray_power_w)
     if not spec.power_readings_include_rectifier:
         total *= 1.0 + spec.rectifier_overhead
     return total
 
 
-def aggregate(
-    dataset: FleetDataset,
-    platform_id: str,
-    time_range: tuple[datetime, datetime] | None = None,
-) -> FleetWindow:
-    """Aggregate complete samples of one platform into a FleetWindow.
+class _Fold:
+    """Validates rows one at a time and folds the accepted ones into cells."""
 
-    Incomplete samples are skipped, so an unfiltered dataset aggregates to
-    the same window as its `exclude_incomplete` copy. `time_range` is a
-    half-open [start, end) filter on interval_start. Every sample is one
-    machine-interval, so the mean machine power is implicitly machine-day
-    weighted; a deployment-count weighted mean would require a machine
-    census this data does not carry.
+    def __init__(self, catalog: dict[str, PlatformSpec], scheme: BucketScheme) -> None:
+        self.catalog = catalog
+        self.scheme = scheme
+        self.cells: dict[tuple[str, int], Cell] = {}
+        self.accepted: dict[str, int] = {}
+        self.exclusions: dict[str, int] = {}
+        self.epochs: dict[str, int] = {}  # raw timestamp -> snapped epoch seconds
+        self.seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
+
+    def _snap(self, raw_ts) -> int:
+        text = str(raw_ts)
+        try:
+            snapped = snap_to_grid(parse_rfc3339(text))
+        except ValueError as exc:
+            raise ValueError(f"bad timestamp {raw_ts!r}: {exc}") from None
+        if snapped is None:
+            raise ValueError(f"timestamp {raw_ts!r} off the 5-minute grid")
+        if len(self.epochs) >= _SNAP_CACHE_LIMIT:
+            self.epochs.clear()
+        epoch = self.epochs[text] = int(snapped.timestamp())
+        return epoch
+
+    def row(self, machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops) -> None:
+        """Fold one row's raw fields; a ValueError carries the rejection reason.
+
+        Checks run in a fixed order and the first failure is the reason:
+        platform, timestamp, the three numbers' syntax, their ranges, the
+        tray count, then the (machine, interval) key.
+        """
+        platform_id = str(platform_id or "").strip()
+        spec = self.catalog.get(platform_id)
+        if spec is None:
+            raise ValueError(f"unknown platform_id {platform_id!r}")
+        if raw_ts is None or raw_ts == "":
+            raise ValueError("missing interval_start")
+        epoch = self.epochs.get(raw_ts) if type(raw_ts) is str else None
+        if epoch is None:
+            epoch = self._snap(raw_ts)
+
+        trays: tuple[float, ...] = ()
+        if raw_power is not None and raw_power != "":
+            try:
+                trays = _parse_tray_power(raw_power)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"bad number: tray_power_w {raw_power!r}") from None
+        duty: float | None = None
+        if raw_duty is not None and raw_duty != "":
+            try:
+                duty = float(raw_duty)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"bad number: duty_cycle {raw_duty!r}") from None
+        flops: int | None = None
+        if raw_flops is not None and raw_flops != "":
+            try:
+                flops = _parse_flops(raw_flops)
+            except (TypeError, ValueError):
+                raise ValueError(f"bad number: flops {raw_flops!r}") from None
+
+        if duty is not None and not 0.0 <= duty <= 1.0:
+            raise ValueError(f"range violation: duty_cycle {duty} outside [0, 1]")
+        if flops is not None and flops < 0:
+            raise ValueError(f"range violation: flops {flops} is negative")
+        for w in trays:
+            if w < 0:
+                raise ValueError(f"range violation: tray power {w} is negative")
+        if trays and len(trays) != spec.trays_per_machine:
+            raise ValueError(
+                f"tray count: {len(trays)} readings, platform {platform_id!r} "
+                f"has {spec.trays_per_machine} trays"
+            )
+
+        machine_id = str(machine_id or "").strip()
+        seen = self.seen.get(machine_id)
+        if seen is None:
+            seen = self.seen[machine_id] = set()
+        if epoch in seen:
+            at = datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
+            raise ValueError(f"duplicate row for machine {machine_id!r} at {at}")
+        seen.add(epoch)
+
+        self.accepted[platform_id] = self.accepted.get(platform_id, 0) + 1
+        if not trays or duty is None or flops is None:
+            reason = REASON_MISSING_UTILIZATION if trays else REASON_MISSING_POWER
+            self.exclusions[reason] = self.exclusions.get(reason, 0) + 1
+            return
+        key = (platform_id, self.scheme.bucket_of(duty))
+        cell = self.cells.get(key)
+        if cell is None:
+            cell = self.cells[key] = Cell()
+        cell.add(machine_power(trays, spec), duty, flops)
+
+
+def _csv_rows(fh) -> Iterator[tuple]:
+    """Each CSV data row's TELEMETRY_COLUMNS fields, as csv.DictReader would give them.
+
+    Columns are found by header name (the last of a repeated name wins);
+    a column the header lacks, or a short row, reads as None, and blank
+    lines are skipped.
     """
-    spec = dataset.catalog.get(platform_id)
-    if spec is None:
-        raise ComputationError(f"platform {platform_id!r} not in catalog")
-    powers: list[float] = []
-    duties: list[float] = []
-    flops_total = 0
-    for sample in dataset.samples:
-        if sample.platform_id != platform_id or not sample.complete:
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        return
+    width = len(header)
+    index = {name: i for i, name in enumerate(header)}
+    columns = [index.get(name, width) for name in TELEMETRY_COLUMNS]  # slot `width` holds None
+    missing = width in columns
+    need = max(columns) + 1
+    pick = itemgetter(*columns)
+    for row in reader:
+        if not row:
             continue
-        if time_range is not None:
-            start, end = time_range
-            if not (start <= sample.interval_start < end):
-                continue
-        powers.append(machine_power(sample, spec))
-        duties.append(sample.duty_cycle)
-        flops_total += sample.flops
-    if not powers:
+        if missing:
+            del row[width:]  # fields beyond the header belong to no column
+        if len(row) < need:
+            row.extend([None] * (need - len(row)))
+        yield pick(row)
+
+
+def _record_fields(record) -> tuple:
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    return tuple(record.get(name) for name in TELEMETRY_COLUMNS)
+
+
+def _json_fields(line: str) -> tuple:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("bad JSON: nested too deeply") from None
+    return _record_fields(record)
+
+
+def _parsed(fields, records) -> Iterator[tuple | ValueError]:
+    for record in records:
+        try:
+            item = fields(record)
+        except ValueError as exc:
+            item = exc
+        yield item
+
+
+def _iter_rows(source) -> Iterator[tuple | ValueError]:
+    """Yield each row's raw fields in TELEMETRY_COLUMNS order.
+
+    A JSON line that does not decode to an object, or a non-dict record,
+    yields the ValueError naming why, so `ingest` rejects it as one row and
+    reads on.
+    """
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        try:
+            with path.open("r", encoding="utf-8", newline="") as fh:
+                if path.suffix in (".jsonl", ".ndjson", ".json"):
+                    lines = (line for line in fh if line.strip())
+                    yield from _parsed(_json_fields, lines)
+                else:
+                    yield from _csv_rows(fh)
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise IngestError(f"cannot read telemetry {path}: {exc}") from None
+        return
+    yield from _parsed(_record_fields, source)
+
+
+def ingest(
+    source, catalog: dict[str, PlatformSpec], scheme: BucketScheme = BucketScheme()
+) -> FleetDataset:
+    """Validate a telemetry stream against a platform catalog into a ledger.
+
+    `source` may be a path (CSV by default, JSON lines for .jsonl, .ndjson
+    or .json) or an iterable of record dicts; wrap an open CSV text file in
+    `csv.DictReader` to pass it as the latter. Every row goes through the
+    same checks. Every unparseable row, malformed JSON included, is recorded
+    in the rejection log with its 1-based row number; so is a repeat of an
+    accepted row's (machine_id, interval) key, after the first. Complete
+    rows are folded into cells by platform and `scheme` bucket; an empty
+    input yields an empty dataset.
+    """
+    fold = _Fold(catalog, scheme)
+    rejections: list[Rejection] = []
+    for row_no, fields in enumerate(_iter_rows(source), start=1):
+        if isinstance(fields, ValueError):
+            rejections.append(Rejection(row=row_no, reason=str(fields)))
+            continue
+        try:
+            fold.row(*fields)
+        except ValueError as exc:
+            rejections.append(Rejection(row=row_no, reason=str(exc)))
+    return FleetDataset(
+        samples=fold.cells,
+        catalog=dict(catalog),
+        scheme=scheme,
+        accepted=fold.accepted,
+        rejections=tuple(rejections),
+        exclusions=fold.exclusions,
+    )
+
+
+def exclude_incomplete(dataset: FleetDataset) -> FleetDataset:
+    """Return the ledger unchanged.
+
+    `ingest` already keeps rows lacking power, duty cycle or FLOPs out of
+    the cells and counts them per reason in `exclusions`. The function
+    stays because perfbench/spans.py traces it as a layer boundary.
+    """
+    return dataset
+
+
+def aggregate(dataset: FleetDataset, platform_id: str) -> FleetWindow:
+    """Combine one platform's cells into a FleetWindow.
+
+    Only complete rows reach the cells. Every row is one machine-interval,
+    so the mean machine power is implicitly machine-day weighted; a
+    deployment-count weighted mean would require a machine census this data
+    does not carry.
+    """
+    if platform_id not in dataset.catalog:
+        raise ComputationError(f"platform {platform_id!r} not in catalog")
+    cells = [cell for (pid, _), cell in dataset.samples.items() if pid == platform_id]
+    if not cells:
         raise ComputationError(f"empty window for platform {platform_id!r}")
     return FleetWindow(
         platform_id=platform_id,
-        sample_count=len(powers),
-        power_sum_w=math.fsum(powers),
-        total_flops=flops_total,
-        duty_cycle_sum=math.fsum(duties),
+        sample_count=sum(cell.count for cell in cells),
+        power_sum_w=math.fsum(p for cell in cells for p in cell.power),
+        total_flops=sum(cell.flops for cell in cells),
+        duty_cycle_sum=math.fsum(d for cell in cells for d in cell.duty),
     )
 
 
@@ -407,24 +535,3 @@ def write_rejection_log(dataset: FleetDataset, fh) -> None:
     writer.writerow(["row", "reason"])
     for rej in dataset.rejections:
         writer.writerow([rej.row, rej.reason])
-
-
-def read_catalog_mapping(entries: dict) -> dict[str, PlatformSpec]:
-    """Build a platform catalog from a parsed config mapping."""
-    catalog: dict[str, PlatformSpec] = {}
-    for platform_id, cfg in entries.items():
-        catalog[platform_id] = PlatformSpec(
-            platform_id=platform_id,
-            chips_per_machine=int(cfg["chips_per_machine"]),
-            trays_per_machine=int(cfg["trays_per_machine"]),
-            lifetime_years=float(cfg.get("lifetime_years", 6.0)),
-            rectifier_overhead=float(cfg.get("rectifier_overhead", 0.04)),
-            power_readings_include_rectifier=bool(
-                cfg.get("power_readings_include_rectifier", True)
-            ),
-            inventory_ref=str(cfg.get("inventory_ref", platform_id)),
-            deployment_year=(
-                int(cfg["deployment_year"]) if "deployment_year" in cfg else None
-            ),
-        )
-    return catalog

@@ -3,16 +3,17 @@
 Newer generations tend to run at higher utilization, and higher duty
 cycles mean better energy per FLOP, so raw cross-generation comparisons
 conflate hardware gains with usage patterns. This module removes that
-confounding by stratifying on duty-cycle levels: group observations into
-equal-width duty buckets, take each generation's mean within every bucket
-it populates, and combine those means weighted by the bucket's pooled
-size over all generations.
+confounding by stratifying on duty-cycle levels: take each generation's
+mean within every duty bucket it populates, and combine those means
+weighted by the bucket's pooled size over all generations.
 
-`balanced_comparison` computes that stratified form from per-(generation,
-bucket) sums in one pass over the observations, which also yields the
-bucket counts; energy and carbon per ExaFLOP follow from the balanced power
-and FLOP rate through `cci`'s formulas. `propensity_scores`, `weights` and
-`weighted_average` give the same estimate by inverse-propensity weighting
+`balanced_comparison` reads the strata straight from the telemetry
+ledger: `ingest` has already folded every complete row into a
+(platform, duty-bucket) `Cell` holding its count and exact sums, so the
+comparison touches one cell per stratum and no row. Energy and carbon per
+ExaFLOP follow from the balanced power and FLOP rate through `cci`'s
+formulas. `propensity_scores`, `weights` and `weighted_average` give the
+same estimate from per-row `Observation`s by inverse-propensity weighting
 (IPW): each observation weighted by the inverse of its generation's share
 of its bucket. They are kept as the independent reference the tests
 compare against. Scores and weights are exact rationals (counts over
@@ -25,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .cci import kwh_per_exaflop, operational_cci
 from .errors import ComputationError
+from .telemetry import INTERVAL_SECONDS, BucketScheme, Cell
 
 
 @dataclass(frozen=True)
@@ -44,26 +47,6 @@ class Observation:
             raise ValueError(f"duty_cycle {self.duty_cycle} outside [0, 1]")
         if not (math.isfinite(self.power_w) and math.isfinite(self.flops_per_s)):
             raise ValueError("power_w and flops_per_s must be finite")
-
-
-@dataclass(frozen=True)
-class BucketScheme:
-    """Equal-width, right-closed duty-cycle levels covering [0, 1].
-
-    The first bucket additionally includes 0 itself: idle machines still
-    burn power and must stay in the analysis.
-    """
-
-    buckets: int = 10
-
-    def __post_init__(self) -> None:
-        if self.buckets < 1:
-            raise ValueError("bucket count must be >= 1")
-
-    def bucket_of(self, duty_cycle: float) -> int:
-        if not 0.0 <= duty_cycle <= 1.0:
-            raise ValueError(f"duty_cycle {duty_cycle} outside [0, 1]")
-        return max(0, math.ceil(duty_cycle * self.buckets) - 1)
 
 
 @dataclass(frozen=True)
@@ -155,8 +138,16 @@ def weighted_average(values: list[float], obs_weights: list[Fraction | float]) -
     return math.fsum(float(w) * v for w, v in zip(obs_weights, values)) / total_weight
 
 
+# Per-cell means of the three balanced metrics.
+_CELL_MEANS = (
+    ("duty_cycle", lambda cell: math.fsum(cell.duty) / cell.count),
+    ("power_w", lambda cell: math.fsum(cell.power) / cell.count),
+    ("flops_per_s", lambda cell: cell.flops / INTERVAL_SECONDS / cell.count),
+)
+
+
 def balanced_comparison(
-    cohort: list[Observation],
+    cohort: Mapping[tuple[str, int], Cell],
     scheme: BucketScheme,
     baseline: str,
     factor_g_per_kwh: float = 0.0,
@@ -164,26 +155,17 @@ def balanced_comparison(
 ) -> BalancedComparison:
     """Duty-balanced per-generation metrics plus ratios against a baseline.
 
-    Each metric is the stratified mean sum(pooled_b * mean_b) / sum(pooled_b)
-    over the buckets b the generation populates: pooled_b counts the
-    bucket's observations over all generations, mean_b is the generation's
-    mean within the bucket. Generations sharing no populated bucket with
-    the baseline violate positivity; they are flagged "no overlap" and
-    their ratios withheld rather than extrapolated. Buckets missing a
-    generation are reported as warnings.
+    `cohort` maps (generation, bucket under `scheme`) to the cell of that
+    generation's rows in that bucket. Each metric is the stratified mean
+    sum(pooled_b * mean_b) / sum(pooled_b) over the buckets b the
+    generation populates: pooled_b counts the bucket's rows over all
+    generations, mean_b is the generation's mean within the bucket.
+    Generations sharing no populated bucket with the baseline violate
+    positivity; they are flagged "no overlap" and their ratios withheld
+    rather than extrapolated. Buckets missing a generation are reported as
+    warnings.
     """
-    # one pass: duty, power and FLOP-rate values per (bucket, generation)
-    cells: dict[tuple[int, str], tuple[list[float], list[float], list[float]]] = {}
-    for obs in cohort:
-        key = (scheme.bucket_of(obs.duty_cycle), obs.generation)
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = ([], [], [])
-        cell[0].append(obs.duty_cycle)
-        cell[1].append(obs.power_w)
-        cell[2].append(obs.flops_per_s)
-
-    counts = {key: len(cell[0]) for key, cell in cells.items()}
+    counts = {(b, gen): cell.count for (gen, b), cell in cohort.items()}
     bucket_totals: dict[int, int] = {}
     for (b, _), count in counts.items():
         bucket_totals[b] = bucket_totals.get(b, 0) + count
@@ -202,15 +184,14 @@ def balanced_comparison(
     buckets_of = {gen: {b for (b, g) in scores.counts if g == gen} for gen in generations}
     weighted: dict[str, dict[str, float]] = {}
     for gen in generations:
-        strata = [(scores.bucket_totals[b], cells[b, gen]) for b in buckets_of[gen]]
+        strata = [(scores.bucket_totals[b], cohort[gen, b]) for b in buckets_of[gen]]
         mass = sum(pooled for pooled, _ in strata)
-        duty, power, flops_rate = (
-            math.fsum(pooled * (math.fsum(cell[k]) / len(cell[k])) for pooled, cell in strata) / mass
-            for k in range(3)
-        )
-        metrics = {"duty_cycle": duty, "power_w": power, "flops_per_s": flops_rate}
-        if flops_rate > 0:
-            energy_per_ef = kwh_per_exaflop(power, flops_rate, pue)
+        metrics = {
+            name: math.fsum(pooled * mean(cell) for pooled, cell in strata) / mass
+            for name, mean in _CELL_MEANS
+        }
+        if metrics["flops_per_s"] > 0:
+            energy_per_ef = kwh_per_exaflop(metrics["power_w"], metrics["flops_per_s"], pue)
             metrics["energy_kwh_per_exaflop"] = energy_per_ef
             metrics["carbon_g_per_exaflop"] = operational_cci(energy_per_ef, factor_g_per_kwh)
         weighted[gen] = metrics

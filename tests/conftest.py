@@ -1,7 +1,7 @@
 import pytest
 
 from fleetcarbon import config as cfgmod
-from fleetcarbon.telemetry import exclude_incomplete, ingest
+from fleetcarbon.telemetry import ingest
 
 
 @pytest.fixture(scope="session")
@@ -26,4 +26,4 @@ def factor_config(run_config):
 
 @pytest.fixture(scope="session")
 def fleet_dataset(run_config, platforms):
-    return exclude_incomplete(ingest(run_config.telemetry, platforms))
+    return ingest(run_config.telemetry, platforms)

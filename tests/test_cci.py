@@ -13,6 +13,7 @@ from fleetcarbon.cci import (
 )
 from fleetcarbon.errors import ComputationError
 from fleetcarbon.lca import per_chip_embodied
+from fleetcarbon.report import fold_platforms
 from fleetcarbon.telemetry import FleetWindow, PlatformSpec, aggregate
 
 
@@ -40,6 +41,15 @@ class TestEnergyPerExaflop:
         for pid, value in expected.items():
             w = aggregate(fleet_dataset, pid)
             assert energy_per_exaflop(w, pue=1.10) == pytest.approx(value, rel=1e-9)
+
+    @pytest.mark.parametrize("standard", ["market", "location", "hourly247"])
+    def test_bundled_total_cci_ratio_of_oldest_to_newest(
+        self, fleet_dataset, inventories, factor_config, run_config, standard
+    ):
+        # the paper's headline: v4i carries about three times v6e's total CCI
+        accounts = fold_platforms(fleet_dataset, inventories, factor_config, standard, run_config.pue)
+        totals = {pid: acct.report.total_cci for pid, acct in accounts.platforms.items()}
+        assert 2.9 < totals["v4i"] / totals["v6e"] < 3.0
 
     def test_unit_identity(self):
         w = window(power_sum=12000.0, samples=1, flops=10**18)  # exactly 1 kWh

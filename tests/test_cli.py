@@ -235,6 +235,7 @@ class TestExitCodes:
             ("config", config_json(buckets="0"), "weight", EXIT_CONFIG),
             ("config", config_json(incomplete_runs="[]"), "workload", EXIT_CONFIG),
             ("config", config_json(workload_factor_g_per_kwh='"x"'), "workload", EXIT_CONFIG),
+            ("config", config_json(workload_pue="-3"), "workload", EXIT_CONFIG),
             ("config", config_json(telemetry="5"), "report", EXIT_CONFIG),
             ("factors", b'{"year": "x"}', "report", EXIT_CONFIG),
             ("factors", b'{"standards": []}', "report", EXIT_CONFIG),
@@ -281,6 +282,7 @@ class TestExitCodes:
             "config-buckets-zero",
             "config-incomplete-runs-list",
             "config-workload-factor-text",
+            "config-workload-pue-negative",
             "config-telemetry-number",
             "factors-year-text",
             "factors-standards-list",
@@ -310,7 +312,9 @@ class TestExitCodes:
         [
             ("config", config_json(pue="NaN"), "scenario"),
             ("config", config_json(workload_factor_g_per_kwh="NaN"), "workload"),
+            ("config", config_json(workload_factor_g_per_kwh='"nan"'), "workload"),
             ("platforms", CATALOG_V4I.format('"lifetime_years": Infinity').encode(), "cci"),
+            ("platforms", CATALOG_V4I.format('"lifetime_years": "inf"').encode(), "report"),
             (
                 "inventories",
                 bundled_json("inventories.json", lambda d: d["v4i"].update(scope1_kg_per_chip=math.nan)),
@@ -325,7 +329,15 @@ class TestExitCodes:
                 "scenario",
             ),
         ],
-        ids=["config-pue", "config-workload-factor", "catalog", "inventories", "factors"],
+        ids=[
+            "config-pue",
+            "config-workload-factor",
+            "config-workload-factor-text",
+            "catalog",
+            "catalog-text",
+            "inventories",
+            "factors",
+        ],
     )
     def test_non_finite_number_is_config_error(self, tmp_path, key, content, command):
         bad = tmp_path / "bad.json"
@@ -406,11 +418,11 @@ class TestIngestCommand:
 
     def test_malformed_json_line_logged_not_raised(self, tmp_path, capsys):
         good = (
-            '{"machine_id": "m0", "platform_id": "v4i", "interval_start": '
+            '{"machine_id": "%s", "platform_id": "v4i", "interval_start": '
             '"2024-10-01T00:00:00Z", "tray_power_w": [300, 442, 442], "duty_cycle": 0.5, "flops": 1000}'
         )
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(f"{good}\n{{oops\n{good}\n")
+        bad.write_text(f"{good % 'm0'}\n{{oops\n{good % 'm1'}\n")
         code, out, err = run_cli(capsys, "ingest", "-o", str(tmp_path), "--telemetry", str(bad))
         assert code == 0
         summary = json.loads(out)
@@ -449,8 +461,21 @@ class TestSynthCommand:
             b'{"generations": [{"name": "g", "machines": 1, "trays_per_machine": 0}]}',
             b'{"generations": [{"name": "g", "machines": 1, "duty_a": -1}]}',
             DEEP,
+            b'{"start": "x", "generations": [{"name": "g", "machines": 1}]}',
+            b'{"generations": [{"name": "g", "machines": 1, "flops_per_s_at_full_duty": 0}]}',
+            b'{"generations": [{"name": "g", "machines": 1, "active_power_w": 0}]}',
+            b'{"generations": []}',
         ],
-        ids=["not-object", "zero-trays", "negative-duty-a", "deep"],
+        ids=[
+            "not-object",
+            "zero-trays",
+            "negative-duty-a",
+            "deep",
+            "bad-start",
+            "zero-flops-rate",
+            "zero-power",
+            "no-generations",
+        ],
     )
     def test_bad_scenario_file_exits_before_writing(self, tmp_path, content):
         scenario = tmp_path / "scenario.json"
@@ -460,6 +485,7 @@ class TestSynthCommand:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "synthetic_telemetry.csv").exists()
+        assert not (out / "synthetic_manifest.json").exists()
 
     def test_deterministic_for_seed(self, tmp_path, capsys):
         run_cli(capsys, "synth", "--seed", "5", "-o", str(tmp_path / "a"))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fleetcarbon.config import read_catalog_mapping
 from fleetcarbon.lca import (
     LcaComponentEntry,
     MachineInventory,
@@ -11,7 +12,7 @@ from fleetcarbon.lca import (
     machine_transport,
     per_chip_embodied,
 )
-from fleetcarbon.telemetry import PlatformSpec, read_catalog_mapping
+from fleetcarbon.telemetry import PlatformSpec
 
 
 def spec(pid="v5e", chips=8, trays=3, lifetime=6, deployed=None):

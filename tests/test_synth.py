@@ -12,8 +12,8 @@ from fleetcarbon.synth import (
     scenario_from_mapping,
     write_fleet,
 )
-from fleetcarbon.telemetry import aggregate, exclude_incomplete, ingest
-from fleetcarbon.weighting import BucketScheme, balanced_comparison
+from fleetcarbon.telemetry import BucketScheme, aggregate, ingest
+from fleetcarbon.weighting import balanced_comparison
 
 
 def small_scenario(seed=7, **gen_overrides):
@@ -70,7 +70,7 @@ class TestGroundTruth:
         scenario = default_scenario(seed=11)
         write_fleet(scenario, tmp_path / "t.csv", tmp_path / "m.json")
         catalog = load_platforms(tmp_path / "m.json")
-        ds = exclude_incomplete(ingest(tmp_path / "t.csv", catalog))
+        ds = ingest(tmp_path / "t.csv", catalog)
         for gen in scenario.generations:
             mean_power = aggregate(ds, gen.name).mean_machine_power_w
             assert gen.tdp_w / 6 < mean_power < gen.tdp_w / 2
@@ -82,10 +82,10 @@ class TestGroundTruth:
         assert truth == pytest.approx(0.5, rel=1e-12)  # built-in 2x efficiency gap
 
         catalog = load_platforms(tmp_path / "m.json")
-        ds = exclude_incomplete(ingest(tmp_path / "t.csv", catalog))
-        observations = dataset_observations(ds, ["gen-a", "gen-b"])
+        scheme = BucketScheme(manifest["buckets"])
+        ds = ingest(tmp_path / "t.csv", catalog, scheme)
         comparison = balanced_comparison(
-            observations, BucketScheme(manifest["buckets"]), baseline="gen-a"
+            dataset_observations(ds, ["gen-a", "gen-b"]), scheme, baseline="gen-a"
         )
         ratio = comparison.per_generation["gen-b"].ratios["energy_kwh_per_exaflop"]
         assert ratio == pytest.approx(truth, rel=0.02)
@@ -99,8 +99,8 @@ class TestGroundTruth:
         write_fleet(scenario, tmp_path / "t.csv", tmp_path / "m.json")
         catalog = load_platforms(tmp_path / "m.json")
         ds = ingest(tmp_path / "t.csv", catalog)
-        filtered = exclude_incomplete(ds)
-        missing = len(ds) - len(filtered)
+        missing = sum(ds.exclusions.values())
+        assert missing == len(ds) - ds.complete_rows
         assert missing / len(ds) == pytest.approx(0.2, abs=0.05)
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetcarbon.errors import ComputationError
+from fleetcarbon.telemetry import INTERVAL_SECONDS, BucketScheme, Cell
 from fleetcarbon.weighting import (
-    BucketScheme,
     Observation,
     balanced_comparison,
     propensity_scores,
@@ -15,13 +16,35 @@ from fleetcarbon.weighting import (
     weights,
 )
 
+# One machine-interval as telemetry reports it: generation, duty cycle,
+# machine power (W), and the interval's FLOPs.
+Row = namedtuple("Row", "generation duty_cycle power_w flops")
 
-def obs(gen, duty, power=1000.0, rate=1e13):
-    return Observation(generation=gen, duty_cycle=duty, power_w=power, flops_per_s=rate)
+
+def obs(gen, duty, power=1000.0, flops=3 * 10**15):
+    return Row(gen, duty, power, flops)
+
+
+def observations(rows):
+    """The rows as inputs of the inverse-propensity-weighting reference."""
+    return [Observation(r.generation, r.duty_cycle, r.power_w, r.flops / INTERVAL_SECONDS) for r in rows]
+
+
+def cells(rows, scheme):
+    """The rows folded into (generation, bucket) cells, as ingest folds them."""
+    out = {}
+    for r in rows:
+        out.setdefault((r.generation, scheme.bucket_of(r.duty_cycle)), Cell()).add(r.power_w, r.duty_cycle, r.flops)
+    return out
+
+
+def compare(rows, scheme, baseline, **kwargs):
+    return balanced_comparison(cells(rows, scheme), scheme, baseline=baseline, **kwargs)
 
 
 def ipw_reference(cohort, scheme, generation, metric):
     """Inverse-propensity weighted mean of `metric` over one generation."""
+    cohort = observations(cohort)
     scores = propensity_scores(cohort, scheme)
     group = [o for o in cohort if o.generation == generation]
     return weighted_average([metric(o) for o in group], weights(group, scores))
@@ -45,7 +68,7 @@ cohort_strategy = st.lists(
         gen=st.sampled_from(["old", "new"]),
         duty=st.floats(0.0, 1.0, allow_nan=False),
         power=st.floats(100.0, 5000.0),
-        rate=st.floats(1e12, 1e15),
+        flops=st.integers(3 * 10**14, 3 * 10**17),
     ),
     min_size=2,
     max_size=200,
@@ -74,13 +97,13 @@ class TestPropensityScores:
     def test_thirty_seventy_example(self):
         cohort = [obs("v4", bucket_midpoint(3)) for _ in range(30)]
         cohort += [obs("v5p", bucket_midpoint(3)) for _ in range(70)]
-        scores = propensity_scores(cohort, BucketScheme(10))
+        scores = propensity_scores(observations(cohort), BucketScheme(10))
         assert scores.score(3, "v4") == Fraction(3, 10)
         assert scores.score(3, "v5p") == Fraction(7, 10)
 
     def test_single_generation_scores_one(self):
         cohort = [obs("only", bucket_midpoint(b)) for b in (0, 4, 9) for _ in range(3)]
-        scores = propensity_scores(cohort, BucketScheme(10))
+        scores = propensity_scores(observations(cohort), BucketScheme(10))
         for b in (0, 4, 9):
             assert scores.score(b, "only") == 1
 
@@ -88,14 +111,14 @@ class TestPropensityScores:
         cohort = []
         for b in range(10):
             cohort += [obs("a", bucket_midpoint(b)), obs("b", bucket_midpoint(b))]
-        scores = propensity_scores(cohort, BucketScheme(10))
+        scores = propensity_scores(observations(cohort), BucketScheme(10))
         for b in range(10):
             assert scores.score(b, "a") == Fraction(1, 2)
             assert scores.score(b, "b") == Fraction(1, 2)
 
     def test_shares_sum_to_one_per_bucket(self):
         cohort = [obs("a", 0.31), obs("b", 0.32), obs("b", 0.33), obs("c", 0.35)]
-        scores = propensity_scores(cohort, BucketScheme(10))
+        scores = propensity_scores(observations(cohort), BucketScheme(10))
         total = sum(scores.score(3, g) for g in ("a", "b", "c"))
         assert total == 1
 
@@ -108,8 +131,8 @@ class TestWeights:
     def test_inverse_of_scores(self):
         cohort = [obs("v4", bucket_midpoint(3)) for _ in range(30)]
         cohort += [obs("v5p", bucket_midpoint(3)) for _ in range(70)]
-        scores = propensity_scores(cohort, BucketScheme(10))
-        w = weights(cohort, scores)
+        scores = propensity_scores(observations(cohort), BucketScheme(10))
+        w = weights(observations(cohort), scores)
         assert w[0] == Fraction(10, 3)  # ~3.3
         assert w[-1] == Fraction(10, 7)  # ~1.4
         assert float(w[0]) == pytest.approx(3.3, abs=0.04)
@@ -117,20 +140,20 @@ class TestWeights:
 
     def test_score_one_gives_weight_one(self):
         cohort = [obs("only", 0.5)]
-        scores = propensity_scores(cohort, BucketScheme(10))
-        assert weights(cohort, scores) == [1]
+        scores = propensity_scores(observations(cohort), BucketScheme(10))
+        assert weights(observations(cohort), scores) == [1]
 
     @given(cohort_strategy)
     def test_all_weights_strictly_positive(self, cohort):
-        scores = propensity_scores(cohort, BucketScheme(10))
-        assert all(w > 0 for w in weights(cohort, scores))
+        scores = propensity_scores(observations(cohort), BucketScheme(10))
+        assert all(w > 0 for w in weights(observations(cohort), scores))
 
     @given(cohort_strategy)
     @settings(max_examples=50)
     def test_weighted_bucket_mass_equals_pooled_mass_exactly(self, cohort):
         scheme = BucketScheme(10)
-        scores = propensity_scores(cohort, scheme)
-        w = weights(cohort, scores)
+        scores = propensity_scores(observations(cohort), scheme)
+        w = weights(observations(cohort), scores)
         for gen in scores.generations():
             mass: dict[int, Fraction] = {}
             for o, wi in zip(cohort, w):
@@ -166,6 +189,7 @@ class TestWeightedAverage:
     @settings(max_examples=50)
     def test_permutation_invariance(self, cohort, rng):
         scheme = BucketScheme(10)
+        cohort = observations(cohort)
         scores = propensity_scores(cohort, scheme)
         gen = cohort[0].generation
         group = [o for o in cohort if o.generation == gen]
@@ -184,7 +208,7 @@ class TestBalancedComparison:
             cohort += [obs("old", bucket_midpoint(b), power=1000 + 13 * b) for _ in range(n_old)]
             cohort += [obs("new", bucket_midpoint(b), power=900 + 7 * b) for _ in range(n_new)]
         scheme = BucketScheme(10)
-        comparison = balanced_comparison(cohort, scheme, baseline="old")
+        comparison = compare(cohort, scheme, "old")
         for gen in ("old", "new"):
             reference = ipw_reference(cohort, scheme, gen, REFERENCE_METRICS["power_w"])
             assert comparison.per_generation[gen].weighted["power_w"] == pytest.approx(
@@ -195,9 +219,9 @@ class TestBalancedComparison:
         cohort = []
         for b in (1, 4, 7):
             for _ in range(4):
-                cohort.append(obs("old", bucket_midpoint(b), power=1100.0, rate=2e13))
-                cohort.append(obs("new", bucket_midpoint(b), power=700.0, rate=4e13))
-        comparison = balanced_comparison(cohort, BucketScheme(10), baseline="old")
+                cohort.append(obs("old", bucket_midpoint(b), power=1100.0, flops=6 * 10**15))
+                cohort.append(obs("new", bucket_midpoint(b), power=700.0, flops=12 * 10**15))
+        comparison = compare(cohort, BucketScheme(10), "old")
         for gen in ("old", "new"):
             group = [o for o in cohort if o.generation == gen]
             plain_power = math.fsum(o.power_w for o in group) / len(group)
@@ -210,31 +234,31 @@ class TestBalancedComparison:
         # different bucket distributions, but per-bucket means coincide
         cohort = [obs("old", bucket_midpoint(b)) for b in (0, 0, 0, 5, 9)]
         cohort += [obs("new", bucket_midpoint(b)) for b in (0, 5, 5, 9, 9, 9)]
-        comparison = balanced_comparison(cohort, BucketScheme(10), baseline="old")
+        comparison = compare(cohort, BucketScheme(10), "old")
         d_old = comparison.per_generation["old"].weighted["duty_cycle"]
         d_new = comparison.per_generation["new"].weighted["duty_cycle"]
         assert d_old == pytest.approx(d_new, rel=1e-12)
 
     def test_no_overlap_flagged_not_reweighted(self):
         cohort = [obs("old", 0.15) for _ in range(5)] + [obs("new", 0.95) for _ in range(5)]
-        comparison = balanced_comparison(cohort, BucketScheme(10), baseline="old")
+        comparison = compare(cohort, BucketScheme(10), "old")
         assert comparison.per_generation["new"].no_overlap
         assert comparison.per_generation["new"].ratios["power_w"] is None
         assert any("no overlap" in w for w in comparison.warnings)
 
     def test_missing_bucket_warning(self):
         cohort = [obs("old", 0.15), obs("old", 0.55), obs("new", 0.55)]
-        comparison = balanced_comparison(cohort, BucketScheme(10), baseline="old")
+        comparison = compare(cohort, BucketScheme(10), "old")
         assert any("bucket 1" in w and "'new'" in w for w in comparison.warnings)
 
     def test_requires_two_generations(self):
         with pytest.raises(ComputationError, match="two generations"):
-            balanced_comparison([obs("only", 0.5)], BucketScheme(10), baseline="only")
+            compare([obs("only", 0.5)], BucketScheme(10), "only")
 
     def test_baseline_must_exist(self):
         cohort = [obs("a", 0.5), obs("b", 0.5)]
         with pytest.raises(ComputationError, match="baseline"):
-            balanced_comparison(cohort, BucketScheme(10), baseline="zzz")
+            compare(cohort, BucketScheme(10), "zzz")
 
     def test_confounded_cohort_recovers_hardware_ratio(self):
         # the new generation runs hotter only because it is busier; at any
@@ -246,12 +270,12 @@ class TestBalancedComparison:
         for b, n_old, n_new in [(1, 30, 5), (3, 40, 10), (5, 20, 25), (7, 10, 40), (9, 2, 30)]:
             d = bucket_midpoint(b)
             cohort += [
-                obs("old", d, power=power_at(d, 1000.0), rate=d * 1e13) for _ in range(n_old)
+                obs("old", d, power=power_at(d, 1000.0), flops=round(d * 3e15)) for _ in range(n_old)
             ]
             cohort += [
-                obs("new", d, power=power_at(d, 1000.0), rate=d * 2e13) for _ in range(n_new)
+                obs("new", d, power=power_at(d, 1000.0), flops=round(d * 6e15)) for _ in range(n_new)
             ]
-        comparison = balanced_comparison(cohort, BucketScheme(10), baseline="old")
+        comparison = compare(cohort, BucketScheme(10), "old")
         ratio = comparison.per_generation["new"].ratios["energy_kwh_per_exaflop"]
         assert ratio == pytest.approx(0.5, rel=1e-9)
 
@@ -259,9 +283,7 @@ class TestBalancedComparison:
     @settings(max_examples=100)
     def test_every_metric_matches_ipw_reference(self, cohort, factor, pue):
         scheme = BucketScheme(10)
-        comparison = balanced_comparison(
-            cohort, scheme, baseline="old", factor_g_per_kwh=factor, pue=pue
-        )
+        comparison = compare(cohort, scheme, "old", factor_g_per_kwh=factor, pue=pue)
         for gen in ("old", "new"):
             want = {
                 name: ipw_reference(cohort, scheme, gen, metric)
