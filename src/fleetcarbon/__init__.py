@@ -12,14 +12,7 @@ from .cci import (
     operational_cci,
 )
 from .errors import ComputationError, ConfigError, FleetCarbonError, IngestError
-from .factors import (
-    EmissionFactorSet,
-    HourlyGridSeries,
-    HourlyRecord,
-    ScenarioSpec,
-    hourly_247_emissions,
-    scenario_manufacturing_reduction,
-)
+from .factors import EmissionFactorSet, ScenarioSpec, scenario_manufacturing_reduction
 from .lca import (
     EmbodiedBreakdown,
     LcaComponentEntry,

@@ -2,8 +2,8 @@
 
 Relative paths in the file resolve against the file's own directory, so a
 config can travel with its data. A bundled demo config (and the fixture
-catalog, inventories, factor sets, telemetry, hourly series, and workload
-runs it points to) ships inside the package.
+catalog, inventories, factor sets, telemetry and workload runs it points
+to) ships inside the package.
 
 This module parses every configuration document: `read_document` decodes
 it under one error policy, and the builders here turn the decoded mapping
@@ -35,7 +35,6 @@ class RunConfig:
     platforms: Path
     inventories: Path
     factors: Path
-    hourly_series: Path | None = None
     run_manifest: Path | None = None
     run_intervals: Path | None = None
     standard: str = "market"
@@ -95,7 +94,6 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
             platforms=_path("platforms"),
             inventories=_path("inventories"),
             factors=_path("factors"),
-            hourly_series=_path("hourly_series"),
             run_manifest=_path("run_manifest"),
             run_intervals=_path("run_intervals"),
             standard=str(raw.get("standard", "market")),
@@ -190,7 +188,6 @@ def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
                     category=str(c["category"]),
                     tray=str(c["tray"]),
                     kg_co2e=finite_number(c["kg_co2e"]),
-                    electricity_share=_optional_number(c, "electricity_share"),
                 )
                 for c in cfg.get("components", [])
             ),

@@ -41,7 +41,6 @@ class LcaComponentEntry:
     category: str
     tray: str  # "accelerator" or "host"
     kg_co2e: float  # per tray instance
-    electricity_share: float | None = None  # for manufacturing-CFE scaling
 
     def __post_init__(self) -> None:
         if self.category not in COMPONENT_CATEGORIES:
@@ -50,8 +49,6 @@ class LcaComponentEntry:
             raise ValueError(f"unknown tray role {self.tray!r}")
         if self.kg_co2e < 0:
             raise ValueError(f"{self.name}: negative kgCO2e")
-        if self.electricity_share is not None and not 0.0 <= self.electricity_share <= 1.0:
-            raise ValueError(f"{self.name}: electricity_share outside [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Generates interval telemetry for several hardware generations with
 configurable duty-cycle distributions and a simple power model: a machine
 at zero duty still draws 60% of its active power, rising linearly to full
 draw at duty one. Utilized FLOPs scale linearly with duty. The generator
-writes a sidecar manifest recording its own bookkeeping (row counts,
-per-generation means) and the built-in hardware efficiency ratios, so
-downstream estimators can be checked against known ground truth.
+writes a sidecar manifest holding the ground truth downstream estimators
+are checked against (row counts, each generation's active power, FLOP
+rate and energy per ExaFLOP against the baseline) and the platform
+catalog `config.load_platforms` reads to ingest the telemetry.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class GenerationSpec:
     chips_per_machine: int = 8
     trays_per_machine: int = 3
     active_power_w: float = 1200.0  # draw at duty 1.0
-    tdp_w: float = 3600.0
     flops_per_s_at_full_duty: float = 1.0e14  # machine-level utilized rate at duty 1.0
     duty_dist: str = "beta"  # "beta" or "uniform"
     duty_a: float = 4.0
@@ -143,7 +143,6 @@ def build_manifest(scenario: SynthScenario) -> dict:
             "machines": gen.machines,
             "rows": gen.machines * scenario.intervals,
             "active_power_w": gen.active_power_w,
-            "tdp_w": gen.tdp_w,
             "flops_per_s_at_full_duty": gen.flops_per_s_at_full_duty,
             "energy_kwh_per_exaflop_at_full_duty": gen.energy_kwh_per_exaflop_at_full_duty(),
             "energy_per_exaflop_ratio_vs_baseline": (
@@ -163,8 +162,6 @@ def build_manifest(scenario: SynthScenario) -> dict:
                 "chips_per_machine": gen.chips_per_machine,
                 "trays_per_machine": gen.trays_per_machine,
                 "lifetime_years": 6,
-                "peak_flops_per_s": gen.flops_per_s_at_full_duty,
-                "class": "synthetic",
             }
             for gen in scenario.generations
         },
@@ -210,7 +207,6 @@ def scenario_from_mapping(cfg: dict) -> SynthScenario:
             chips_per_machine=int(g.get("chips_per_machine", 8)),
             trays_per_machine=int(g.get("trays_per_machine", 3)),
             active_power_w=finite_number(g.get("active_power_w", 1200.0)),
-            tdp_w=finite_number(g.get("tdp_w", 3.0 * finite_number(g.get("active_power_w", 1200.0)))),
             flops_per_s_at_full_duty=finite_number(g.get("flops_per_s_at_full_duty", 1.0e14)),
             duty_dist=str(g.get("duty_dist", "beta")),
             duty_a=finite_number(g.get("duty_a", 4.0)),
@@ -241,7 +237,6 @@ def default_scenario(seed: int = 20241001) -> SynthScenario:
                 name="gen-a",
                 machines=40,
                 active_power_w=1200.0,
-                tdp_w=3600.0,
                 flops_per_s_at_full_duty=5.0e13,
                 duty_a=3.0,
                 duty_b=5.0,
@@ -250,7 +245,6 @@ def default_scenario(seed: int = 20241001) -> SynthScenario:
                 name="gen-b",
                 machines=40,
                 active_power_w=1800.0,
-                tdp_w=5400.0,
                 flops_per_s_at_full_duty=1.5e14,
                 duty_a=6.0,
                 duty_b=2.5,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ComputationError, IngestError
 
@@ -496,6 +496,22 @@ def exclude_incomplete(dataset: FleetDataset) -> FleetDataset:
     return dataset
 
 
+def finite_sum(platform_id: str, what: str, values: Iterable[float]) -> float:
+    """The correctly rounded sum of a platform's `values`, which must be finite.
+
+    Rows whose powers are each finite can still sum beyond float range.
+    A platform's power total and each balanced mean of a generation go
+    through this one check, which names the platform.
+    """
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # the exact sum overflows, or inf - inf among partials
+        total = math.inf
+    if not math.isfinite(total):
+        raise ComputationError(f"platform {platform_id!r}: {what} is not finite")
+    return total
+
+
 def aggregate(dataset: FleetDataset, platform_id: str) -> FleetWindow:
     """Combine one platform's cells into a FleetWindow.
 
@@ -512,7 +528,9 @@ def aggregate(dataset: FleetDataset, platform_id: str) -> FleetWindow:
     return FleetWindow(
         platform_id=platform_id,
         sample_count=sum(cell.count for cell in cells),
-        power_sum_w=math.fsum(p for cell in cells for p in cell.power),
+        power_sum_w=finite_sum(
+            platform_id, "total machine power", (p for cell in cells for p in cell.power)
+        ),
         total_flops=sum(cell.flops for cell in cells),
         duty_cycle_sum=math.fsum(d for cell in cells for d in cell.duty),
     )

@@ -30,7 +30,7 @@ from typing import Mapping
 
 from .cci import kwh_per_exaflop, operational_cci
 from .errors import ComputationError
-from .telemetry import INTERVAL_SECONDS, BucketScheme, Cell
+from .telemetry import INTERVAL_SECONDS, BucketScheme, Cell, finite_sum
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,10 @@ def balanced_comparison(
         strata = [(scores.bucket_totals[b], cohort[gen, b]) for b in buckets_of[gen]]
         mass = sum(pooled for pooled, _ in strata)
         metrics = {
-            name: math.fsum(pooled * mean(cell) for pooled, cell in strata) / mass
+            name: finite_sum(
+                gen, f"balanced mean {name}", (pooled * mean(cell) for pooled, cell in strata)
+            )
+            / mass
             for name, mean in _CELL_MEANS
         }
         if metrics["flops_per_s"] > 0:

@@ -166,7 +166,8 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
 
     Interval records carry run_id, machine_id, interval_start, power_w and
     duty_cycle; records for unknown runs are ignored so one interval file
-    can back several manifests.
+    can back several manifests. A second record for the same run, machine
+    and interval (timestamps compared in UTC) is an error.
     """
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
@@ -195,6 +196,8 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     ts = parse_rfc3339(str(rec["interval_start"])).isoformat()
                     slot = per_run[run_id].setdefault(ts, {"power": {}, "duty": {}})
                     machine = str(rec["machine_id"])
+                    if machine in slot["power"]:
+                        raise ValueError(f"repeated key: run {run_id!r}, machine {machine!r}, interval {ts}")
                     slot["power"][machine] = float(rec["power_w"])
                     slot["duty"][machine] = float(rec["duty_cycle"])
                 except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

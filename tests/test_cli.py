@@ -28,6 +28,19 @@ MISSING_INVENTORY_CATALOG = (
     b'{"v4i": {"chips_per_machine": 4, "trays_per_machine": 3, "inventory_ref": "gen-a"}}\n'
 )
 HUGE_INT = "1" + "0" * 400  # a JSON integer beyond float range
+# one key twice: the offsets differ, the UTC instant does not
+REPEATED_INTERVAL = b"".join(
+    b'{"run_id": "rlhf-v5e-r1", "machine_id": "m0", "interval_start": "%s", "power_w": 1, "duty_cycle": 1}\n'
+    % ts
+    for ts in (b"2024-10-01T00:00:00Z", b"2024-10-01T01:00:00+01:00")
+)
+# each row's power is finite, the platform's total is not
+OVERFLOW_TELEMETRY = (
+    "machine_id,platform_id,interval_start,tray_power_w,duty_cycle,flops\n"
+    "v4-m0,v4,2024-10-01T00:00:00Z,8e307;8e307,0.5,1000\n"
+    "v4-m1,v4,2024-10-01T00:00:00Z,8e307;8e307,0.5,1000\n"
+    "v4i-m0,v4i,2024-10-01T00:00:00Z,300;442;442,0.5,1000\n"
+)
 HUGE_POWER_INTERVAL = (
     '{"run_id": "rlhf-v5e-r1", "machine_id": "m0", "interval_start": "2024-10-01T00:00:00Z", '
     f'"power_w": {HUGE_INT}, "duty_cycle": 0.9}}\n'
@@ -228,6 +241,7 @@ class TestExitCodes:
             ("run_manifest", run_manifest(step_time_s=int(HUGE_INT)), "workload", EXIT_INGEST),
             ("run_manifest", run_manifest(platform_id="v9"), "workload", EXIT_CONFIG),
             ("run_intervals", HUGE_POWER_INTERVAL, "workload", EXIT_INGEST),
+            ("run_intervals", REPEATED_INTERVAL, "workload", EXIT_INGEST),
             ("config", config_json(pue='"x"'), "scenario", EXIT_CONFIG),
             ("config", config_json(pue='"inf"'), "scenario", EXIT_CONFIG),
             ("config", config_json(buckets="null"), "weight", EXIT_CONFIG),
@@ -275,6 +289,7 @@ class TestExitCodes:
             "run-manifest-huge-step-time",
             "run-manifest-unknown-platform",
             "run-intervals-huge-power",
+            "run-intervals-repeated-key",
             "config-pue-text",
             "config-pue-text-inf",
             "config-buckets-null",
@@ -305,6 +320,17 @@ class TestExitCodes:
         cfg_path = bad if key == "config" else write_config(tmp_path, **{key: str(bad)})
         proc = run_cli_process(command, "--config", str(cfg_path), "-o", str(tmp_path / "out"))
         assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [("cci",), ("weight", "--cohort", "v4i", "v4")], ids=["cci", "weight"])
+    def test_power_total_beyond_float_range_is_compute_error(self, tmp_path, argv):
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text(OVERFLOW_TELEMETRY)
+        cfg_path = write_config(tmp_path, telemetry=str(telemetry))
+        proc = run_cli_process(*argv, "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_COMPUTE, proc.stderr
+        assert "platform 'v4'" in proc.stderr
+        assert "not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -506,7 +532,7 @@ class TestSynthCommand:
             cfg[key] = str(base / cfg[key])
         cfg["telemetry"] = str(tmp_path / "synthetic_telemetry.csv")
         cfg["platforms"] = str(tmp_path / "synthetic_manifest.json")
-        for key in ("hourly_series", "run_manifest", "run_intervals"):
+        for key in ("run_manifest", "run_intervals"):
             cfg.pop(key, None)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

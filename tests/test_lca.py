@@ -244,5 +244,3 @@ def test_component_entry_validation():
         entry(-1.0)
     with pytest.raises(ValueError):
         LcaComponentEntry(name="x", category="warp_core", tray="host", kg_co2e=1.0)
-    with pytest.raises(ValueError):
-        LcaComponentEntry(name="x", category="cpu", tray="host", kg_co2e=1.0, electricity_share=1.2)

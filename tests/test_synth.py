@@ -22,7 +22,7 @@ def small_scenario(seed=7, **gen_overrides):
         intervals=24,
         generations=(
             GenerationSpec(name="ga", machines=10, **gen_overrides),
-            GenerationSpec(name="gb", machines=10, active_power_w=1500.0, tdp_w=4500.0),
+            GenerationSpec(name="gb", machines=10, active_power_w=1500.0),
         ),
     )
 
@@ -73,7 +73,7 @@ class TestGroundTruth:
         ds = ingest(tmp_path / "t.csv", catalog)
         for gen in scenario.generations:
             mean_power = aggregate(ds, gen.name).mean_machine_power_w
-            assert gen.tdp_w / 6 < mean_power < gen.tdp_w / 2
+            assert gen.active_power_w / 2 < mean_power < gen.active_power_w * 1.5
 
     def test_balanced_comparison_recovers_efficiency_ratio(self, tmp_path):
         scenario = default_scenario(seed=20241001)
@@ -136,7 +136,6 @@ def test_scenario_from_mapping_round_trip(tmp_path):
     }
     scenario = scenario_from_mapping(raw)
     assert scenario.generations[0].duty_dist == "uniform"
-    assert scenario.generations[0].tdp_w == 2400.0  # defaults to 3x active power
     write_fleet(scenario, tmp_path / "t.csv", tmp_path / "m.json")
     manifest = json.loads((tmp_path / "m.json").read_text())
     assert manifest["total_rows"] == 48

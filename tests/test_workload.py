@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -255,3 +256,14 @@ class TestReadRuns:
         )
         with pytest.raises(IngestError, match="line 1"):
             read_runs(manifest, intervals)
+
+    def test_repeated_record_is_ingest_error(self, run_config, tmp_path):
+        # a copy of the first bundled record at 10x power must not replace it
+        lines = run_config.run_intervals.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["power_w"] *= 10
+        intervals = tmp_path / "intervals.jsonl"
+        intervals.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        with pytest.raises(IngestError, match=f"line {len(lines) + 1}: repeated key") as info:
+            read_runs(run_config.run_manifest, intervals)
+        assert f"run {record['run_id']!r}, machine {record['machine_id']!r}" in str(info.value)

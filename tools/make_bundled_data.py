@@ -19,14 +19,13 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "fleetcarbon" / "data"
 PUE = 1.10
 INTERVAL_S = 300
 
-# platform: (chips, trays, peak TFLOP/s, class, year, tray power split W,
-#            duty, target kWh per ExaFLOP)
+# platform: (chips, trays, year, tray power split W, duty, target kWh per ExaFLOP)
 PLATFORMS = {
-    "v4i": (8, 3, 138e12, "versatile", 2020, [300, 442, 442], 0.55, 2.53),
-    "v5e": (8, 3, 197e12, "versatile", 2023, [295, 438, 438], 0.58, 2.16),
-    "v6e": (8, 3, 918e12, "versatile", 2024, [401, 886, 886], 0.81, 0.86),
-    "v4": (4, 2, 275e12, "powerful", 2020, [423, 744], 0.57, 1.93),
-    "v5p": (4, 2, 459e12, "powerful", 2023, [606, 1570], 0.64, 1.65),
+    "v4i": (8, 3, 2020, [300, 442, 442], 0.55, 2.53),
+    "v5e": (8, 3, 2023, [295, 438, 438], 0.58, 2.16),
+    "v6e": (8, 3, 2024, [401, 886, 886], 0.81, 0.86),
+    "v4": (4, 2, 2020, [423, 744], 0.57, 1.93),
+    "v5p": (4, 2, 2023, [606, 1570], 0.64, 1.65),
 }
 
 MACHINES_PER_PLATFORM = 4
@@ -36,24 +35,22 @@ T0 = datetime(2024, 10, 1, tzinfo=timezone.utc)
 
 def write_platforms() -> None:
     catalog = {}
-    for pid, (chips, trays, peak, cls, year, *_rest) in PLATFORMS.items():
+    for pid, (chips, trays, year, *_rest) in PLATFORMS.items():
         catalog[pid] = {
             "chips_per_machine": chips,
             "trays_per_machine": trays,
             "lifetime_years": 6,
-            "peak_flops_per_s": peak,
             "rectifier_overhead": 0.04,
             "power_readings_include_rectifier": True,
             "inventory_ref": pid,
             "deployment_year": year,
-            "class": cls,
         }
     (DATA / "platforms.json").write_text(json.dumps(catalog, indent=2) + "\n")
 
 
 def write_telemetry() -> None:
     rows = []
-    for pid, (chips, trays, peak, cls, year, tray_split, duty, kwh_per_ef) in PLATFORMS.items():
+    for pid, (chips, trays, year, tray_split, duty, kwh_per_ef) in PLATFORMS.items():
         power = sum(tray_split)
         # energy per machine-interval (kWh) scaled by PUE and the target intensity
         flops = round(power / 12000.0 * PUE / kwh_per_ef * 1e18)
@@ -172,19 +169,16 @@ TRANSPORT = {
 }
 
 DC_CONSTRUCTION = {"v4i": 59, "v5e": 59, "v6e": 109, "v4": 117, "v5p": 218}
-ELECTRIC_HEAVY = {"tpu_asic", "hbm", "dram"}
 
 
 def write_inventories() -> None:
     out = {}
     for pid, trays in COMPONENTS.items():
-        components = []
-        for tray, cats in trays.items():
-            for cat, kg in cats.items():
-                entry = {"name": f"{pid} {tray} {cat}", "category": cat, "tray": tray, "kg_co2e": kg}
-                if cat in ELECTRIC_HEAVY:
-                    entry["electricity_share"] = 0.6
-                components.append(entry)
+        components = [
+            {"name": f"{pid} {tray} {cat}", "category": cat, "tray": tray, "kg_co2e": kg}
+            for tray, cats in trays.items()
+            for cat, kg in cats.items()
+        ]
         legs = []
         for desc, mode, tray, qty in TRANSPORT[pid]:
             leg = {"description": desc, "mode": mode, "tray": tray}
@@ -208,7 +202,6 @@ def write_inventories() -> None:
 
 def write_factors() -> None:
     scenario_common = {
-        "target_cfe_fraction": 0.9,
         "operations_factor_g_per_kwh": 31.0,
         "manufacturing_electricity_share": 0.5,
         "manufacturing_baseline_factor": 517.0,
@@ -228,29 +221,6 @@ def write_factors() -> None:
         },
     }
     (DATA / "factors.json").write_text(json.dumps(data, indent=2) + "\n")
-
-
-def write_hourly() -> None:
-    rows = []
-    for h in range(48):
-        hod = h % 24
-        load = 90 + (h % 12)
-        cfe = 0 if (hod < 6 or hod >= 20) else round(load * 0.9)
-        factor = 480 - 10 * (h % 12)
-        ts = datetime(2023, 6, 1, tzinfo=timezone.utc) + timedelta(hours=h)
-        rows.append(
-            {
-                "grid_id": "demo-grid",
-                "hour_start": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                "load_kwh": load,
-                "cfe_kwh": cfe,
-                "grid_factor": factor,
-            }
-        )
-    with (DATA / "hourly_series.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 # run: (workload, platform, step_time_s, on-duty power W,
@@ -308,7 +278,6 @@ def write_config() -> None:
         "platforms": "platforms.json",
         "inventories": "inventories.json",
         "factors": "factors.json",
-        "hourly_series": "hourly_series.csv",
         "run_manifest": "workload_manifest.json",
         "run_intervals": "workload_runs.jsonl",
         "standard": "market",
@@ -328,7 +297,6 @@ def main() -> None:
     write_telemetry()
     write_inventories()
     write_factors()
-    write_hourly()
     write_workloads()
     write_config()
     for path in sorted(DATA.iterdir()):
