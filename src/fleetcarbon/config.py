@@ -28,6 +28,16 @@ from .telemetry import PlatformSpec
 DEFAULT_PUE = 1.10
 T = TypeVar("T")
 
+# Every key a run config may hold; any other key (a misspelling) is an error.
+_CONFIG_KEYS = frozenset(
+    (
+        "telemetry", "platforms", "inventories", "factors", "run_manifest", "run_intervals",
+        "standard", "pue", "buckets", "format", "workload_factor_g_per_kwh", "workload_pue",
+        "incomplete_runs",
+    )
+)
+_INCOMPLETE_RUNS_KEYS = frozenset(("accept", "reject"))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -89,6 +99,11 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
             if not raw.get(key):
                 raise ConfigError(f"config {cfg_path} is missing {key!r}")
         incomplete = raw.get("incomplete_runs", {})
+        unknown = sorted(raw.keys() - _CONFIG_KEYS) + sorted(
+            f"incomplete_runs.{key}" for key in incomplete.keys() - _INCOMPLETE_RUNS_KEYS
+        )
+        if unknown:
+            raise ConfigError(f"config {cfg_path} has unknown keys: {', '.join(map(repr, unknown))}")
         return RunConfig(
             telemetry=_path("telemetry"),
             platforms=_path("platforms"),

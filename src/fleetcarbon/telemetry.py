@@ -1,19 +1,20 @@
 """Fleet interval telemetry: one validating pass into a per-cell ledger.
 
 Machines report one row per five-minute interval: per-tray average power,
-duty cycle, and executed FLOPs. `ingest` reads the rows once and builds no
-object per row. Each row is validated against a platform catalog
-(malformed rows land in a rejection log with their reason, never dropped
-silently); a row lacking power, duty cycle or FLOPs is only counted in
-`exclusions`; every complete row is folded into the cell of its platform
-and duty-cycle bucket, which keeps the row count, exact sums of machine
-power and duty cycle, and the FLOP total as an integer.
+duty cycle, and executed FLOPs. `ingest` reads the rows once, in one loop,
+and builds no object per row. Each row is validated against a platform
+catalog (malformed rows land in a rejection log with their reason, never
+dropped silently); a row lacking power, duty cycle or FLOPs is only
+counted in `exclusions`; every complete row is folded into the cell of its
+platform and duty-cycle bucket: the row count, the FLOP total as an
+integer, and machine powers and duty cycles as buffered exact parts (see
+`Cell`).
 
 Everything downstream reads those cells: `aggregate` combines one
 platform's cells into a `FleetWindow`, and the duty-balanced comparison
-takes a cohort's cells as its strata. Because the power and duty sums are
-exact (Shewchuk partials), a window's totals are the correctly rounded
-sums of its rows whatever order the rows arrived in.
+takes a cohort's cells as its strata. Because no cell ever rounds its
+sums, `math.fsum` over cells gives a window's totals correctly rounded,
+whatever order the rows arrived in.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ TELEMETRY_COLUMNS = (
 # Distinct raw timestamps remembered at once; a fleet repeats each interval's
 # text once per machine, so the cache only fills on pathological input.
 _SNAP_CACHE_LIMIT = 1 << 16
+
+# FLOP counts beyond float range are rejected: the CCI divides them as floats.
+_FLOPS_MAX = int(sys.float_info.max)
+
+# Row values a Cell buffers before compacting them into exact parts.
+_CELL_BUFFER = 256
 
 
 @dataclass(frozen=True)
@@ -102,28 +109,32 @@ class BucketScheme:
         return max(0, math.ceil(duty_cycle * self.buckets) - 1)
 
 
-def _grow(partials: list[float], x: float) -> None:
-    """Add x to a list of Shewchuk partials, keeping their sum exact."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+def _compact(values: list[float]) -> None:
+    """Replace `values` in place by a few non-overlapping floats with the same exact sum.
+
+    Each round keeps the correctly rounded sum `hi` of what is left and
+    subtracts it exactly (by appending -hi), until nothing is left. A sum
+    beyond float range leaves `[inf]`, which `finite_sum` rejects.
+    """
+    parts = []
+    try:
+        while hi := math.fsum(values):
+            parts.append(hi)
+            values.append(-hi)
+    except (OverflowError, ValueError):  # the exact sum overflows, or inf - inf
+        parts = [math.inf]
+    values[:] = parts
 
 
 class Cell:
     """Running totals of the complete rows in one (platform, duty-bucket) cell.
 
-    `power` and `duty` are Shewchuk partials: non-overlapping floats whose
-    exact sum is the exact sum of every machine power (W) or duty cycle
-    added, so `math.fsum` over the partials of any set of cells is the
-    correctly rounded total of their rows.
+    `power` and `duty` hold the machine powers (W) and duty cycles of the
+    latest rows, behind a few non-overlapping parts that stand for the
+    earlier ones: when a list grows past _CELL_BUFFER it is compacted to
+    parts with the same exact sum. So `math.fsum` over the lists of any set
+    of cells is the correctly rounded total of their rows, whatever order
+    the rows arrived in, and memory grows with cells, not rows.
     """
 
     __slots__ = ("count", "power", "duty", "flops")
@@ -136,9 +147,12 @@ class Cell:
 
     def add(self, power_w: float, duty_cycle: float, flops: int) -> None:
         self.count += 1
-        _grow(self.power, power_w)
-        _grow(self.duty, duty_cycle)
         self.flops += flops
+        self.power.append(power_w)
+        self.duty.append(duty_cycle)
+        if len(self.power) > _CELL_BUFFER:
+            _compact(self.power)
+            _compact(self.duty)
 
 
 @dataclass(frozen=True)
@@ -250,22 +264,59 @@ def _parse_flops(raw: str | int | float) -> int:
         if not math.isfinite(raw):
             raise ValueError(f"non-finite flops {raw!r}")
         return round(raw)
-    if raw > sys.float_info.max:  # the CCI divides counts as floats
+    if raw > _FLOPS_MAX:
         raise ValueError(f"flops {raw} beyond float range")
     return raw
 
 
 def _parse_tray_power(raw) -> tuple[float, ...]:
-    if isinstance(raw, str):
-        try:
-            readings = tuple(map(float, raw.split(";")))
-        except ValueError:  # blank readings are skipped; anything else is an error
-            readings = tuple(float(p) for p in raw.split(";") if p.strip() != "")
+    if isinstance(raw, str):  # blank readings are skipped; anything else is an error
+        readings = tuple(float(p) for p in raw.split(";") if p.strip() != "")
     else:
         readings = tuple(map(float, raw))
     if not math.isfinite(sum(readings)):  # NaN, inf, or a sum beyond float range
         raise ValueError(f"non-finite tray power {readings!r}")
     return readings
+
+
+def _checked_numbers(raw_power, raw_duty, raw_flops, platform_id: str, spec: PlatformSpec):
+    """A row's tray readings, duty cycle and FLOPs, each () or None when missing.
+
+    A ValueError names the first failure: the three fields' syntax in
+    column order, then their ranges, then the tray count.
+    """
+    trays: tuple[float, ...] = ()
+    if raw_power is not None and raw_power != "":
+        try:
+            trays = _parse_tray_power(raw_power)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"bad number: tray_power_w {raw_power!r}") from None
+    duty: float | None = None
+    if raw_duty is not None and raw_duty != "":
+        try:
+            duty = float(raw_duty)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"bad number: duty_cycle {raw_duty!r}") from None
+    flops: int | None = None
+    if raw_flops is not None and raw_flops != "":
+        try:
+            flops = _parse_flops(raw_flops)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad number: flops {raw_flops!r}") from None
+
+    if duty is not None and not 0.0 <= duty <= 1.0:
+        raise ValueError(f"range violation: duty_cycle {duty} outside [0, 1]")
+    if flops is not None and flops < 0:
+        raise ValueError(f"range violation: flops {flops} is negative")
+    for w in trays:
+        if w < 0:
+            raise ValueError(f"range violation: tray power {w} is negative")
+    if trays and len(trays) != spec.trays_per_machine:
+        raise ValueError(
+            f"tray count: {len(trays)} readings, platform {platform_id!r} "
+            f"has {spec.trays_per_machine} trays"
+        )
+    return trays, duty, flops
 
 
 def machine_power(tray_power_w: Sequence[float], spec: PlatformSpec) -> float:
@@ -283,99 +334,15 @@ def machine_power(tray_power_w: Sequence[float], spec: PlatformSpec) -> float:
     return total
 
 
-class _Fold:
-    """Validates rows one at a time and folds the accepted ones into cells."""
-
-    def __init__(self, catalog: dict[str, PlatformSpec], scheme: BucketScheme) -> None:
-        self.catalog = catalog
-        self.scheme = scheme
-        self.cells: dict[tuple[str, int], Cell] = {}
-        self.accepted: dict[str, int] = {}
-        self.exclusions: dict[str, int] = {}
-        self.epochs: dict[str, int] = {}  # raw timestamp -> snapped epoch seconds
-        self.seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
-
-    def _snap(self, raw_ts) -> int:
-        text = str(raw_ts)
-        try:
-            snapped = snap_to_grid(parse_rfc3339(text))
-        except ValueError as exc:
-            raise ValueError(f"bad timestamp {raw_ts!r}: {exc}") from None
-        if snapped is None:
-            raise ValueError(f"timestamp {raw_ts!r} off the 5-minute grid")
-        if len(self.epochs) >= _SNAP_CACHE_LIMIT:
-            self.epochs.clear()
-        epoch = self.epochs[text] = int(snapped.timestamp())
-        return epoch
-
-    def row(self, machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops) -> None:
-        """Fold one row's raw fields; a ValueError carries the rejection reason.
-
-        Checks run in a fixed order and the first failure is the reason:
-        platform, timestamp, the three numbers' syntax, their ranges, the
-        tray count, then the (machine, interval) key.
-        """
-        platform_id = str(platform_id or "").strip()
-        spec = self.catalog.get(platform_id)
-        if spec is None:
-            raise ValueError(f"unknown platform_id {platform_id!r}")
-        if raw_ts is None or raw_ts == "":
-            raise ValueError("missing interval_start")
-        epoch = self.epochs.get(raw_ts) if type(raw_ts) is str else None
-        if epoch is None:
-            epoch = self._snap(raw_ts)
-
-        trays: tuple[float, ...] = ()
-        if raw_power is not None and raw_power != "":
-            try:
-                trays = _parse_tray_power(raw_power)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"bad number: tray_power_w {raw_power!r}") from None
-        duty: float | None = None
-        if raw_duty is not None and raw_duty != "":
-            try:
-                duty = float(raw_duty)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"bad number: duty_cycle {raw_duty!r}") from None
-        flops: int | None = None
-        if raw_flops is not None and raw_flops != "":
-            try:
-                flops = _parse_flops(raw_flops)
-            except (TypeError, ValueError):
-                raise ValueError(f"bad number: flops {raw_flops!r}") from None
-
-        if duty is not None and not 0.0 <= duty <= 1.0:
-            raise ValueError(f"range violation: duty_cycle {duty} outside [0, 1]")
-        if flops is not None and flops < 0:
-            raise ValueError(f"range violation: flops {flops} is negative")
-        for w in trays:
-            if w < 0:
-                raise ValueError(f"range violation: tray power {w} is negative")
-        if trays and len(trays) != spec.trays_per_machine:
-            raise ValueError(
-                f"tray count: {len(trays)} readings, platform {platform_id!r} "
-                f"has {spec.trays_per_machine} trays"
-            )
-
-        machine_id = str(machine_id or "").strip()
-        seen = self.seen.get(machine_id)
-        if seen is None:
-            seen = self.seen[machine_id] = set()
-        if epoch in seen:
-            at = datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
-            raise ValueError(f"duplicate row for machine {machine_id!r} at {at}")
-        seen.add(epoch)
-
-        self.accepted[platform_id] = self.accepted.get(platform_id, 0) + 1
-        if not trays or duty is None or flops is None:
-            reason = REASON_MISSING_UTILIZATION if trays else REASON_MISSING_POWER
-            self.exclusions[reason] = self.exclusions.get(reason, 0) + 1
-            return
-        key = (platform_id, self.scheme.bucket_of(duty))
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = self.cells[key] = Cell()
-        cell.add(machine_power(trays, spec), duty, flops)
+def _epoch(raw_ts) -> int:
+    """Epoch seconds of a raw timestamp snapped to the grid; a ValueError says why not."""
+    try:
+        snapped = snap_to_grid(parse_rfc3339(str(raw_ts)))
+    except ValueError as exc:
+        raise ValueError(f"bad timestamp {raw_ts!r}: {exc}") from None
+    if snapped is None:
+        raise ValueError(f"timestamp {raw_ts!r} off the 5-minute grid")
+    return int(snapped.timestamp())
 
 
 def _csv_rows(fh) -> Iterator[tuple]:
@@ -460,29 +427,89 @@ def ingest(
     `source` may be a path (CSV by default, JSON lines for .jsonl, .ndjson
     or .json) or an iterable of record dicts; wrap an open CSV text file in
     `csv.DictReader` to pass it as the latter. Every row goes through the
-    same checks. Every unparseable row, malformed JSON included, is recorded
+    same checks, in a fixed order; the first failure is the reason:
+    platform, timestamp, the three numbers' syntax, their ranges, the tray
+    count, then the (machine, interval) key. Every unparseable row, malformed JSON included, is recorded
     in the rejection log with its 1-based row number; so is a repeat of an
     accepted row's (machine_id, interval) key, after the first. Complete
     rows are folded into cells by platform and `scheme` bucket; an empty
     input yields an empty dataset.
     """
-    fold = _Fold(catalog, scheme)
+    cells: dict[tuple[str, int], Cell] = {}
+    accepted: dict[str, int] = {}
+    exclusions: dict[str, int] = {}
     rejections: list[Rejection] = []
+    epochs: dict[str, int] = {}  # raw timestamp text -> snapped epoch seconds
+    seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
+    spec_of, bucket_of, inf = catalog.get, scheme.bucket_of, math.inf
     for row_no, fields in enumerate(_iter_rows(source), start=1):
-        if isinstance(fields, ValueError):
-            rejections.append(Rejection(row=row_no, reason=str(fields)))
-            continue
         try:
-            fold.row(*fields)
+            if type(fields) is not tuple:  # the ValueError of an undecodable record
+                raise fields
+            machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops = fields
+            platform_id = str(platform_id or "").strip()
+            spec = spec_of(platform_id)
+            if spec is None:
+                raise ValueError(f"unknown platform_id {platform_id!r}")
+            epoch = epochs.get(raw_ts) if type(raw_ts) is str else None
+            if epoch is None:
+                if raw_ts is None or raw_ts == "":
+                    raise ValueError("missing interval_start")
+                if len(epochs) >= _SNAP_CACHE_LIMIT:
+                    epochs.clear()
+                epoch = epochs[str(raw_ts)] = _epoch(raw_ts)
+
+            # Complete plain-text rows that pass every number check take this short
+            # path; all others get the full check, which names the first failure.
+            # Tray text without a minus sign holds no negative reading.
+            plain = False
+            if raw_power and raw_duty and raw_flops and type(raw_flops) is str:
+                try:
+                    trays = tuple(map(float, raw_power.split(";")))
+                    duty = float(raw_duty)
+                    flops = int(raw_flops)
+                except (AttributeError, TypeError, ValueError, OverflowError):
+                    pass
+                else:
+                    plain = (
+                        0 <= flops <= _FLOPS_MAX
+                        and 0.0 <= duty <= 1.0
+                        and "-" not in raw_power
+                        and sum(trays) < inf
+                        and len(trays) == spec.trays_per_machine
+                    )
+            if not plain:
+                trays, duty, flops = _checked_numbers(raw_power, raw_duty, raw_flops, platform_id, spec)
+
+            machine_id = str(machine_id or "").strip()
+            times = seen.get(machine_id)
+            if times is None:
+                times = seen[machine_id] = set()
+            if epoch in times:
+                at = datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
+                raise ValueError(f"duplicate row for machine {machine_id!r} at {at}")
+            times.add(epoch)
         except ValueError as exc:
             rejections.append(Rejection(row=row_no, reason=str(exc)))
+            continue
+
+        accepted[platform_id] = accepted.get(platform_id, 0) + 1
+        if not trays or duty is None or flops is None:
+            reason = REASON_MISSING_UTILIZATION if trays else REASON_MISSING_POWER
+            exclusions[reason] = exclusions.get(reason, 0) + 1
+            continue
+        key = (platform_id, bucket_of(duty))
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = Cell()
+        cell.add(machine_power(trays, spec), duty, flops)
     return FleetDataset(
-        samples=fold.cells,
+        samples=cells,
         catalog=dict(catalog),
         scheme=scheme,
-        accepted=fold.accepted,
+        accepted=accepted,
         rejections=tuple(rejections),
-        exclusions=fold.exclusions,
+        exclusions=exclusions,
     )
 
 
@@ -525,13 +552,16 @@ def aggregate(dataset: FleetDataset, platform_id: str) -> FleetWindow:
     cells = [cell for (pid, _), cell in dataset.samples.items() if pid == platform_id]
     if not cells:
         raise ComputationError(f"empty window for platform {platform_id!r}")
+    total_flops = sum(cell.flops for cell in cells)
+    if total_flops > _FLOPS_MAX:
+        raise ComputationError(f"platform {platform_id!r}: total flops is beyond float range")
     return FleetWindow(
         platform_id=platform_id,
         sample_count=sum(cell.count for cell in cells),
         power_sum_w=finite_sum(
             platform_id, "total machine power", (p for cell in cells for p in cell.power)
         ),
-        total_flops=sum(cell.flops for cell in cells),
+        total_flops=total_flops,
         duty_cycle_sum=math.fsum(d for cell in cells for d in cell.duty),
     )
 

@@ -333,6 +333,38 @@ class TestExitCodes:
         assert "not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["cci", "report", "scenario"])
+    def test_flops_total_beyond_float_range_is_compute_error(self, tmp_path, command):
+        telemetry = tmp_path / "telemetry.csv"
+        bundled = (bundled_config_path().parent / "fleet_telemetry.csv").read_text()
+        extra = "".join(f"{m},v4,2024-10-01T00:00:00Z,100;100,0.5,1.7e308\n" for m in ("mx1", "mx2"))
+        telemetry.write_text(bundled + extra)
+        cfg_path = write_config(tmp_path, telemetry=str(telemetry))
+        proc = run_cli_process(command, "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_COMPUTE, proc.stderr
+        assert "platform 'v4': total flops is beyond float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_power_total_overflowing_across_a_compaction_is_compute_error(self, tmp_path):
+        # more rows than a cell buffers, so the overflow is met while compacting
+        telemetry = tmp_path / "telemetry.csv"
+        rows = "".join(f"v4-m{i},v4,2024-10-01T00:00:00Z,8e305;8e305,0.5,1000\n" for i in range(300))
+        telemetry.write_text(OVERFLOW_TELEMETRY.splitlines(keepends=True)[0] + rows)
+        cfg_path = write_config(tmp_path, telemetry=str(telemetry))
+        proc = run_cli_process("cci", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_COMPUTE, proc.stderr
+        assert "platform 'v4': total machine power is not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_config_keys_are_named(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(config_json(workload_pu="1.5", incomplete_runs='{"accept": [], "rejct": []}'))
+        proc = run_cli_process("workload", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "unknown keys: 'workload_pu', 'incomplete_runs.rejct'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key,content,command",
         [

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fleetcarbon.config import bundled_data_dir
 from fleetcarbon.errors import ComputationError, IngestError
 from fleetcarbon.telemetry import (
+    _CELL_BUFFER,
     REASON_MISSING_POWER,
     REASON_MISSING_UTILIZATION,
     TELEMETRY_COLUMNS,
@@ -127,13 +129,14 @@ class TestIngest:
 
     @pytest.mark.parametrize("power", ["nan;100", "inf;1", "300;-inf", "1e400", "1e308;1e308"])
     def test_non_finite_tray_power_rejected(self, power):
-        ds = ingest(csv_source(f"m0,p1,2024-10-01T00:00:00Z,{power},0.5,1000"), {"p1": spec()})
+        catalog = {"p1": spec(trays=power.count(";") + 1)}  # the readings' number is right
+        ds = ingest(csv_source(f"m0,p1,2024-10-01T00:00:00Z,{power},0.5,1000"), catalog)
         assert len(ds) == 0
         assert [r.reason for r in ds.rejections] == [f"bad number: tray_power_w {power!r}"]
 
     @pytest.mark.parametrize("flops", ["1e400", "inf", "-inf", "nan", "1" + "0" * 400])
     def test_non_finite_flops_rejected(self, flops):
-        ds = ingest(csv_source(f"m0,p1,2024-10-01T00:00:00Z,300,0.5,{flops}"), {"p1": spec()})
+        ds = ingest(csv_source(f"m0,p1,2024-10-01T00:00:00Z,300,0.5,{flops}"), {"p1": spec(trays=1)})
         assert len(ds) == 0
         assert [r.reason for r in ds.rejections] == [f"bad number: flops {flops!r}"]
 
@@ -224,6 +227,16 @@ class TestIngest:
         ds = ingest(path, {"p1": spec()})
         assert len(ds) == 1
         assert ds.samples["p1", 4].flops == 12345678901234567890  # exact large count
+
+    def test_fractional_flops_round_to_the_nearest_count(self):
+        # text power and duty beside FLOP counts that are not plain integer text
+        rows = [
+            dict(record(machine=f"m{i}"), tray_power_w="300;442;442", duty_cycle="0.5", flops=flops)
+            for i, flops in enumerate((1.5, "1e3", 7))
+        ]
+        ds = ingest(rows, {"p1": spec()})
+        assert ds.rejections == ()
+        assert ds.samples["p1", 4].flops == 2 + 1000 + 7
 
     def test_cells_follow_the_bucket_scheme(self):
         rows = [record(duty=d, minute=5 * i) for i, d in enumerate((0.0, 0.1, 0.15, 0.5, 1.0))]
@@ -534,6 +547,31 @@ class TestAggregate:
             assert w.duty_cycle_sum == math.fsum(r["duty_cycle"] for r in mine)
             assert w.total_flops == sum(r["flops"] for r in mine)
 
+    def test_compacted_cells_keep_exact_sums_in_any_row_order(self):
+        # several times the buffer, so the one cell is compacted a few times
+        rng = random.Random(8)
+        rows = [
+            (10 ** rng.uniform(-30, 300), 10 ** rng.uniform(-30, 0), rng.randrange(10**21))
+            for _ in range(5 * _CELL_BUFFER + 17)
+        ]
+        exact_power = float(sum(Fraction(power) for power, _, _ in rows))
+        exact_duty = float(sum(Fraction(duty) for _, duty, _ in rows))
+        for _ in range(3):
+            rng.shuffle(rows)
+            records = [
+                {"machine_id": f"m{i}", "platform_id": "p1", "interval_start": T0.isoformat(),
+                 "tray_power_w": repr(power), "duty_cycle": repr(duty), "flops": str(flops)}
+                for i, (power, duty, flops) in enumerate(rows)
+            ]
+            ds = ingest(records, {"p1": spec(trays=1)}, BucketScheme(1))
+            assert ds.rejections == ()
+            (cell,) = ds.samples.values()
+            assert len(cell.power) <= _CELL_BUFFER and len(cell.duty) <= _CELL_BUFFER
+            assert math.fsum(cell.power) == exact_power
+            assert math.fsum(cell.duty) == exact_duty
+            assert cell.count == len(rows)
+            assert cell.flops == sum(flops for _, _, flops in rows)
+
 
 class TestLifetimeEnergy:
     def test_reference_platform_value(self):
@@ -573,10 +611,16 @@ def test_sample_invariants_enforced():
         record(flops=-1, machine="m1"),
         record(power=(300.0, -5.0, 1.0), machine="m2"),
     ]
-    ds = ingest(rows, {"p1": spec()})
-    assert len(ds) == 0
-    assert [r.reason for r in ds.rejections] == [
-        "range violation: duty_cycle -0.1 outside [0, 1]",
-        "range violation: flops -1 is negative",
-        "range violation: tray power -5.0 is negative",
+    text_rows = [  # the same numbers written as text, as a CSV file gives them
+        dict(r, tray_power_w=";".join(map(str, r["tray_power_w"])), duty_cycle=str(r["duty_cycle"]),
+             flops=str(r["flops"]))
+        for r in rows
     ]
+    for source in (rows, text_rows):
+        ds = ingest(source, {"p1": spec()})
+        assert len(ds) == 0
+        assert [r.reason for r in ds.rejections] == [
+            "range violation: duty_cycle -0.1 outside [0, 1]",
+            "range violation: flops -1 is negative",
+            "range violation: tray power -5.0 is negative",
+        ]
