@@ -54,7 +54,6 @@ _SNAP_CACHE_LIMIT = 1 << 16
 
 # FLOP counts beyond float range are rejected: the CCI divides them as floats.
 _FLOPS_MAX = int(sys.float_info.max)
-
 # Row values a Cell buffers before compacting them into exact parts.
 _CELL_BUFFER = 256
 
@@ -112,9 +111,8 @@ class BucketScheme:
 def _compact(values: list[float]) -> None:
     """Replace `values` in place by a few non-overlapping floats with the same exact sum.
 
-    Each round keeps the correctly rounded sum `hi` of what is left and
-    subtracts it exactly (by appending -hi), until nothing is left. A sum
-    beyond float range leaves `[inf]`, which `finite_sum` rejects.
+    Each round keeps the correctly rounded sum of what is left and subtracts
+    it exactly, until nothing is left; a sum beyond float range leaves [inf].
     """
     parts = []
     try:
@@ -282,8 +280,7 @@ def _parse_tray_power(raw) -> tuple[float, ...]:
 def _checked_numbers(raw_power, raw_duty, raw_flops, platform_id: str, spec: PlatformSpec):
     """A row's tray readings, duty cycle and FLOPs, each () or None when missing.
 
-    A ValueError names the first failure: the three fields' syntax in
-    column order, then their ranges, then the tray count.
+    A ValueError names the first failure: syntax in column order, ranges, tray count.
     """
     trays: tuple[float, ...] = ()
     if raw_power is not None and raw_power != "":
@@ -427,13 +424,13 @@ def ingest(
     `source` may be a path (CSV by default, JSON lines for .jsonl, .ndjson
     or .json) or an iterable of record dicts; wrap an open CSV text file in
     `csv.DictReader` to pass it as the latter. Every row goes through the
-    same checks, in a fixed order; the first failure is the reason:
+    same checks, in a fixed order, and the first failure is the reason:
     platform, timestamp, the three numbers' syntax, their ranges, the tray
-    count, then the (machine, interval) key. Every unparseable row, malformed JSON included, is recorded
-    in the rejection log with its 1-based row number; so is a repeat of an
-    accepted row's (machine_id, interval) key, after the first. Complete
-    rows are folded into cells by platform and `scheme` bucket; an empty
-    input yields an empty dataset.
+    count, then the (machine, interval) key. Every unparseable row,
+    malformed JSON included, is recorded in the rejection log with its
+    1-based row number; so is a repeat of an accepted row's (machine_id,
+    interval) key, after the first. Complete rows are folded into cells by
+    platform and `scheme` bucket; an empty input yields an empty dataset.
     """
     cells: dict[tuple[str, int], Cell] = {}
     accepted: dict[str, int] = {}
@@ -503,6 +500,9 @@ def ingest(
         if cell is None:
             cell = cells[key] = Cell()
         cell.add(machine_power(trays, spec), duty, flops)
+    for cell in cells.values():  # readers then sum a few parts per cell, not a buffer
+        _compact(cell.power)
+        _compact(cell.duty)
     return FleetDataset(
         samples=cells,
         catalog=dict(catalog),
