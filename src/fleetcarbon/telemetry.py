@@ -4,11 +4,10 @@ Machines report one row per five-minute interval: per-tray average power,
 duty cycle, and executed FLOPs. `ingest` reads the rows once, in one loop,
 and builds no object per row. Each row is validated against a platform
 catalog (malformed rows land in a rejection log with their reason, never
-dropped silently); a row lacking power, duty cycle or FLOPs is only
-counted in `exclusions`; every complete row is folded into the cell of its
-platform and duty-cycle bucket: the row count, the FLOP total as an
-integer, and machine powers and duty cycles as buffered exact parts (see
-`Cell`).
+dropped silently); a row lacking power, duty cycle or FLOPs is only counted
+in `exclusions`; every complete row is folded into the `Cell` of its
+platform and duty-cycle bucket: row count, FLOP total, and buffered exact
+parts of machine power and duty cycle.
 
 Everything downstream reads those cells: `aggregate` combines one
 platform's cells into a `FleetWindow`, and the duty-balanced comparison
@@ -54,8 +53,7 @@ _SNAP_CACHE_LIMIT = 1 << 16
 
 # FLOP counts beyond float range are rejected: the CCI divides them as floats.
 _FLOPS_MAX = int(sys.float_info.max)
-# Row values a Cell buffers before compacting them into exact parts.
-_CELL_BUFFER = 256
+_CELL_BUFFER = 256  # row values a Cell buffers before compacting them
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class BucketScheme:
     def bucket_of(self, duty_cycle: float) -> int:
         if not 0.0 <= duty_cycle <= 1.0:
             raise ValueError(f"duty_cycle {duty_cycle} outside [0, 1]")
-        return max(0, math.ceil(duty_cycle * self.buckets) - 1)
+        return math.ceil(duty_cycle * self.buckets) - 1 if duty_cycle else 0
 
 
 def _compact(values: list[float]) -> None:
@@ -269,7 +267,7 @@ def _parse_flops(raw: str | int | float) -> int:
 
 def _parse_tray_power(raw) -> tuple[float, ...]:
     if isinstance(raw, str):  # blank readings are skipped; anything else is an error
-        readings = tuple(float(p) for p in raw.split(";") if p.strip() != "")
+        readings = tuple(map(float, filter(str.strip, raw.split(";"))))
     else:
         readings = tuple(map(float, raw))
     if not math.isfinite(sum(readings)):  # NaN, inf, or a sum beyond float range
@@ -432,22 +430,24 @@ def ingest(
     interval) key, after the first. Complete rows are folded into cells by
     platform and `scheme` bucket; an empty input yields an empty dataset.
     """
-    cells: dict[tuple[str, int], Cell] = {}
     accepted: dict[str, int] = {}
     exclusions: dict[str, int] = {}
     rejections: list[Rejection] = []
     epochs: dict[str, int] = {}  # raw timestamp text -> snapped epoch seconds
     seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
-    spec_of, bucket_of, inf = catalog.get, scheme.bucket_of, math.inf
+    bucket_of, inf = scheme.bucket_of, math.inf
+    # platform_id -> its spec and its cells by duty bucket (None until a row lands)
+    lanes = {pid: (spec, [None] * scheme.buckets) for pid, spec in catalog.items()}
     for row_no, fields in enumerate(_iter_rows(source), start=1):
         try:
             if type(fields) is not tuple:  # the ValueError of an undecodable record
                 raise fields
             machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops = fields
             platform_id = str(platform_id or "").strip()
-            spec = spec_of(platform_id)
-            if spec is None:
+            lane = lanes.get(platform_id)
+            if lane is None:
                 raise ValueError(f"unknown platform_id {platform_id!r}")
+            spec, bucket_cells = lane
             epoch = epochs.get(raw_ts) if type(raw_ts) is str else None
             if epoch is None:
                 if raw_ts is None or raw_ts == "":
@@ -456,9 +456,8 @@ def ingest(
                     epochs.clear()
                 epoch = epochs[str(raw_ts)] = _epoch(raw_ts)
 
-            # Complete plain-text rows that pass every number check take this short
-            # path; all others get the full check, which names the first failure.
-            # Tray text without a minus sign holds no negative reading.
+            # Complete plain-text rows passing every number check take this short path (tray
+            # text without "-" has no negative reading); the full check names any failure.
             plain = False
             if raw_power and raw_duty and raw_flops and type(raw_flops) is str:
                 try:
@@ -495,11 +494,12 @@ def ingest(
             reason = REASON_MISSING_UTILIZATION if trays else REASON_MISSING_POWER
             exclusions[reason] = exclusions.get(reason, 0) + 1
             continue
-        key = (platform_id, bucket_of(duty))
-        cell = cells.get(key)
+        bucket = bucket_of(duty)
+        cell = bucket_cells[bucket]
         if cell is None:
-            cell = cells[key] = Cell()
+            cell = bucket_cells[bucket] = Cell()
         cell.add(machine_power(trays, spec), duty, flops)
+    cells = {(pid, b): c for pid, (_, row) in lanes.items() for b, c in enumerate(row) if c is not None}
     for cell in cells.values():  # readers then sum a few parts per cell, not a buffer
         _compact(cell.power)
         _compact(cell.duty)
