@@ -437,17 +437,17 @@ def ingest(
     seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
     bucket_of, inf = scheme.bucket_of, math.inf
     # platform_id -> its spec and its cells by duty bucket (None until a row lands)
-    lanes = {pid: (spec, [None] * scheme.buckets) for pid, spec in catalog.items()}
+    platforms = {pid: (spec, [None] * scheme.buckets) for pid, spec in catalog.items()}
     for row_no, fields in enumerate(_iter_rows(source), start=1):
         try:
             if type(fields) is not tuple:  # the ValueError of an undecodable record
                 raise fields
             machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops = fields
             platform_id = str(platform_id or "").strip()
-            lane = lanes.get(platform_id)
-            if lane is None:
+            platform = platforms.get(platform_id)
+            if platform is None:
                 raise ValueError(f"unknown platform_id {platform_id!r}")
-            spec, bucket_cells = lane
+            spec, bucket_cells = platform
             epoch = epochs.get(raw_ts) if type(raw_ts) is str else None
             if epoch is None:
                 if raw_ts is None or raw_ts == "":
@@ -499,7 +499,7 @@ def ingest(
         if cell is None:
             cell = bucket_cells[bucket] = Cell()
         cell.add(machine_power(trays, spec), duty, flops)
-    cells = {(pid, b): c for pid, (_, row) in lanes.items() for b, c in enumerate(row) if c is not None}
+    cells = {(pid, b): c for pid, (_, by_bucket) in platforms.items() for b, c in enumerate(by_bucket) if c}
     for cell in cells.values():  # readers then sum a few parts per cell, not a buffer
         _compact(cell.power)
         _compact(cell.duty)
