@@ -29,8 +29,6 @@ J_PER_KWH = 3.6e6
 class CciReport:
     """Carbon intensity of one platform under one accounting standard."""
 
-    platform_id: str
-    standard: str
     energy_kwh_per_exaflop: float  # PUE-inclusive
     embodied_cci: float  # gCO2e per 10^18 FLOPs
     operational_cci: float
@@ -98,14 +96,11 @@ def build_report(
     breakdown: EmbodiedBreakdown,
     factor_g_per_kwh: float,
     pue: float,
-    standard: str,
 ) -> CciReport:
     """Assemble the full carbon-intensity report for one platform."""
     epf = energy_per_exaflop(window, pue)
     lef = lifetime_exaflops(window, spec)
     return CciReport(
-        platform_id=spec.platform_id,
-        standard=standard,
         energy_kwh_per_exaflop=epf,
         embodied_cci=embodied_cci(breakdown.total * 1000.0, lef),
         operational_cci=operational_cci(epf, factor_g_per_kwh),

@@ -226,12 +226,11 @@ def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
     }
 
 
-def read_factor_sets(mapping: dict, year: int = 0) -> dict[str, EmissionFactorSet]:
+def read_factor_sets(mapping: dict) -> dict[str, EmissionFactorSet]:
     """Build factor sets from the config's named accounting standards."""
     return {
         name: EmissionFactorSet(
             label=str(cfg.get("label", name)),
-            year=int(cfg.get("year", year)),
             lb_factor=finite_number(cfg["lb_factor"]),
             cfe_impact=finite_number(cfg.get("cfe_impact", 0.0)),
         )
@@ -267,7 +266,6 @@ def load_inventories(path: str | Path) -> dict[str, MachineInventory]:
 
 @dataclass(frozen=True)
 class FactorConfig:
-    year: int
     standards: dict[str, EmissionFactorSet]
     scenarios: dict[str, ScenarioSpec] = field(default_factory=dict)
 
@@ -285,10 +283,8 @@ class FactorConfig:
 
 def load_factors(path: str | Path) -> FactorConfig:
     def build(raw: dict) -> FactorConfig:
-        year = int(raw.get("year", 0))
         return FactorConfig(
-            year=year,
-            standards=read_factor_sets(raw.get("standards", {}), year=year),
+            standards=read_factor_sets(raw.get("standards", {})),
             scenarios=read_scenarios(raw.get("scenarios", {})),
         )
 

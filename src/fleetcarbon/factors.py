@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EmissionFactorSet:
-    """A named electricity accounting standard for one year.
+    """A named electricity accounting standard.
 
     The effective (market-style) factor is always the location-based
     factor minus the credited procurement impact, so hourly-matching
@@ -28,7 +28,6 @@ class EmissionFactorSet:
     """
 
     label: str
-    year: int
     lb_factor: float  # gCO2e/kWh
     cfe_impact: float = 0.0  # gCO2e/kWh credited against lb_factor
 

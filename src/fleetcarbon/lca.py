@@ -108,7 +108,6 @@ class MachineInventory:
 class EmbodiedBreakdown:
     """Per-chip embodied emissions, kgCO2e, by source."""
 
-    platform_id: str
     cpu_mt: float  # host tray manufacturing + transport
     tpu_mt: float  # accelerator tray(s) manufacturing + transport
     dc_construction: float
@@ -124,7 +123,6 @@ class EmbodiedBreakdown:
 class InventoryViews:
     """Yearly embodied-emission series under two accounting conventions."""
 
-    platform_id: str
     years: tuple[int, ...]
     lca_amortized: tuple[float, ...]  # even spread across the lifetime
     corporate_first_year: tuple[float, ...]  # hardware booked entirely in year 1
@@ -176,7 +174,6 @@ def per_chip_embodied(inv: MachineInventory, spec: PlatformSpec) -> EmbodiedBrea
     acc_mt = machine_manufacturing(inv, "accelerator") + machine_transport(inv, "accelerator")
     eol = -inv.eol_credit_fraction * (host_mt + acc_mt) / chips
     return EmbodiedBreakdown(
-        platform_id=inv.platform_id,
         cpu_mt=host_mt / chips,
         tpu_mt=acc_mt / chips,
         dc_construction=inv.dc_construction_kg_per_chip,
@@ -215,7 +212,6 @@ def inventory_views(inv: MachineInventory, spec: PlatformSpec) -> InventoryViews
     dc_series = _even_series(dc, lifetime)
     corporate = (hardware + dc_series[0],) + dc_series[1:]
     return InventoryViews(
-        platform_id=inv.platform_id,
         years=years,
         lca_amortized=lca_series,
         corporate_first_year=corporate,

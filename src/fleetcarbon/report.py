@@ -137,7 +137,7 @@ def fold_platforms(
         spec = dataset.catalog[pid]
         window = aggregate(dataset, pid)
         breakdown = per_chip_embodied(inventory_for(spec, inventories), spec)
-        rep = build_report(window, spec, breakdown, factor, pue, standard)
+        rep = build_report(window, spec, breakdown, factor, pue)
         accounts[pid] = PlatformAccount(spec, window, breakdown, rep)
     return FleetAccounts(standard, factor, pue, accounts)
 
@@ -316,11 +316,7 @@ def weighting_table(
     if not cells:
         raise ComputationError(f"no complete samples for cohort {cohort_platforms}")
     comparison = balanced_comparison(
-        cells,
-        dataset.scheme,
-        baseline=baseline,
-        factor_g_per_kwh=factor_g_per_kwh,
-        pue=pue,
+        cells, baseline=baseline, factor_g_per_kwh=factor_g_per_kwh, pue=pue
     )
     metric_keys = (
         "duty_cycle",

@@ -16,12 +16,12 @@ import csv
 import json
 import random
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from .cci import kwh_per_exaflop
 from .config import finite_number
-from .telemetry import INTERVAL_SECONDS
+from .telemetry import INTERVAL_SECONDS, TELEMETRY_COLUMNS, parse_rfc3339
 
 IDLE_POWER_FRACTION = 0.6
 
@@ -74,7 +74,7 @@ class SynthScenario:
 
     @property
     def start_time(self) -> datetime:
-        return datetime.fromisoformat(self.start.replace("Z", "+00:00")).astimezone(timezone.utc)
+        return parse_rfc3339(self.start)
 
 
 def machine_power_at(duty: float, active_power_w: float) -> float:
@@ -177,18 +177,7 @@ def write_fleet(scenario: SynthScenario, telemetry_path: str | Path, manifest_pa
     manifest = build_manifest(scenario)
     telemetry_path = Path(telemetry_path)
     with telemetry_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "machine_id",
-                "platform_id",
-                "interval_start",
-                "tray_power_w",
-                "duty_cycle",
-                "flops",
-            ],
-            lineterminator="\n",
-        )
+        writer = csv.DictWriter(fh, fieldnames=TELEMETRY_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in generate(scenario):
             writer.writerow(row)

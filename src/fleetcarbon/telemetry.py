@@ -50,6 +50,7 @@ TELEMETRY_COLUMNS = (
 # Distinct raw timestamps remembered at once; a fleet repeats each interval's
 # text once per machine, so the cache only fills on pathological input.
 _SNAP_CACHE_LIMIT = 1 << 16
+_MAX_EPOCH = 253402300799  # 9999-12-31T23:59:59Z, the last second a datetime holds
 
 # FLOP counts beyond float range are rejected: the CCI divides them as floats.
 _FLOPS_MAX = int(sys.float_info.max)
@@ -227,26 +228,17 @@ class FleetWindow:
 
 
 def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime."""
+    """Parse an RFC 3339 timestamp into an aware UTC datetime; its offset is required."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     dt = datetime.fromisoformat(cleaned)
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
+        raise ValueError("no time zone")
     try:
         return dt.astimezone(timezone.utc)
     except OverflowError:  # an offset pushes the instant outside years 1-9999
         raise ValueError(f"{text!r} is outside the representable UTC range") from None
-
-
-def snap_to_grid(dt: datetime) -> datetime | None:
-    """Snap a timestamp to the 300 s grid if within tolerance, else None."""
-    epoch = dt.timestamp()
-    nearest = round(epoch / INTERVAL_SECONDS) * INTERVAL_SECONDS
-    if abs(epoch - nearest) > GRID_SNAP_TOLERANCE_S:
-        return None
-    return datetime.fromtimestamp(nearest, tz=timezone.utc)
 
 
 def _parse_flops(raw: str | int | float) -> int:
@@ -330,14 +322,17 @@ def machine_power(tray_power_w: Sequence[float], spec: PlatformSpec) -> float:
 
 
 def _epoch(raw_ts) -> int:
-    """Epoch seconds of a raw timestamp snapped to the grid; a ValueError says why not."""
+    """Epoch seconds of a raw timestamp snapped to the 300 s grid; a ValueError says why not."""
     try:
-        snapped = snap_to_grid(parse_rfc3339(str(raw_ts)))
+        epoch = parse_rfc3339(str(raw_ts)).timestamp()
     except ValueError as exc:
         raise ValueError(f"bad timestamp {raw_ts!r}: {exc}") from None
-    if snapped is None:
+    nearest = round(epoch / INTERVAL_SECONDS) * INTERVAL_SECONDS
+    if abs(epoch - nearest) > GRID_SNAP_TOLERANCE_S:
         raise ValueError(f"timestamp {raw_ts!r} off the 5-minute grid")
-    return int(snapped.timestamp())
+    if nearest > _MAX_EPOCH:
+        raise ValueError(f"bad timestamp {raw_ts!r}: year 10000 is out of range")
+    return nearest
 
 
 def _csv_rows(fh) -> Iterator[tuple]:

@@ -10,15 +10,18 @@ weighted by the bucket's pooled size over all generations.
 `balanced_comparison` reads the strata straight from the telemetry
 ledger: `ingest` has already folded every complete row into a
 (platform, duty-bucket) `Cell` holding its count and exact sums, so the
-comparison touches one cell per stratum and no row. Energy and carbon per
-ExaFLOP follow from the balanced power and FLOP rate through `cci`'s
-formulas. `propensity_scores`, `weights` and `weighted_average` give the
-same estimate from per-row `Observation`s by inverse-propensity weighting
+comparison touches one cell per stratum and no row, and takes the pooled
+bucket sizes and the missing (bucket, generation) pairs from the cells'
+keys and counts. Energy and carbon per ExaFLOP follow from the balanced
+power and FLOP rate through `cci`'s formulas.
+
+`propensity_scores`, `weights` and `weighted_average` give the same
+estimate from per-row `Observation`s by inverse-propensity weighting
 (IPW): each observation weighted by the inverse of its generation's share
-of its bucket. They are kept as the independent reference the tests
-compare against. Scores and weights are exact rationals (counts over
-counts), which makes the reweighted per-bucket mass identities hold
-exactly, not just within float tolerance.
+of its bucket. No command calls them; they are kept as the independent
+reference the tests compare against. Scores and weights are exact
+rationals (counts over counts), which makes the reweighted per-bucket mass
+identities hold exactly, not just within float tolerance.
 """
 
 from __future__ import annotations
@@ -68,20 +71,9 @@ class PropensityScores:
     def generations(self) -> tuple[str, ...]:
         return tuple(sorted({gen for (_, gen) in self.counts}))
 
-    def missing_pairs(self) -> tuple[tuple[int, str], ...]:
-        """(bucket, generation) pairs where a populated bucket lacks a generation."""
-        gens = self.generations()
-        return tuple(
-            (bucket, gen)
-            for bucket in sorted(self.bucket_totals)
-            for gen in gens
-            if (bucket, gen) not in self.counts
-        )
-
 
 @dataclass(frozen=True)
 class GenerationMetrics:
-    generation: str
     observations: int
     weighted: dict[str, float]
     ratios: dict[str, float | None]  # vs the baseline generation
@@ -90,8 +82,6 @@ class GenerationMetrics:
 
 @dataclass(frozen=True)
 class BalancedComparison:
-    baseline: str
-    scheme: BucketScheme
     per_generation: dict[str, GenerationMetrics]
     warnings: tuple[str, ...] = ()
 
@@ -148,47 +138,48 @@ _CELL_MEANS = (
 
 def balanced_comparison(
     cohort: Mapping[tuple[str, int], Cell],
-    scheme: BucketScheme,
     baseline: str,
     factor_g_per_kwh: float = 0.0,
     pue: float = 1.0,
 ) -> BalancedComparison:
     """Duty-balanced per-generation metrics plus ratios against a baseline.
 
-    `cohort` maps (generation, bucket under `scheme`) to the cell of that
-    generation's rows in that bucket. Each metric is the stratified mean
-    sum(pooled_b * mean_b) / sum(pooled_b) over the buckets b the
-    generation populates: pooled_b counts the bucket's rows over all
+    `cohort` maps (generation, duty bucket) to the cell of that
+    generation's rows in that bucket; any one bucket scheme will do, since
+    the comparison only needs the buckets' identities. Each metric is the
+    stratified mean sum(pooled_b * mean_b) / sum(pooled_b) over the buckets
+    b the generation populates: pooled_b counts the bucket's rows over all
     generations, mean_b is the generation's mean within the bucket.
     Generations sharing no populated bucket with the baseline violate
     positivity; they are flagged "no overlap" and their ratios withheld
-    rather than extrapolated. Buckets missing a generation are reported as
-    warnings.
+    rather than extrapolated. Each populated bucket missing a generation is
+    reported as a warning.
     """
-    counts = {(b, gen): cell.count for (gen, b), cell in cohort.items()}
-    bucket_totals: dict[int, int] = {}
-    for (b, _), count in counts.items():
-        bucket_totals[b] = bucket_totals.get(b, 0) + count
-    scores = PropensityScores(scheme, bucket_totals, counts)
-    generations = scores.generations()
+    buckets_of: dict[str, set[int]] = {}
+    pooled: dict[int, int] = {}
+    for (gen, b), cell in cohort.items():
+        buckets_of.setdefault(gen, set()).add(b)
+        pooled[b] = pooled.get(b, 0) + cell.count
+    generations = sorted(buckets_of)
     if len(generations) < 2:
         raise ComputationError("balanced comparison needs at least two generations")
-    if baseline not in generations:
+    if baseline not in buckets_of:
         raise ComputationError(f"baseline generation {baseline!r} not present in cohort")
 
     warnings = [
         f"bucket {bucket} has no {gen!r} observations (positivity violation)"
-        for bucket, gen in scores.missing_pairs()
+        for bucket in sorted(pooled)
+        for gen in generations
+        if bucket not in buckets_of[gen]
     ]
 
-    buckets_of = {gen: {b for (b, g) in scores.counts if g == gen} for gen in generations}
     weighted: dict[str, dict[str, float]] = {}
     for gen in generations:
-        strata = [(scores.bucket_totals[b], cohort[gen, b]) for b in buckets_of[gen]]
-        mass = sum(pooled for pooled, _ in strata)
+        strata = [(pooled[b], cohort[gen, b]) for b in buckets_of[gen]]
+        mass = sum(size for size, _ in strata)
         metrics = {
             name: finite_sum(
-                gen, f"balanced mean {name}", (pooled * mean(cell) for pooled, cell in strata)
+                gen, f"balanced mean {name}", (size * mean(cell) for size, cell in strata)
             )
             / mass
             for name, mean in _CELL_MEANS
@@ -213,15 +204,9 @@ def balanced_comparison(
             else:
                 ratios[key] = None
         per_generation[gen] = GenerationMetrics(
-            generation=gen,
-            observations=sum(scores.counts[b, gen] for b in buckets_of[gen]),
+            observations=sum(cohort[gen, b].count for b in buckets_of[gen]),
             weighted=weighted[gen],
             ratios=ratios,
             no_overlap=not overlap,
         )
-    return BalancedComparison(
-        baseline=baseline,
-        scheme=scheme,
-        per_generation=per_generation,
-        warnings=tuple(warnings),
-    )
+    return BalancedComparison(per_generation=per_generation, warnings=tuple(warnings))

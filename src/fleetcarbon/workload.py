@@ -16,18 +16,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cci import EXA, J_PER_KWH
+from .config import finite_number
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
 from .telemetry import PlatformSpec, parse_rfc3339
 
 DEFAULT_DUTY_THRESHOLD = 0.8
 
+# Decodes one interval line; json.loads with these hooks would build a decoder per line.
+_decode_record = json.JSONDecoder(parse_float=finite_number, parse_constant=finite_number).decode
+
 
 @dataclass(frozen=True)
 class RunInterval:
     """Power and duty readings for every pod machine in one interval."""
 
-    timestamp: str
     power_w: dict[str, float]
     duty_cycle: dict[str, float]
 
@@ -48,6 +51,8 @@ class WorkloadRun:
             raise ValueError(f"run {self.run_id}: machine set is empty")
         if self.step_time_s <= 0:
             raise ValueError(f"run {self.run_id}: step_time must be > 0")
+        if self.flops_per_step is not None and self.flops_per_step < 0:
+            raise ValueError(f"run {self.run_id}: flops_per_step must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,6 @@ class OnDutyPower:
 class StepEmissions:
     """Grams CO2e per machine per workload step."""
 
-    run_id: str
     operational_g: float
     embodied_g: float
     on_duty: OnDutyPower
@@ -146,12 +150,7 @@ def emissions_per_step(
     duty = on_duty_power(run)
     operational = duty.power_w * run.step_time_s * pue * factor_g_per_kwh / J_PER_KWH
     embodied = embodied_rate_g_per_s(inventory, spec) * run.step_time_s
-    return StepEmissions(
-        run_id=run.run_id,
-        operational_g=operational,
-        embodied_g=embodied,
-        on_duty=duty,
-    )
+    return StepEmissions(operational_g=operational, embodied_g=embodied, on_duty=duty)
 
 
 def workload_cci(step_total_g: float, flops_per_step: float) -> float:
@@ -162,20 +161,26 @@ def workload_cci(step_total_g: float, flops_per_step: float) -> float:
 
 
 def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[WorkloadRun, ...]:
-    """Load workload runs: a JSON manifest plus JSON-lines interval records.
+    """Load workload runs: a JSON manifest `{"runs": [...]}` plus JSON-lines interval records.
 
     Interval records carry run_id, machine_id, interval_start, power_w and
     duty_cycle; records for unknown runs are ignored so one interval file
-    can back several manifests. A second record for the same run, machine
-    and interval (timestamps compared in UTC) is an error.
+    can back several manifests. Every number must be finite, power
+    non-negative and duty cycle within [0, 1]. A second record for the
+    same run, machine and interval (timestamps compared in UTC) is an
+    error.
     """
     try:
-        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        manifest = json.loads(
+            Path(manifest_path).read_text(encoding="utf-8"),
+            parse_float=finite_number,
+            parse_constant=finite_number,
+        )
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or number
         raise IngestError(f"cannot read run manifest {manifest_path}: {exc}") from None
 
     try:
-        runs_cfg = manifest["runs"] if isinstance(manifest, dict) else manifest
+        runs_cfg = manifest["runs"]
         wanted = {str(r["run_id"]) for r in runs_cfg}
     except (KeyError, TypeError) as exc:
         raise IngestError(f"run manifest {manifest_path}: no list of runs with ids: {exc!r}") from None
@@ -189,7 +194,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = _decode_record(line)
                     run_id = str(rec["run_id"])
                     if run_id not in wanted:
                         continue
@@ -198,8 +203,13 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     machine = str(rec["machine_id"])
                     if machine in slot["power"]:
                         raise ValueError(f"repeated key: run {run_id!r}, machine {machine!r}, interval {ts}")
-                    slot["power"][machine] = float(rec["power_w"])
-                    slot["duty"][machine] = float(rec["duty_cycle"])
+                    power, duty = finite_number(rec["power_w"]), finite_number(rec["duty_cycle"])
+                    if power < 0:
+                        raise ValueError(f"power_w {power} is negative")
+                    if not 0.0 <= duty <= 1.0:
+                        raise ValueError(f"duty_cycle {duty} outside [0, 1]")
+                    slot["power"][machine] = power
+                    slot["duty"][machine] = duty
                 except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                     raise IngestError(
                         f"{intervals_path}: bad interval record at line {line_no}: {exc}"
@@ -211,8 +221,8 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     for cfg in runs_cfg:
         run_id = str(cfg["run_id"])
         intervals = tuple(
-            RunInterval(timestamp=ts, power_w=slot["power"], duty_cycle=slot["duty"])
-            for ts, slot in sorted(per_run[run_id].items())
+            RunInterval(power_w=slot["power"], duty_cycle=slot["duty"])
+            for _, slot in sorted(per_run[run_id].items())
         )
         try:
             run = WorkloadRun(
@@ -221,10 +231,10 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                 platform_id=str(cfg["platform_id"]),
                 machines=tuple(str(m) for m in cfg["machines"]),
                 intervals=intervals,
-                step_time_s=float(cfg["step_time_s"]),
+                step_time_s=finite_number(cfg["step_time_s"]),
                 complete=bool(cfg.get("complete", True)),
                 flops_per_step=(
-                    float(cfg["flops_per_step"]) if "flops_per_step" in cfg else None
+                    finite_number(cfg["flops_per_step"]) if "flops_per_step" in cfg else None
                 ),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -123,8 +123,6 @@ class TestLifetimeExaflops:
 class TestReportAndEstimates:
     def report(self, embodied=79.0, operational=263.0):
         return CciReport(
-            platform_id="p",
-            standard="market",
             energy_kwh_per_exaflop=1.93,
             embodied_cci=embodied,
             operational_cci=operational,
@@ -164,8 +162,8 @@ class TestReportAndEstimates:
         w = aggregate(fleet_dataset, "v5p")
         s = platforms["v5p"]
         breakdown = per_chip_embodied(inventories["v5p"], s)
-        mb = build_report(w, s, breakdown, 135.0, 1.10, "market")
-        lb = build_report(w, s, breakdown, 366.0, 1.10, "location")
+        mb = build_report(w, s, breakdown, 135.0, 1.10)
+        lb = build_report(w, s, breakdown, 366.0, 1.10)
         assert lb.embodied_cci == mb.embodied_cci
         assert lb.operational_cci / mb.operational_cci == pytest.approx(366 / 135, rel=1e-12)
 
@@ -173,6 +171,6 @@ class TestReportAndEstimates:
         for pid, s in platforms.items():
             w = aggregate(fleet_dataset, pid)
             breakdown = per_chip_embodied(inventories[s.inventory_ref], s)
-            rep = build_report(w, s, breakdown, 135.0, 1.10, "market")
+            rep = build_report(w, s, breakdown, 135.0, 1.10)
             assert rep.total_cci == rep.embodied_cci + rep.operational_cci
             assert rep.embodied_cci >= 0 and rep.operational_cci >= 0

@@ -95,6 +95,19 @@ def bundled_json(name, edit):
     return json.dumps(doc).encode()
 
 
+def bundled_intervals(**raw):
+    """The bundled run intervals, each keyword's value appended as raw JSON
+    text to the first record; the decoder keeps the last of duplicate keys."""
+    first, rest = (bundled_config_path().parent / "workload_runs.jsonl").read_bytes().split(b"\n", 1)
+    text = first.decode()[:-1] + "".join(f', "{k}": {v}' for k, v in raw.items()) + "}"
+    return text.encode() + b"\n" + rest
+
+
+def bundled_manifest(**first_run):
+    """The bundled run manifest with fields of its first run replaced."""
+    return bundled_json("workload_manifest.json", lambda d: d["runs"][0].update(first_run))
+
+
 DEEP = b"[" * 100_000 + b"]" * 100_000  # far beyond the decoder's recursion limit
 CATALOG_V4I = '{{"v4i": {{"chips_per_machine": 8, "trays_per_machine": 3, {}}}}}'
 
@@ -242,6 +255,13 @@ class TestExitCodes:
             ("run_manifest", run_manifest(platform_id="v9"), "workload", EXIT_CONFIG),
             ("run_intervals", HUGE_POWER_INTERVAL, "workload", EXIT_INGEST),
             ("run_intervals", REPEATED_INTERVAL, "workload", EXIT_INGEST),
+            ("run_intervals", bundled_intervals(power_w="NaN"), "workload", EXIT_INGEST),
+            ("run_intervals", bundled_intervals(power_w='"1e400"'), "workload", EXIT_INGEST),
+            ("run_intervals", bundled_intervals(power_w="-5000"), "workload", EXIT_INGEST),
+            ("run_intervals", bundled_intervals(duty_cycle="7.0"), "workload", EXIT_INGEST),
+            ("run_intervals", bundled_intervals(interval_start='"2024-10-01T00:00:00"'), "workload", EXIT_INGEST),
+            ("run_manifest", bundled_manifest(step_time_s=math.inf), "workload", EXIT_INGEST),
+            ("run_manifest", bundled_manifest(flops_per_step=-5), "workload", EXIT_INGEST),
             ("config", config_json(pue='"x"'), "scenario", EXIT_CONFIG),
             ("config", config_json(pue='"inf"'), "scenario", EXIT_CONFIG),
             ("config", config_json(buckets="null"), "weight", EXIT_CONFIG),
@@ -251,7 +271,6 @@ class TestExitCodes:
             ("config", config_json(workload_factor_g_per_kwh='"x"'), "workload", EXIT_CONFIG),
             ("config", config_json(workload_pue="-3"), "workload", EXIT_CONFIG),
             ("config", config_json(telemetry="5"), "report", EXIT_CONFIG),
-            ("factors", b'{"year": "x"}', "report", EXIT_CONFIG),
             ("factors", b'{"standards": []}', "report", EXIT_CONFIG),
             ("factors", b'{"standards": {"market": []}}', "report", EXIT_CONFIG),
             ("factors", b'{"standards": {"market": {"lb_factor": null}}}', "report", EXIT_CONFIG),
@@ -290,6 +309,13 @@ class TestExitCodes:
             "run-manifest-unknown-platform",
             "run-intervals-huge-power",
             "run-intervals-repeated-key",
+            "run-intervals-nan-power",
+            "run-intervals-power-text-overflow",
+            "run-intervals-negative-power",
+            "run-intervals-duty-above-one",
+            "run-intervals-no-time-zone",
+            "run-manifest-infinite-step-time",
+            "run-manifest-negative-flops",
             "config-pue-text",
             "config-pue-text-inf",
             "config-buckets-null",
@@ -299,7 +325,6 @@ class TestExitCodes:
             "config-workload-factor-text",
             "config-workload-pue-negative",
             "config-telemetry-number",
-            "factors-year-text",
             "factors-standards-list",
             "factors-standard-list",
             "factors-lb-factor-null",
@@ -420,6 +445,21 @@ class TestExitCodes:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows and all(r["standard"] == "residual" for r in rows)
 
+    def test_scenario_standard_prices_at_its_operations_factor(self, capsys):
+        code, out, err = run_cli(capsys, "cci", "--standard", "scenario:cfe90")
+        assert code == 0, err
+        rows = {r["platform"]: r for r in csv.DictReader(io.StringIO(out))}
+        assert len(rows) == 5
+        for r in rows.values():
+            assert r["standard"] == "scenario:cfe90"
+            assert float(r["operational_cci"]) == float(r["kwh_per_exaflop"]) * 31.0
+        assert float(rows["v4"]["operational_cci"]) == pytest.approx(59.83, rel=1e-12)
+
+    def test_unknown_scenario_standard(self, capsys):
+        code, out, err = run_cli(capsys, "cci", "--standard", "scenario:nope")
+        assert code == EXIT_CONFIG
+        assert "unknown scenario 'nope'" in err
+
 
 class TestIngestCommand:
     def test_summary_and_rejection_log(self, tmp_path, capsys):
@@ -474,6 +514,24 @@ class TestIngestCommand:
             ("3", "bad number: tray_power_w 'nan;100'"),
         ]
 
+    def test_timestamp_without_time_zone_logged(self, tmp_path, capsys):
+        lines = (bundled_config_path().parent / "fleet_telemetry.csv").read_text().splitlines()
+        first = lines[1].split(",")
+        assert first[2].endswith("Z")
+        first[2] = first[2][:-1]
+        lines[1] = ",".join(first)
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "ingest", "-o", str(tmp_path), "--telemetry", str(telemetry))
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["rows_accepted"], summary["rows_rejected"]) == (242, 1)
+        assert summary["complete_samples"] == 239
+        log = read_csv_table(tmp_path / "rejections.csv")
+        assert [(r["row"], r["reason"]) for r in log] == [
+            ("1", f"bad timestamp {first[2]!r}: no time zone")
+        ]
+
     def test_malformed_json_line_logged_not_raised(self, tmp_path, capsys):
         good = (
             '{"machine_id": "%s", "platform_id": "v4i", "interval_start": '
@@ -520,6 +578,7 @@ class TestSynthCommand:
             b'{"generations": [{"name": "g", "machines": 1, "duty_a": -1}]}',
             DEEP,
             b'{"start": "x", "generations": [{"name": "g", "machines": 1}]}',
+            b'{"start": "2024-10-01T00:00:00", "generations": [{"name": "g", "machines": 1}]}',
             b'{"generations": [{"name": "g", "machines": 1, "flops_per_s_at_full_duty": 0}]}',
             b'{"generations": [{"name": "g", "machines": 1, "active_power_w": 0}]}',
             b'{"generations": []}',
@@ -530,6 +589,7 @@ class TestSynthCommand:
             "negative-duty-a",
             "deep",
             "bad-start",
+            "start-without-time-zone",
             "zero-flops-rate",
             "zero-power",
             "no-generations",

@@ -11,7 +11,7 @@ from fleetcarbon.factors import EmissionFactorSet, ScenarioSpec, scenario_manufa
 
 
 def mb_factor(lb, cfe_impact):
-    return EmissionFactorSet(label="mb", year=2023, lb_factor=lb, cfe_impact=cfe_impact).mb_factor
+    return EmissionFactorSet(label="mb", lb_factor=lb, cfe_impact=cfe_impact).mb_factor
 
 
 class TestMbFactor:
@@ -113,8 +113,8 @@ class TestScenarioReduction:
 
 def test_factor_set_invariants():
     with pytest.raises(ValueError):
-        EmissionFactorSet(label="bad", year=2023, lb_factor=-1)
+        EmissionFactorSet(label="bad", lb_factor=-1)
     with pytest.raises(ValueError):
-        EmissionFactorSet(label="bad", year=2023, lb_factor=100, cfe_impact=101)
-    fs = EmissionFactorSet(label="ok", year=2023, lb_factor=100, cfe_impact=40)
+        EmissionFactorSet(label="bad", lb_factor=100, cfe_impact=101)
+    fs = EmissionFactorSet(label="ok", lb_factor=100, cfe_impact=40)
     assert 0 <= fs.mb_factor <= fs.lb_factor

@@ -84,9 +84,7 @@ class TestGroundTruth:
         catalog = load_platforms(tmp_path / "m.json")
         scheme = BucketScheme(manifest["buckets"])
         ds = ingest(tmp_path / "t.csv", catalog, scheme)
-        comparison = balanced_comparison(
-            dataset_observations(ds, ["gen-a", "gen-b"]), scheme, baseline="gen-a"
-        )
+        comparison = balanced_comparison(dataset_observations(ds, ["gen-a", "gen-b"]), baseline="gen-a")
         ratio = comparison.per_generation["gen-b"].ratios["energy_kwh_per_exaflop"]
         assert ratio == pytest.approx(truth, rel=0.02)
 
@@ -123,6 +121,15 @@ def test_generation_spec_rejects_values_the_generator_cannot_draw(field):
 def test_scenario_rejects_zero_buckets():
     with pytest.raises(ValueError, match="buckets"):
         SynthScenario(seed=1, buckets=0)
+
+
+def test_start_needs_a_time_zone():
+    gens = (GenerationSpec(name="g", machines=1),)
+    with pytest.raises(ValueError, match="no time zone"):
+        SynthScenario(seed=1, start="2024-10-01T00:00:00", generations=gens)
+    assert SynthScenario(seed=1, start="2024-10-01T01:00:00+01:00", generations=gens).start_time == (
+        SynthScenario(seed=1, generations=gens).start_time
+    )
 
 
 def test_scenario_from_mapping_round_trip(tmp_path):

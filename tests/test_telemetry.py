@@ -90,12 +90,20 @@ class TestIngest:
         assert [r.reason for r in ds.rejections] == ["unknown platform_id 'nope'"]
 
     def test_bad_timestamp_rejected(self):
-        # the last two are valid ISO dates whose UTC instant falls outside years 1-9999
-        for ts in ("not-a-time", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"):
+        # the last three are valid ISO dates whose UTC instant, or the interval it
+        # snaps to, falls outside years 1-9999
+        for ts in ("not-a-time", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "9999-12-31T23:59:58Z"):
             ds = ingest(csv_source(f"m0,p1,{ts},300,0.5,1000"), {"p1": spec()})
             assert len(ds) == 0
             assert len(ds.rejections) == 1
             assert "bad timestamp" in ds.rejections[0].reason
+
+    def test_timestamp_without_time_zone_rejected(self):
+        ds = ingest(csv_source("m0,p1,2024-10-01T00:00:00,300;442;442,0.5,1000"), {"p1": spec()})
+        assert len(ds) == 0
+        assert [r.reason for r in ds.rejections] == [
+            "bad timestamp '2024-10-01T00:00:00': no time zone"
+        ]
 
     def test_off_grid_timestamp_snapped_within_tolerance(self):
         # the second row repeats the first one's snapped interval

@@ -39,7 +39,7 @@ def cells(rows, scheme):
 
 
 def compare(rows, scheme, baseline, **kwargs):
-    return balanced_comparison(cells(rows, scheme), scheme, baseline=baseline, **kwargs)
+    return balanced_comparison(cells(rows, scheme), baseline=baseline, **kwargs)
 
 
 def ipw_reference(cohort, scheme, generation, metric):

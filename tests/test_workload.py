@@ -22,13 +22,8 @@ from fleetcarbon.workload import (
 LIFETIME_S = 6 * 8766 * 3600  # 189_345_600
 
 
-def interval(ts, power, duty):
-    machines = sorted(power)
-    return RunInterval(
-        timestamp=ts,
-        power_w=dict(power),
-        duty_cycle=dict(duty),
-    )
+def interval(power, duty):
+    return RunInterval(power_w=dict(power), duty_cycle=dict(duty))
 
 
 def run(intervals, machines=("m0", "m1"), step=1.0, complete=True, pid="v5e", flops=None):
@@ -46,8 +41,8 @@ def run(intervals, machines=("m0", "m1"), step=1.0, complete=True, pid="v5e", fl
 
 def constant_run(power=1386.0, duty=1.0, n=6, machines=("m0", "m1"), **kw):
     intervals = [
-        interval(f"t{i}", {m: power for m in machines}, {m: duty for m in machines})
-        for i in range(n)
+        interval({m: power for m in machines}, {m: duty for m in machines})
+        for _ in range(n)
     ]
     return run(intervals, machines=machines, **kw)
 
@@ -60,9 +55,9 @@ class TestOnDutyPower:
 
     def test_one_machine_dip_excludes_interval_for_all(self):
         intervals = [
-            interval("t0", {"m0": 1000, "m1": 1000}, {"m0": 0.9, "m1": 0.9}),
-            interval("t1", {"m0": 2000, "m1": 2000}, {"m0": 0.5, "m1": 0.95}),
-            interval("t2", {"m0": 1000, "m1": 1000}, {"m0": 0.85, "m1": 0.88}),
+            interval({"m0": 1000, "m1": 1000}, {"m0": 0.9, "m1": 0.9}),
+            interval({"m0": 2000, "m1": 2000}, {"m0": 0.5, "m1": 0.95}),
+            interval({"m0": 1000, "m1": 1000}, {"m0": 0.85, "m1": 0.88}),
         ]
         result = on_duty_power(run(intervals))
         assert result.power_w == 1000.0  # the 2000 W interval never counts
@@ -81,10 +76,10 @@ class TestOnDutyPower:
             (0.00, 0.00, 0.00),  # idle tail
         ]
         intervals = []
-        for i, ds in enumerate(duties):
+        for ds in duties:
             power = {m: 600 + 900 * d for m, d in zip(machines, ds)}
             duty = dict(zip(machines, ds))
-            intervals.append(interval(f"t{i}", power, duty))
+            intervals.append(interval(power, duty))
         r = run(intervals, machines=machines)
 
         oracle_values = []
@@ -106,7 +101,7 @@ class TestOnDutyPower:
             on_duty_power(run([]))
 
     def test_missing_machine_counts_as_off_duty(self):
-        intervals = [interval("t0", {"m0": 1000}, {"m0": 0.9})]  # m1 absent
+        intervals = [interval({"m0": 1000}, {"m0": 0.9})]  # m1 absent
         with pytest.raises(ComputationError, match="no on-duty intervals"):
             on_duty_power(run(intervals, machines=("m0", "m1")))
 
@@ -114,9 +109,7 @@ class TestOnDutyPower:
     def test_threshold_monotonicity(self, t_low, t_high):
         t_low, t_high = sorted((t_low, t_high))
         duties = [0.1, 0.35, 0.5, 0.72, 0.81, 0.93, 1.0]
-        intervals = [
-            interval(f"t{i}", {"m0": 1000.0}, {"m0": d}) for i, d in enumerate(duties)
-        ]
+        intervals = [interval({"m0": 1000.0}, {"m0": d}) for d in duties]
         r = run(intervals, machines=("m0",))
 
         def included(threshold):
@@ -256,6 +249,61 @@ class TestReadRuns:
         )
         with pytest.raises(IngestError, match="line 1"):
             read_runs(manifest, intervals)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"power_w": NaN, "duty_cycle": 1', "non-finite number"),
+            ('"power_w": "1e400", "duty_cycle": 1', "non-finite number"),
+            ('"power_w": -5000, "duty_cycle": 1', "power_w -5000.0 is negative"),
+            ('"power_w": 1, "duty_cycle": 7.0', r"duty_cycle 7.0 outside \[0, 1\]"),
+        ],
+        ids=["nan-power", "power-text-overflow", "negative-power", "duty-above-one"],
+    )
+    def test_bad_interval_number_is_ingest_error(self, tmp_path, fields, message):
+        manifest = tmp_path / "runs.json"
+        manifest.write_text('{"runs": [{"run_id": "r", "platform_id": "p", "machines": ["m"], "step_time_s": 1}]}')
+        intervals = tmp_path / "intervals.jsonl"
+        intervals.write_text(
+            '{"run_id": "r", "machine_id": "m", "interval_start": "2024-10-01T00:00:00Z", '
+            + fields
+            + "}\n"
+        )
+        with pytest.raises(IngestError, match=f"line 1: {message}"):
+            read_runs(manifest, intervals)
+
+    def test_timestamp_without_time_zone_is_ingest_error(self, run_config, tmp_path):
+        lines = run_config.run_intervals.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["interval_start"] = record["interval_start"].rstrip("Z")
+        intervals = tmp_path / "intervals.jsonl"
+        intervals.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        with pytest.raises(IngestError, match="line 1: no time zone"):
+            read_runs(run_config.run_manifest, intervals)
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            ('"step_time_s": Infinity', "non-finite number"),
+            ('"step_time_s": "inf"', "non-finite number"),
+            ('"step_time_s": 1, "flops_per_step": -5', "flops_per_step must be >= 0"),
+            ('"step_time_s": 1, "flops_per_step": "nan"', "non-finite number"),
+        ],
+        ids=["infinite-step-time", "step-time-text-inf", "negative-flops", "flops-text-nan"],
+    )
+    def test_bad_manifest_number_is_ingest_error(self, run_config, tmp_path, run, message):
+        manifest = tmp_path / "runs.json"
+        manifest.write_text(
+            '{"runs": [{"run_id": "rlhf-v5e-r1", "platform_id": "v5e", "machines": ["m"], ' + run + "}]}"
+        )
+        with pytest.raises(IngestError, match=message):
+            read_runs(manifest, run_config.run_intervals)
+
+    def test_bare_list_manifest_is_ingest_error(self, run_config, tmp_path):
+        manifest = tmp_path / "runs.json"
+        manifest.write_text(json.dumps(json.loads(run_config.run_manifest.read_text())["runs"]))
+        with pytest.raises(IngestError, match="no list of runs"):
+            read_runs(manifest, run_config.run_intervals)
 
     def test_repeated_record_is_ingest_error(self, run_config, tmp_path):
         # a copy of the first bundled record at 10x power must not replace it

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import inspect
 import json
 import platform
 import statistics
@@ -82,11 +81,8 @@ def sweep(rows: int, repeat: int, work: Path) -> dict:
     tracemalloc.stop()
 
     fold_s, _ = timed(repeat, lambda: report.fold_platforms(dataset, inventories, factors, "market", 1.1))
-    weighting_args = {"factor_g_per_kwh": factor, "pue": 1.1}
-    if "buckets" in inspect.signature(report.weighting_table).parameters:  # older signature
-        weighting_args["buckets"] = 10
     weight_s, _ = timed(
-        repeat, lambda: report.weighting_table(dataset, list(PLATFORMS), "v4i", **weighting_args)
+        repeat, lambda: report.weighting_table(dataset, list(PLATFORMS), "v4i", factor, pue=1.1)
     )
     csv_path.unlink()
     manifest.unlink()

@@ -209,7 +209,6 @@ def write_factors() -> None:
         "baseline_standard": "hourly247",
     }
     data = {
-        "year": 2023,
         "standards": {
             "location": {"label": "location-based", "lb_factor": 366.0, "cfe_impact": 0.0},
             "market": {"label": "market-based", "lb_factor": 366.0, "cfe_impact": 231.0},
