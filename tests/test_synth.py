@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import pytest
@@ -8,6 +10,7 @@ from fleetcarbon.synth import (
     GenerationSpec,
     SynthScenario,
     default_scenario,
+    generate,
     machine_power_at,
     scenario_from_mapping,
     write_fleet,
@@ -54,6 +57,68 @@ class TestDeterminism:
         base_rows = (tmp_path / "base.csv").read_text().splitlines()
         ext_rows = (tmp_path / "ext.csv").read_text().splitlines()
         assert ext_rows[: len(base_rows)] == base_rows
+
+
+# Scenarios on the generator's branches the default golden does not reach,
+# with the sha256 of the telemetry CSV each one writes.
+BRANCH_SCENARIOS = {
+    "uniform-none-missing-2-trays": (
+        SynthScenario(
+            seed=31,
+            intervals=40,
+            generations=(
+                GenerationSpec(
+                    name="u",
+                    machines=6,
+                    trays_per_machine=2,
+                    active_power_w=950.0,
+                    duty_dist="uniform",
+                    duty_snap="none",
+                    missing_rate=0.1,
+                ),
+            ),
+        ),
+        "39af2809c7b6b4068445acc2ea976e0595a8a2a64bfc4e070204651c2a4cbfa0",
+    ),
+    "beta-midpoint-4-trays-start-buckets": (
+        SynthScenario(
+            seed=47,
+            intervals=40,
+            start="2025-03-30T23:30:00+02:00",
+            buckets=7,
+            generations=(
+                GenerationSpec(
+                    name="b4", machines=6, trays_per_machine=4, duty_a=2.0, duty_b=6.0, power_noise=0.05
+                ),
+                GenerationSpec(
+                    name="b4z",
+                    machines=4,
+                    trays_per_machine=4,
+                    active_power_w=2100.0,
+                    flops_per_s_at_full_duty=3.0e14,
+                    power_noise=0.0,
+                ),
+            ),
+        ),
+        "e738f54ea6434173f87aca4ecf02886f0c91d73530458f76163834a44c8e4de2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_SCENARIOS))
+def test_branch_scenario_bytes_are_pinned(tmp_path, name):
+    scenario, digest = BRANCH_SCENARIOS[name]
+    write_fleet(scenario, tmp_path / "t.csv", tmp_path / "m.json")
+    assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_SCENARIOS))
+def test_generate_yields_the_rows_write_fleet_writes(tmp_path, name):
+    scenario, _ = BRANCH_SCENARIOS[name]
+    write_fleet(scenario, tmp_path / "t.csv", tmp_path / "m.json")
+    with (tmp_path / "t.csv").open(newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert list(generate(scenario)) == written
 
 
 class TestGroundTruth:
