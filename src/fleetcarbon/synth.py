@@ -3,11 +3,14 @@
 Generates interval telemetry for several hardware generations with
 configurable duty-cycle distributions and a simple power model: a machine
 at zero duty still draws 60% of its active power, rising linearly to full
-draw at duty one. Utilized FLOPs scale linearly with duty. The generator
-writes a sidecar manifest holding the ground truth downstream estimators
-are checked against (row counts, each generation's active power, FLOP
-rate and energy per ExaFLOP against the baseline) and the platform
-catalog `config.load_platforms` reads to ingest the telemetry.
+draw at duty one. Utilized FLOPs scale linearly with duty. Power is
+reported per tray: on a machine with several trays the host tray draws
+80% of an even share and the other trays split the rest equally; a
+one-tray machine's only tray carries all of it. The generator writes a
+sidecar manifest holding the ground truth downstream estimators are
+checked against (row counts, each generation's active power, FLOP rate
+and energy per ExaFLOP against the baseline) and the platform catalog
+`config.load_platforms` reads to ingest the telemetry.
 """
 
 from __future__ import annotations
@@ -82,55 +85,51 @@ def machine_power_at(duty: float, active_power_w: float) -> float:
     return active_power_w * (IDLE_POWER_FRACTION + (1.0 - IDLE_POWER_FRACTION) * duty)
 
 
-def _draw_duty(rng: random.Random, gen: GenerationSpec, buckets: int) -> float:
-    if gen.duty_dist == "beta":
-        d = rng.betavariate(gen.duty_a, gen.duty_b)
-    else:
-        d = rng.uniform(0.0, 1.0)
-    if gen.duty_snap == "midpoint":
-        # snap into the center of the duty-cycle level the draw fell in
-        idx = min(buckets - 1, int(d * buckets))
-        return (idx + 0.5) / buckets
-    return d
-
-
-def _tray_split(total: float, trays: int) -> list[float]:
-    host = total / trays * 0.8
-    rest = (total - host) / (trays - 1) if trays > 1 else 0.0
-    return [host] + [rest] * (trays - 1)
-
-
-def generate(scenario: SynthScenario):
-    """Yield telemetry rows (dicts in the ingest column schema).
+def _rows(scenario: SynthScenario):
+    """Yield telemetry rows as tuples of text in `TELEMETRY_COLUMNS` order.
 
     Deterministic for a fixed scenario: one private RNG stream per
     (generation, machine) derived from the scenario seed, so adding a
     generation never shifts another generation's draws.
     """
     t0 = scenario.start_time
+    stamps = [
+        (t0 + timedelta(seconds=step * INTERVAL_SECONDS)).strftime("%Y-%m-%dT%H:%M:%SZ")
+        for step in range(scenario.intervals)
+    ]
+    buckets = scenario.buckets
     for gen in scenario.generations:
+        name, trays, active = gen.name, gen.trays_per_machine, gen.active_power_w
+        beta, duty_a, duty_b = gen.duty_dist == "beta", gen.duty_a, gen.duty_b
+        snap, noise, missing_rate = gen.duty_snap == "midpoint", gen.power_noise, gen.missing_rate
+        full_flops_per_s = gen.flops_per_s_at_full_duty
         for machine_idx in range(gen.machines):
-            rng = random.Random(f"{scenario.seed}/{gen.name}/{machine_idx}")
-            machine_id = f"{gen.name}-m{machine_idx:04d}"
-            for step in range(scenario.intervals):
-                ts = t0 + timedelta(seconds=step * INTERVAL_SECONDS)
-                duty = _draw_duty(rng, gen, scenario.buckets)
-                power = machine_power_at(duty, gen.active_power_w)
-                if gen.power_noise:
-                    power *= 1.0 + rng.uniform(-gen.power_noise, gen.power_noise)
-                flops = round(duty * gen.flops_per_s_at_full_duty * INTERVAL_SECONDS)
-                missing = gen.missing_rate > 0 and rng.random() < gen.missing_rate
-                row = {
-                    "machine_id": machine_id,
-                    "platform_id": gen.name,
-                    "interval_start": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    "tray_power_w": ";".join(
-                        format(round(p, 3), ".3f") for p in _tray_split(power, gen.trays_per_machine)
-                    ),
-                    "duty_cycle": "" if missing else format(duty, ".6f"),
-                    "flops": "" if missing else str(flops),
-                }
-                yield row
+            rng = random.Random(f"{scenario.seed}/{name}/{machine_idx}")
+            machine_id = f"{name}-m{machine_idx:04d}"
+            for stamp in stamps:
+                duty = rng.betavariate(duty_a, duty_b) if beta else rng.uniform(0.0, 1.0)
+                if snap:  # the center of the duty-cycle level the draw fell in
+                    duty = (min(buckets - 1, int(duty * buckets)) + 0.5) / buckets
+                power = machine_power_at(duty, active)
+                if noise:
+                    power *= 1.0 + rng.uniform(-noise, noise)
+                if trays == 1:
+                    tray_text = format(round(power, 3), ".3f")
+                else:  # the host tray draws 80% of an even share, the others split the rest
+                    host = power / trays * 0.8
+                    rest = format(round((power - host) / (trays - 1), 3), ".3f")
+                    tray_text = format(round(host, 3), ".3f") + f";{rest}" * (trays - 1)
+                if missing_rate > 0 and rng.random() < missing_rate:
+                    yield machine_id, name, stamp, tray_text, "", ""
+                else:
+                    flops = round(duty * full_flops_per_s * INTERVAL_SECONDS)
+                    yield machine_id, name, stamp, tray_text, format(duty, ".6f"), str(flops)
+
+
+def generate(scenario: SynthScenario):
+    """Yield telemetry rows as dicts keyed by the ingest columns (see `_rows`)."""
+    for row in _rows(scenario):
+        yield dict(zip(TELEMETRY_COLUMNS, row))
 
 
 def build_manifest(scenario: SynthScenario) -> dict:
@@ -177,10 +176,9 @@ def write_fleet(scenario: SynthScenario, telemetry_path: str | Path, manifest_pa
     manifest = build_manifest(scenario)
     telemetry_path = Path(telemetry_path)
     with telemetry_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TELEMETRY_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in generate(scenario):
-            writer.writerow(row)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TELEMETRY_COLUMNS)
+        writer.writerows(_rows(scenario))
     Path(manifest_path).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

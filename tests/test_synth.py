@@ -131,6 +131,20 @@ class TestGroundTruth:
         assert machine_power_at(0.0, 1000.0) == 600.0  # idle draw is 60%
         assert machine_power_at(1.0, 1000.0) == 1000.0
 
+    @pytest.mark.parametrize("trays", [1, 2, 3])
+    def test_trays_sum_to_machine_power(self, trays):
+        # midpoint duties print exactly at six decimals, so each row's model power is recoverable
+        scenario = SynthScenario(
+            seed=9,
+            intervals=100,
+            generations=(GenerationSpec(name="g", machines=1, trays_per_machine=trays, power_noise=0.0),),
+        )
+        for row in generate(scenario):
+            readings = [float(p) for p in row["tray_power_w"].split(";")]
+            assert len(readings) == trays
+            want = machine_power_at(float(row["duty_cycle"]), 1200.0)
+            assert sum(readings) == pytest.approx(want, abs=0.0005 * trays)
+
     def test_mean_power_within_tdp_band(self, tmp_path):
         scenario = default_scenario(seed=11)
         write_fleet(scenario, tmp_path / "t.csv", tmp_path / "m.json")
