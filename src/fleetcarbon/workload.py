@@ -187,6 +187,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     per_run: dict[str, dict[str, dict[str, dict[str, float]]]] = {
         run_id: {} for run_id in wanted
     }
+    utc_keys: dict[str, str] = {}  # interval_start as written -> its UTC isoformat
     try:
         with Path(intervals_path).open("r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -198,7 +199,10 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     run_id = str(rec["run_id"])
                     if run_id not in wanted:
                         continue
-                    ts = parse_rfc3339(str(rec["interval_start"])).isoformat()
+                    stamp = str(rec["interval_start"])
+                    ts = utc_keys.get(stamp)
+                    if ts is None:  # a bad stamp raises here, so it is never cached
+                        ts = utc_keys[stamp] = parse_rfc3339(stamp).isoformat()
                     slot = per_run[run_id].setdefault(ts, {"power": {}, "duty": {}})
                     machine = str(rec["machine_id"])
                     if machine in slot["power"]:

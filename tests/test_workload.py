@@ -272,6 +272,55 @@ class TestReadRuns:
         with pytest.raises(IngestError, match=f"line 1: {message}"):
             read_runs(manifest, intervals)
 
+    @staticmethod
+    def pod_files(tmp_path, *records):
+        """A one-run manifest over machines a and b, and interval lines (machine, interval_start)."""
+        manifest = tmp_path / "runs.json"
+        run = {"run_id": "r", "platform_id": "p", "machines": ["a", "b"], "step_time_s": 1}
+        manifest.write_text(json.dumps({"runs": [run]}))
+        intervals = tmp_path / "intervals.jsonl"
+        intervals.write_text(
+            "".join(
+                json.dumps({"run_id": "r", "machine_id": m, "interval_start": ts, "power_w": 1, "duty_cycle": 1})
+                + "\n"
+                for m, ts in records
+            )
+        )
+        return manifest, intervals
+
+    def test_spellings_of_one_instant_share_an_interval(self, tmp_path):
+        files = self.pod_files(
+            tmp_path,
+            ("a", "2024-10-01T00:00:00Z"),
+            ("b", "2024-10-01T01:00:00+01:00"),
+            ("a", "2024-10-01T00:05:00Z"),
+            ("b", "2024-10-01T00:05:00Z"),
+        )
+        (run,) = read_runs(*files)
+        assert [sorted(interval.power_w) for interval in run.intervals] == [["a", "b"], ["a", "b"]]
+
+    def test_repeated_bad_timestamp_is_reported_at_its_first_line(self, tmp_path):
+        files = self.pod_files(
+            tmp_path,
+            ("a", "2024-10-01T00:00:00Z"),
+            ("b", "2024-10-01T00:00:00Z"),
+            ("a", "2024-10-01T00:05:00"),
+            ("a", "2024-10-01T00:10:00Z"),
+            ("b", "2024-10-01T00:05:00"),
+        )
+        with pytest.raises(IngestError, match="line 3: no time zone"):
+            read_runs(*files)
+
+    @pytest.mark.parametrize(
+        "again", ["2024-10-01T00:00:00Z", "2024-10-01T01:00:00+01:00"], ids=["same-text", "other-offset"]
+    )
+    def test_repeated_instant_is_ingest_error(self, tmp_path, again):
+        files = self.pod_files(tmp_path, ("a", "2024-10-01T00:00:00Z"), ("b", again), ("a", again))
+        with pytest.raises(
+            IngestError, match=r"line 3: repeated key: run 'r', machine 'a', interval 2024-10-01T00:00:00\+00:00"
+        ):
+            read_runs(*files)
+
     def test_timestamp_without_time_zone_is_ingest_error(self, run_config, tmp_path):
         lines = run_config.run_intervals.read_text().splitlines()
         record = json.loads(lines[0])
