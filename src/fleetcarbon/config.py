@@ -37,6 +37,15 @@ _CONFIG_KEYS = frozenset(
     )
 )
 _INCOMPLETE_RUNS_KEYS = frozenset(("accept", "reject"))
+# The same rule for the factors file, its standards and its scenarios.
+_FACTORS_KEYS = frozenset(("standards", "scenarios"))
+_STANDARD_KEYS = frozenset(("label", "lb_factor", "cfe_impact"))
+_SCENARIO_KEYS = frozenset(
+    (
+        "operations_factor_g_per_kwh", "manufacturing_electricity_share", "manufacturing_baseline_factor",
+        "manufacturing_target_factor", "apply_manufacturing_reduction", "baseline_standard",
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -99,11 +108,10 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
             if not raw.get(key):
                 raise ConfigError(f"config {cfg_path} is missing {key!r}")
         incomplete = raw.get("incomplete_runs", {})
-        unknown = sorted(raw.keys() - _CONFIG_KEYS) + sorted(
-            f"incomplete_runs.{key}" for key in incomplete.keys() - _INCOMPLETE_RUNS_KEYS
+        _reject_unknown_keys(
+            f"config {cfg_path}",
+            _unknown_keys(raw, _CONFIG_KEYS) + _unknown_keys(incomplete, _INCOMPLETE_RUNS_KEYS, "incomplete_runs."),
         )
-        if unknown:
-            raise ConfigError(f"config {cfg_path} has unknown keys: {', '.join(map(repr, unknown))}")
         return RunConfig(
             telemetry=_path("telemetry"),
             platforms=_path("platforms"),
@@ -143,6 +151,20 @@ def finite_number(value) -> float:
     if not math.isfinite(number):
         raise ValueError(f"non-finite number {value!r}")
     return number
+
+
+def _unknown_keys(raw: dict, known: frozenset[str], prefix: str = "") -> list[str]:
+    """The keys of `raw` outside `known`, sorted and prefixed with their place in the document.
+
+    Only `raw.keys()` is read, so a key still counts as read only when a builder reads it.
+    """
+    return [prefix + key for key in sorted(raw.keys() - known)]
+
+
+def _reject_unknown_keys(where: str, unknown: list[str]) -> None:
+    """A misspelt key would otherwise fall back to its default: name every one."""
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
 
 
 def read_document(path: str | Path, what: str, build: Callable[[dict], T]) -> T:
@@ -283,9 +305,13 @@ class FactorConfig:
 
 def load_factors(path: str | Path) -> FactorConfig:
     def build(raw: dict) -> FactorConfig:
-        return FactorConfig(
-            standards=read_factor_sets(raw.get("standards", {})),
-            scenarios=read_scenarios(raw.get("scenarios", {})),
-        )
+        standards, scenarios = raw.get("standards", {}), raw.get("scenarios", {})
+        unknown = _unknown_keys(raw, _FACTORS_KEYS)
+        for name, cfg in standards.items():
+            unknown += _unknown_keys(cfg, _STANDARD_KEYS, f"standards.{name}.")
+        for name, cfg in scenarios.items():
+            unknown += _unknown_keys(cfg, _SCENARIO_KEYS, f"scenarios.{name}.")
+        _reject_unknown_keys(f"factor sets {path}", unknown)
+        return FactorConfig(standards=read_factor_sets(standards), scenarios=read_scenarios(scenarios))
 
     return read_document(path, "factor sets", build)

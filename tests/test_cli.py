@@ -275,6 +275,7 @@ class TestExitCodes:
             ("factors", b'{"standards": {"market": []}}', "report", EXIT_CONFIG),
             ("factors", b'{"standards": {"market": {"lb_factor": null}}}', "report", EXIT_CONFIG),
             ("factors", b'{"scenarios": {"x": []}}', "report", EXIT_CONFIG),
+            ("factors", b'{"standards": {"market": {"lb_factor": 366.0, "cfe_impac": 231.0}}}', "cci", EXIT_CONFIG),
             ("platforms", CATALOG_V4I.format('"deployment_year": "x"').encode(), "lca", EXIT_CONFIG),
             ("platforms", CATALOG_V4I.format('"lifetime_years": 0.3').encode(), "lca", EXIT_COMPUTE),
             ("config", DEEP, "report", EXIT_CONFIG),
@@ -329,6 +330,7 @@ class TestExitCodes:
             "factors-standard-list",
             "factors-lb-factor-null",
             "factors-scenario-list",
+            "factors-standard-unknown-key",
             "catalog-deployment-year-text",
             "catalog-lifetime-under-half-year",
             "config-deep",
@@ -387,6 +389,23 @@ class TestExitCodes:
         proc = run_cli_process("workload", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "unknown keys: 'workload_pu', 'incomplete_runs.rejct'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_factors_keys_are_named(self, tmp_path):
+        factors = json.loads((bundled_config_path().parent / "factors.json").read_text())
+        factors["year"] = 2023
+        factors["standards"]["market"]["cfe_impac"] = factors["standards"]["market"].pop("cfe_impact")
+        factors["scenarios"]["cfe90"]["apply_manufacturing_reductions"] = True
+        path = tmp_path / "factors.json"
+        path.write_text(json.dumps(factors))
+        cfg_path = write_config(tmp_path, factors=str(path))
+        proc = run_cli_process("cci", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert (
+            "unknown keys: 'year', 'standards.market.cfe_impac', 'scenarios.cfe90.apply_manufacturing_reductions'"
+            in proc.stderr
+        )
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
