@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Size sweep of the telemetry path: ingest, fold_platforms, weighting_table.
+"""Size sweep of the telemetry path: synth, ingest, fold_platforms, weighting_table.
 
     python3 tools/bench_sweep.py [--src src] [--rows 10000 100000 1000000]
                                  [--repeat 3] [--work DIR]
 
-For each size, writes a synthetic fleet of that many rows with
-`fleetcarbon.synth` (the bundled catalog's five platforms with their tray
-counts, 2% of rows without counters), then times in this process:
+For each size, times in this process:
 
+- `synth.write_fleet` of a synthetic fleet of that many rows (the bundled
+  catalog's five platforms with their tray counts, 2% of rows without
+  counters), the file the other steps read;
 - `telemetry.ingest` of the CSV file, and its tracemalloc peak (measured
   in a separate, untimed run, because tracing slows allocation);
 - `report.fold_platforms` under the `market` standard at PUE 1.1;
@@ -65,7 +66,8 @@ def sweep(rows: int, repeat: int, work: Path) -> dict:
     from fleetcarbon import config, report, synth, telemetry
 
     csv_path, manifest = work / f"fleet-{rows}.csv", work / f"fleet-{rows}.json"
-    synth.write_fleet(fleet(rows), csv_path, manifest)
+    scenario = fleet(rows)
+    synth_s, _ = timed(repeat, lambda: synth.write_fleet(scenario, csv_path, manifest))
     data = config.bundled_data_dir()
     catalog = config.load_platforms(data / "platforms.json")
     inventories = config.load_inventories(data / "inventories.json")
@@ -88,6 +90,7 @@ def sweep(rows: int, repeat: int, work: Path) -> dict:
     manifest.unlink()
     return {
         "rows": rows,
+        "synth": {"s": synth_s, "rows_per_s": rows / synth_s},
         "ingest": {"s": ingest_s, "rows_per_s": rows / ingest_s, "tracemalloc_peak_mb": peak / 2**20},
         "fold_platforms": {"s": fold_s, "rows_per_s": rows / fold_s},
         "weighting_table": {"s": weight_s, "rows_per_s": rows / weight_s},
