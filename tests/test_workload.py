@@ -311,13 +311,10 @@ class TestReadRuns:
         with pytest.raises(IngestError, match="line 3: no time zone"):
             read_runs(*files)
 
-    @pytest.mark.parametrize(
-        "again", ["2024-10-01T00:00:00Z", "2024-10-01T01:00:00+01:00"], ids=["same-text", "other-offset"]
-    )
-    def test_repeated_instant_is_ingest_error(self, tmp_path, again):
-        files = self.pod_files(tmp_path, ("a", "2024-10-01T00:00:00Z"), ("b", again), ("a", again))
+    def test_instant_repeated_at_another_offset_is_ingest_error(self, tmp_path):
+        files = self.pod_files(tmp_path, ("a", "2024-10-01T00:00:00Z"), ("a", "2024-10-01T01:00:00+01:00"))
         with pytest.raises(
-            IngestError, match=r"line 3: repeated key: run 'r', machine 'a', interval 2024-10-01T00:00:00\+00:00"
+            IngestError, match=r"line 2: repeated key: run 'r', machine 'a', interval 2024-10-01T00:00:00\+00:00"
         ):
             read_runs(*files)
 
