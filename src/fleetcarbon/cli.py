@@ -193,13 +193,10 @@ def cmd_weight(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.scenario_file is not None:
-
-        def build(raw: dict) -> synthmod.SynthScenario:
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            return synthmod.scenario_from_mapping(raw)
-
-        scenario = cfgmod.read_document(args.scenario_file, "synth scenario", build)
+        seed = {} if args.seed is None else {"seed": args.seed}
+        scenario = cfgmod.read_document(
+            args.scenario_file, "synth scenario", lambda raw: synthmod.scenario_from_mapping({**raw, **seed})
+        )
     else:
         scenario = synthmod.default_scenario(seed=args.seed if args.seed is not None else 20241001)
     args.output_dir.mkdir(parents=True, exist_ok=True)

@@ -1,28 +1,36 @@
-"""Run configuration: one JSON file naming every input the CLI needs.
+"""Run configuration, and the one reader every configuration document goes through.
 
-Relative paths in the file resolve against the file's own directory, so a
-config can travel with its data. A bundled demo config (and the fixture
+Relative paths in a run config resolve against the file's own directory, so
+a config can travel with its data. A bundled demo config (and the fixture
 catalog, inventories, factor sets, telemetry and workload runs it points
 to) ships inside the package.
 
-This module parses every configuration document: `read_document` decodes
-it under one error policy, and the builders here turn the decoded mapping
-into the models of `telemetry`, `lca` and `factors`, reading every
-number through `finite_number`.
+`read_document` decodes a document under one error policy. `read_model`
+builds a dataclass from a decoded JSON object, taking each key's name,
+default and type from its fields: a `float` is a finite number (a JSON
+number or numeric text), an `int` a whole one, a `bool` only JSON true or
+false, a `str` any value through `str()`; `X | None` may be null,
+`tuple[T, ...]` is a JSON list and a nested dataclass is read the same way.
+An absent key takes its field's default, or is an error without one.
+`unknown_keys` walks a document against the same fields, so each loader
+names every misspelt key, with its place, before it builds any model.
+Only the run config is read by hand: its keys are not its fields' names.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from .errors import ConfigError
 from .factors import EmissionFactorSet, ScenarioSpec
-from .lca import LcaComponentEntry, MachineInventory, TransportLeg
+from .lca import MachineInventory
 from .telemetry import PlatformSpec
 
 DEFAULT_PUE = 1.10
@@ -37,14 +45,9 @@ _CONFIG_KEYS = frozenset(
     )
 )
 _INCOMPLETE_RUNS_KEYS = frozenset(("accept", "reject"))
-# The same rule for the factors file, its standards and its scenarios.
-_FACTORS_KEYS = frozenset(("standards", "scenarios"))
-_STANDARD_KEYS = frozenset(("label", "lb_factor", "cfe_impact"))
-_SCENARIO_KEYS = frozenset(
-    (
-        "operations_factor_g_per_kwh", "manufacturing_electricity_share", "manufacturing_baseline_factor",
-        "manufacturing_target_factor", "apply_manufacturing_reduction", "baseline_standard",
-    )
+# The top-level keys `synth.build_manifest` writes; the catalog reads the manifest's "platforms".
+SYNTH_MANIFEST_KEYS = frozenset(
+    ("seed", "intervals", "buckets", "baseline", "total_rows", "generations", "platforms")
 )
 
 
@@ -108,9 +111,9 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
             if not raw.get(key):
                 raise ConfigError(f"config {cfg_path} is missing {key!r}")
         incomplete = raw.get("incomplete_runs", {})
-        _reject_unknown_keys(
+        reject_unknown_keys(
             f"config {cfg_path}",
-            _unknown_keys(raw, _CONFIG_KEYS) + _unknown_keys(incomplete, _INCOMPLETE_RUNS_KEYS, "incomplete_runs."),
+            _unknown(raw, _CONFIG_KEYS) + _unknown(incomplete, _INCOMPLETE_RUNS_KEYS, "incomplete_runs"),
         )
         return RunConfig(
             telemetry=_path("telemetry"),
@@ -120,17 +123,15 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
             run_manifest=_path("run_manifest"),
             run_intervals=_path("run_intervals"),
             standard=str(raw.get("standard", "market")),
-            pue=finite_number(raw.get("pue", DEFAULT_PUE)),
-            buckets=int(raw.get("buckets", 10)),
+            pue=_read(float, raw.get("pue", DEFAULT_PUE), "pue"),
+            buckets=_read(int, raw.get("buckets", 10), "buckets"),
             output_format=str(raw.get("format", "csv")),
-            workload_factor_g_per_kwh=(
-                finite_number(raw["workload_factor_g_per_kwh"])
-                if "workload_factor_g_per_kwh" in raw
-                else None
+            workload_factor_g_per_kwh=_read(
+                float | None, raw.get("workload_factor_g_per_kwh"), "workload_factor_g_per_kwh"
             ),
-            workload_pue=finite_number(raw.get("workload_pue", 1.0)),
-            incomplete_accept=tuple(incomplete.get("accept", ())),
-            incomplete_reject=tuple(incomplete.get("reject", ())),
+            workload_pue=_read(float, raw.get("workload_pue", 1.0), "workload_pue"),
+            incomplete_accept=_read(tuple[str, ...], incomplete.get("accept", []), "incomplete_runs.accept"),
+            incomplete_reject=_read(tuple[str, ...], incomplete.get("reject", []), "incomplete_runs.reject"),
         )
 
     config = read_document(cfg_path, "config", build)
@@ -153,18 +154,103 @@ def finite_number(value) -> float:
     return number
 
 
-def _unknown_keys(raw: dict, known: frozenset[str], prefix: str = "") -> list[str]:
-    """The keys of `raw` outside `known`, sorted and prefixed with their place in the document.
+def _real(value) -> float:
+    if isinstance(value, bool):  # float(True) would read as 1.0
+        raise TypeError(f"{value!r} is not a number")
+    return finite_number(value)
 
-    Only `raw.keys()` is read, so a key still counts as read only when a builder reads it.
+
+def _whole(value) -> int:
+    number = _real(value)  # an integer beyond float range would overflow where it is used
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return value if type(value) is int else int(number)
+
+
+def _flag(value) -> bool:
+    if type(value) is not bool:  # bool("false") would read as true
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
+_SCALARS: dict[type, Callable] = {float: _real, int: _whole, bool: _flag, str: str}
+
+
+def _read(hint, value, where: str):
+    """`value`, found at `where` in its document, read as the type `hint`."""
+    convert = _SCALARS.get(hint)
+    if convert is not None:
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    if type(None) in typing.get_args(hint):  # X | None
+        return None if value is None else _read(typing.get_args(hint)[0], value, where)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: {value!r} is not a list")
+        return tuple(_read(typing.get_args(hint)[0], item, f"{where}[{i}]") for i, item in enumerate(value))
+    return read_model(hint, value, where)
+
+
+@functools.cache
+def _schema(cls: type) -> dict[str, tuple[object, bool, type | None]]:
+    """Each field of `cls`: its type, whether it lacks a default, and the dataclass it holds, if any."""
+    hints, schema = typing.get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
+        required = f.default is MISSING and f.default_factory is MISSING
+        schema[f.name] = (hint, required, item if is_dataclass(item) else None)
+    return schema
+
+
+def read_model(cls: type[T], raw, place: str = "", /, **given) -> T:
+    """Build dataclass `cls` from the decoded JSON object `raw`, found at `place` in its document.
+
+    `given` fills the fields `raw` lacks, such as a platform id taken from its catalog key.
     """
-    return [prefix + key for key in sorted(raw.keys() - known)]
+    if not isinstance(raw, dict):
+        raise ValueError(f"{place or cls.__name__}: {raw!r} is not a JSON object")
+    values, prefix = {}, f"{place}." if place else ""
+    for name, (hint, required, _) in _schema(cls).items():
+        if name in raw:
+            values[name] = _read(hint, raw[name], prefix + name)
+        elif name in given:
+            values[name] = given[name]
+        elif required:
+            raise ValueError(f"{prefix}{name} is missing")
+    return cls(**values)
 
 
-def _reject_unknown_keys(where: str, unknown: list[str]) -> None:
+def _unknown(raw: dict, known, place: str = "") -> list[str]:
+    """The keys of `raw` outside `known`, sorted and prefixed with `place` (only `raw.keys()` is read)."""
+    return [f"{place}.{key}" if place else key for key in sorted(raw.keys() - known)]
+
+
+def unknown_keys(cls: type, raw, place: str = "", outside: tuple[str, ...] = ()) -> list[str]:
+    """The keys in `raw`, and in the models nested in it, that name no field of `cls`.
+
+    `outside` names fields `read_model` is given, which `raw` may not hold. A value of
+    the wrong shape is left for `read_model` to name.
+    """
+    if not isinstance(raw, dict):
+        return []
+    schema = _schema(cls)
+    unknown = _unknown(raw, schema.keys() - set(outside), place)
+    for name, (_, _, model) in schema.items():
+        if model is not None and name not in outside and name in raw.keys():
+            value, where = raw[name], f"{place}.{name}" if place else name
+            items = value if isinstance(value, list) else [value]
+            for i, item in enumerate(items):
+                unknown += unknown_keys(model, item, f"{where}[{i}]" if items is value else where)
+    return unknown
+
+
+def reject_unknown_keys(where: str, unknown: list[str], error: type[Exception] = ConfigError) -> None:
     """A misspelt key would otherwise fall back to its default: name every one."""
     if unknown:
-        raise ConfigError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
+        raise error(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
 
 
 def read_document(path: str | Path, what: str, build: Callable[[dict], T]) -> T:
@@ -188,102 +274,33 @@ def read_document(path: str | Path, what: str, build: Callable[[dict], T]) -> T:
         raise ConfigError(f"bad {what} {path}: {exc!r}") from None
 
 
-def read_catalog_mapping(entries: dict) -> dict[str, PlatformSpec]:
-    """Build a platform catalog from a parsed config mapping."""
-    catalog: dict[str, PlatformSpec] = {}
-    for platform_id, cfg in entries.items():
-        catalog[platform_id] = PlatformSpec(
-            platform_id=platform_id,
-            chips_per_machine=int(cfg["chips_per_machine"]),
-            trays_per_machine=int(cfg["trays_per_machine"]),
-            lifetime_years=finite_number(cfg.get("lifetime_years", 6.0)),
-            rectifier_overhead=finite_number(cfg.get("rectifier_overhead", 0.04)),
-            power_readings_include_rectifier=bool(
-                cfg.get("power_readings_include_rectifier", True)
-            ),
-            inventory_ref=str(cfg.get("inventory_ref", platform_id)),
-            deployment_year=(
-                int(cfg["deployment_year"]) if "deployment_year" in cfg else None
-            ),
-        )
-    return catalog
-
-
-def _optional_number(cfg: dict, key: str) -> float | None:
-    return finite_number(cfg[key]) if key in cfg else None
-
-
-def read_inventories(mapping: dict) -> dict[str, MachineInventory]:
-    """Build machine inventories from a parsed config mapping."""
-    return {
-        platform_id: MachineInventory(
-            platform_id=platform_id,
-            accelerator_trays=int(cfg["accelerator_trays"]),
-            components=tuple(
-                LcaComponentEntry(
-                    name=str(c["name"]),
-                    category=str(c["category"]),
-                    tray=str(c["tray"]),
-                    kg_co2e=finite_number(c["kg_co2e"]),
-                )
-                for c in cfg.get("components", [])
-            ),
-            transport_legs=tuple(
-                TransportLeg(
-                    description=str(leg["description"]),
-                    mode=str(leg["mode"]),
-                    tray=str(leg["tray"]),
-                    kg_co2e=_optional_number(leg, "kg_co2e"),
-                    mass_kg=_optional_number(leg, "mass_kg"),
-                    distance_km=_optional_number(leg, "distance_km"),
-                    mode_factor_g_per_tkm=_optional_number(leg, "mode_factor_g_per_tkm"),
-                )
-                for leg in cfg.get("transport_legs", [])
-            ),
-            dc_construction_kg_per_chip=finite_number(cfg.get("dc_construction_kg_per_chip", 0.0)),
-            scope1_kg_per_chip=finite_number(cfg.get("scope1_kg_per_chip", 0.0)),
-            eol_credit_fraction=finite_number(cfg.get("eol_credit_fraction", 0.0)),
-        )
-        for platform_id, cfg in mapping.items()
-    }
-
-
-def read_factor_sets(mapping: dict) -> dict[str, EmissionFactorSet]:
-    """Build factor sets from the config's named accounting standards."""
-    return {
-        name: EmissionFactorSet(
-            label=str(cfg.get("label", name)),
-            lb_factor=finite_number(cfg["lb_factor"]),
-            cfe_impact=finite_number(cfg.get("cfe_impact", 0.0)),
-        )
-        for name, cfg in mapping.items()
-    }
-
-
-def read_scenarios(mapping: dict) -> dict[str, ScenarioSpec]:
-    return {
-        name: ScenarioSpec(
-            name=name,
-            operations_factor_g_per_kwh=finite_number(cfg["operations_factor_g_per_kwh"]),
-            manufacturing_electricity_share=finite_number(cfg["manufacturing_electricity_share"]),
-            manufacturing_baseline_factor=finite_number(cfg["manufacturing_baseline_factor"]),
-            manufacturing_target_factor=finite_number(cfg["manufacturing_target_factor"]),
-            apply_manufacturing_reduction=bool(cfg.get("apply_manufacturing_reduction", False)),
-            baseline_standard=str(cfg.get("baseline_standard", "hourly247")),
-        )
-        for name, cfg in mapping.items()
-    }
-
-
 def load_platforms(path: str | Path) -> dict[str, PlatformSpec]:
-    # synth manifests carry their catalog under a "platforms" key
-    return read_document(
-        path, "platform catalog", lambda raw: read_catalog_mapping(raw.get("platforms", raw))
-    )
+    """A platform catalog, or the catalog a synth manifest holds under "platforms"."""
+
+    def build(raw: dict) -> dict[str, PlatformSpec]:
+        manifest = "platforms" in raw
+        entries, unknown = (raw["platforms"], _unknown(raw, SYNTH_MANIFEST_KEYS)) if manifest else (raw, [])
+        for pid, cfg in entries.items():
+            unknown += unknown_keys(PlatformSpec, cfg, pid, outside=("platform_id",))
+        reject_unknown_keys(f"platform catalog {path}", unknown)
+        return {
+            pid: read_model(PlatformSpec, cfg, pid, platform_id=pid, inventory_ref=pid)
+            for pid, cfg in entries.items()
+        }
+
+    return read_document(path, "platform catalog", build)
 
 
 def load_inventories(path: str | Path) -> dict[str, MachineInventory]:
-    return read_document(path, "inventories", read_inventories)
+    def build(raw: dict) -> dict[str, MachineInventory]:
+        unknown = []
+        for pid, cfg in raw.items():
+            found = unknown_keys(MachineInventory, cfg, pid, outside=("platform_id",))
+            unknown += [key for key in found if key != f"{pid}.notes"]  # notes: free-text documentation
+        reject_unknown_keys(f"inventories {path}", unknown)
+        return {pid: read_model(MachineInventory, cfg, pid, platform_id=pid) for pid, cfg in raw.items()}
+
+    return read_document(path, "inventories", build)
 
 
 @dataclass(frozen=True)
@@ -304,14 +321,18 @@ class FactorConfig:
 
 
 def load_factors(path: str | Path) -> FactorConfig:
+    """Named accounting standards (a standard's label defaults to its name) and scenarios."""
+
     def build(raw: dict) -> FactorConfig:
         standards, scenarios = raw.get("standards", {}), raw.get("scenarios", {})
-        unknown = _unknown_keys(raw, _FACTORS_KEYS)
+        unknown = _unknown(raw, {f.name for f in fields(FactorConfig)})
         for name, cfg in standards.items():
-            unknown += _unknown_keys(cfg, _STANDARD_KEYS, f"standards.{name}.")
+            unknown += unknown_keys(EmissionFactorSet, cfg, f"standards.{name}")
         for name, cfg in scenarios.items():
-            unknown += _unknown_keys(cfg, _SCENARIO_KEYS, f"scenarios.{name}.")
-        _reject_unknown_keys(f"factor sets {path}", unknown)
-        return FactorConfig(standards=read_factor_sets(standards), scenarios=read_scenarios(scenarios))
+            unknown += unknown_keys(ScenarioSpec, cfg, f"scenarios.{name}", outside=("name",))
+        reject_unknown_keys(f"factor sets {path}", unknown)
+        standards = {n: read_model(EmissionFactorSet, c, f"standards.{n}", label=n) for n, c in standards.items()}
+        scenarios = {n: read_model(ScenarioSpec, c, f"scenarios.{n}", name=n) for n, c in scenarios.items()}
+        return FactorConfig(standards, scenarios)
 
     return read_document(path, "factor sets", build)

@@ -23,7 +23,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from .cci import kwh_per_exaflop
-from .config import finite_number
+from .config import read_model, reject_unknown_keys, unknown_keys
 from .telemetry import INTERVAL_SECONDS, TELEMETRY_COLUMNS, parse_rfc3339
 
 IDLE_POWER_FRACTION = 0.6
@@ -47,8 +47,8 @@ class GenerationSpec:
     missing_rate: float = 0.0  # fraction of rows emitted without duty/flops
 
     def __post_init__(self) -> None:
-        if self.trays_per_machine < 1:
-            raise ValueError(f"{self.name}: trays_per_machine must be >= 1")
+        if min(self.machines, self.chips_per_machine, self.trays_per_machine) < 1:
+            raise ValueError(f"{self.name}: machines, chips_per_machine and trays_per_machine must be >= 1")
         if not (self.duty_a > 0 and self.duty_b > 0):
             raise ValueError(f"{self.name}: duty_a and duty_b must be > 0")
         if self.duty_dist not in ("beta", "uniform") or self.duty_snap not in ("midpoint", "none"):
@@ -69,11 +69,16 @@ class SynthScenario:
     generations: tuple[GenerationSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if self.intervals < 1:
+            raise ValueError(f"intervals {self.intervals} must be >= 1")
         if self.buckets < 1:
             raise ValueError(f"buckets {self.buckets} must be >= 1")
         if not self.generations:
             raise ValueError("scenario has no generations")
-        self.start_time  # a malformed start raises ValueError here, before any file is opened
+        # a malformed start, or a last interval past 9999-12-31, raises before write_fleet opens a file
+        room = datetime.max - self.start_time.replace(tzinfo=None)
+        if (self.intervals - 1) * INTERVAL_SECONDS > room.total_seconds():
+            raise ValueError(f"the last of {self.intervals} intervals from {self.start} is past 9999-12-31")
 
     @property
     def start_time(self) -> datetime:
@@ -186,31 +191,13 @@ def write_fleet(scenario: SynthScenario, telemetry_path: str | Path, manifest_pa
 
 
 def scenario_from_mapping(cfg: dict) -> SynthScenario:
-    """Parse a scenario description (e.g. loaded from JSON)."""
-    generations = tuple(
-        GenerationSpec(
-            name=str(g["name"]),
-            machines=int(g["machines"]),
-            chips_per_machine=int(g.get("chips_per_machine", 8)),
-            trays_per_machine=int(g.get("trays_per_machine", 3)),
-            active_power_w=finite_number(g.get("active_power_w", 1200.0)),
-            flops_per_s_at_full_duty=finite_number(g.get("flops_per_s_at_full_duty", 1.0e14)),
-            duty_dist=str(g.get("duty_dist", "beta")),
-            duty_a=finite_number(g.get("duty_a", 4.0)),
-            duty_b=finite_number(g.get("duty_b", 4.0)),
-            duty_snap=str(g.get("duty_snap", "midpoint")),
-            power_noise=finite_number(g.get("power_noise", 0.02)),
-            missing_rate=finite_number(g.get("missing_rate", 0.0)),
-        )
-        for g in cfg["generations"]
-    )
-    return SynthScenario(
-        seed=int(cfg["seed"]),
-        intervals=int(cfg.get("intervals", 96)),
-        start=str(cfg.get("start", "2024-10-01T00:00:00Z")),
-        buckets=int(cfg.get("buckets", 10)),
-        generations=generations,
-    )
+    """Read a scenario description (e.g. decoded JSON) through `config.read_model`.
+
+    Its keys, defaults and types are the fields of `SynthScenario` and, in each
+    of its `generations`, of `GenerationSpec`; any other key is a ConfigError.
+    """
+    reject_unknown_keys("synth scenario", unknown_keys(SynthScenario, cfg))
+    return read_model(SynthScenario, cfg)
 
 
 def default_scenario(seed: int = 20241001) -> SynthScenario:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cci import EXA, J_PER_KWH
-from .config import finite_number
+from .config import finite_number, read_model, reject_unknown_keys, unknown_keys
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
 from .telemetry import PlatformSpec, parse_rfc3339
@@ -38,11 +38,11 @@ class RunInterval:
 @dataclass(frozen=True)
 class WorkloadRun:
     run_id: str
-    workload: str
     platform_id: str
     machines: tuple[str, ...]
     intervals: tuple[RunInterval, ...]
     step_time_s: float
+    workload: str = ""
     complete: bool = True
     flops_per_step: float | None = None
 
@@ -163,12 +163,14 @@ def workload_cci(step_total_g: float, flops_per_step: float) -> float:
 def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[WorkloadRun, ...]:
     """Load workload runs: a JSON manifest `{"runs": [...]}` plus JSON-lines interval records.
 
-    Interval records carry run_id, machine_id, interval_start, power_w and
-    duty_cycle; records for unknown runs are ignored so one interval file
-    can back several manifests. Every number must be finite, power
-    non-negative and duty cycle within [0, 1]. A second record for the
-    same run, machine and interval (timestamps compared in UTC) is an
-    error.
+    Each run is read by `config.read_model`: its keys, defaults and types
+    are the fields of `WorkloadRun` other than `intervals`, and any other
+    key in a run, or beside `runs`, is an error. Interval records carry
+    run_id, machine_id, interval_start, power_w and duty_cycle; records
+    for unknown runs are ignored so one interval file can back several
+    manifests. Every number must be finite, power non-negative and duty
+    cycle within [0, 1]. A second record for the same run, machine and
+    interval (timestamps compared in UTC) is an error.
     """
     try:
         manifest = json.loads(
@@ -184,6 +186,10 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
         wanted = {str(r["run_id"]) for r in runs_cfg}
     except (KeyError, TypeError) as exc:
         raise IngestError(f"run manifest {manifest_path}: no list of runs with ids: {exc!r}") from None
+    unknown = sorted(manifest.keys() - {"runs"})
+    for i, run in enumerate(runs_cfg):
+        unknown += unknown_keys(WorkloadRun, run, f"runs[{i}]", outside=("intervals",))
+    reject_unknown_keys(f"run manifest {manifest_path}", unknown, IngestError)
     per_run: dict[str, dict[str, dict[str, dict[str, float]]]] = {
         run_id: {} for run_id in wanted
     }
@@ -222,26 +228,14 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
         raise IngestError(f"cannot read run intervals {intervals_path}: {exc}") from None
 
     runs = []
-    for cfg in runs_cfg:
+    for i, cfg in enumerate(runs_cfg):
         run_id = str(cfg["run_id"])
         intervals = tuple(
             RunInterval(power_w=slot["power"], duty_cycle=slot["duty"])
             for _, slot in sorted(per_run[run_id].items())
         )
         try:
-            run = WorkloadRun(
-                run_id=run_id,
-                workload=str(cfg.get("workload", "")),
-                platform_id=str(cfg["platform_id"]),
-                machines=tuple(str(m) for m in cfg["machines"]),
-                intervals=intervals,
-                step_time_s=finite_number(cfg["step_time_s"]),
-                complete=bool(cfg.get("complete", True)),
-                flops_per_step=(
-                    finite_number(cfg["flops_per_step"]) if "flops_per_step" in cfg else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            runs.append(read_model(WorkloadRun, cfg, f"runs[{i}]", intervals=intervals))
+        except ValueError as exc:
             raise IngestError(f"run manifest {manifest_path}: bad run {run_id!r}: {exc!r}") from None
-        runs.append(run)
     return tuple(runs)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fleetcarbon import config as cfgmod
+from fleetcarbon import workload
 
 GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "make_bundled_data.py"
 
@@ -75,6 +76,7 @@ def unread_keys(node, path=""):
         ("catalog", lambda cfg: cfgmod.load_platforms(cfg.platforms)),
         ("inventories", lambda cfg: cfgmod.load_inventories(cfg.inventories)),
         ("factors", lambda cfg: cfgmod.load_factors(cfg.factors)),
+        ("run manifest", lambda cfg: workload.read_runs(cfg.run_manifest, cfg.run_intervals)),
     ],
 )
 def test_every_bundled_key_is_read(monkeypatch, run_config, what, load):
@@ -86,6 +88,7 @@ def test_every_bundled_key_is_read(monkeypatch, run_config, what, load):
         return doc
 
     monkeypatch.setattr(cfgmod, "json", types.SimpleNamespace(loads=loads))
+    monkeypatch.setattr(workload, "json", types.SimpleNamespace(loads=loads))
     load(run_config)
     assert len(documents) == 1
     unread = [path for path, key in unread_keys(documents[0]) if (what, key) not in UNREAD_ALLOWED]

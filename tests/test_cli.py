@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fleetcarbon
+import fleetcarbon.synth
 from fleetcarbon.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_INGEST, main
 from fleetcarbon.config import bundled_config_path
 
@@ -478,6 +479,178 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "cci", "--standard", "scenario:nope")
         assert code == EXIT_CONFIG
         assert "unknown scenario 'nope'" in err
+
+
+def renamed(mapping, key, new):
+    """`mapping` with `key` renamed to `new` (a misspelling), in place."""
+    mapping[new] = mapping.pop(key)
+
+
+def synth_scenario(**fields):
+    """A one-generation synth scenario file; `generation` replaces the generation's fields."""
+    generation = fields.pop("generation", {"name": "g", "machines": 1})
+    return json.dumps({"seed": 3, "intervals": 4, "generations": [generation], **fields}).encode()
+
+
+def synth_manifest(edit):
+    doc = fleetcarbon.synth.build_manifest(fleetcarbon.synth.default_scenario())
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+class TestMalformedDocuments:
+    """A wrongly typed value or a misspelt key, at every level of every document,
+    exits 2 (3 for the run manifest) naming it, before any output is written."""
+
+    @pytest.mark.parametrize(
+        "key,content,command,expected,named",
+        [
+            (
+                "platforms",
+                bundled_json("platforms.json", lambda d: d["v4i"].update(power_readings_include_rectifier="false")),
+                "cci",
+                EXIT_CONFIG,
+                "v4i.power_readings_include_rectifier: 'false' is not true or false",
+            ),
+            (
+                "factors",
+                bundled_json("factors.json", lambda d: d["scenarios"]["cfe90"].update(apply_manufacturing_reduction="false")),
+                "scenario",
+                EXIT_CONFIG,
+                "scenarios.cfe90.apply_manufacturing_reduction: 'false' is not true or false",
+            ),
+            ("run_manifest", bundled_manifest(complete="false"), "workload", EXIT_INGEST, "runs[0].complete: 'false'"),
+            (
+                "platforms",
+                bundled_json("platforms.json", lambda d: d["v4i"].update(chips_per_machine=8.9)),
+                "lca",
+                EXIT_CONFIG,
+                "v4i.chips_per_machine: 8.9 is not a whole number",
+            ),
+            (
+                "platforms",
+                bundled_json("platforms.json", lambda d: d["v4i"].update(chips_per_machine=int(HUGE_INT))),
+                "lca",
+                EXIT_CONFIG,
+                "v4i.chips_per_machine: int too large to convert to float",
+            ),
+            ("config", config_json(buckets="2.5"), "weight", EXIT_CONFIG, "buckets: 2.5 is not a whole number"),
+            (
+                "config",
+                config_json(incomplete_runs='{"accept": "sft-v5e-r1"}'),
+                "workload",
+                EXIT_CONFIG,
+                "incomplete_runs.accept: 'sft-v5e-r1' is not a list",
+            ),
+            ("run_manifest", bundled_manifest(machines="m0"), "workload", EXIT_INGEST, "runs[0].machines: 'm0' is not a list"),
+            (
+                "platforms",
+                bundled_json("platforms.json", lambda d: renamed(d["v4i"], "lifetime_years", "lifetime_year")),
+                "lca",
+                EXIT_CONFIG,
+                "unknown keys: 'v4i.lifetime_year'",
+            ),
+            (
+                "inventories",
+                bundled_json("inventories.json", lambda d: renamed(d["v4i"], "accelerator_trays", "accelerator_tray")),
+                "lca",
+                EXIT_CONFIG,
+                "unknown keys: 'v4i.accelerator_tray'",
+            ),
+            (
+                "inventories",
+                bundled_json("inventories.json", lambda d: renamed(d["v4i"]["components"][0], "kg_co2e", "kg_co2")),
+                "lca",
+                EXIT_CONFIG,
+                "unknown keys: 'v4i.components[0].kg_co2'",
+            ),
+            (
+                "inventories",
+                bundled_json("inventories.json", lambda d: renamed(d["v4i"]["transport_legs"][0], "mode", "mod")),
+                "lca",
+                EXIT_CONFIG,
+                "unknown keys: 'v4i.transport_legs[0].mod'",
+            ),
+            (
+                "run_manifest",
+                bundled_json("workload_manifest.json", lambda d: renamed(d["runs"][0], "flops_per_step", "flops_per_stp")),
+                "workload",
+                EXIT_INGEST,
+                "unknown keys: 'runs[0].flops_per_stp'",
+            ),
+            (
+                "platforms",
+                synth_manifest(lambda d: renamed(d, "total_rows", "total_row")),
+                "ingest",
+                EXIT_CONFIG,
+                "unknown keys: 'total_row'",
+            ),
+            (
+                "scenario",
+                synth_scenario(generation={"name": "g", "machines": 1, "chip_per_machine": 8}),
+                "synth",
+                EXIT_CONFIG,
+                "unknown keys: 'generations[0].chip_per_machine'",
+            ),
+            ("scenario", synth_scenario(interval=5), "synth", EXIT_CONFIG, "unknown keys: 'interval'"),
+            ("scenario", synth_scenario(intervals=-5), "synth", EXIT_CONFIG, "intervals -5 must be >= 1"),
+            (
+                "scenario",
+                synth_scenario(generation={"name": "g", "machines": -3}),
+                "synth",
+                EXIT_CONFIG,
+                "g: machines, chips_per_machine and trays_per_machine must be >= 1",
+            ),
+            (
+                "scenario",
+                synth_scenario(generation={"name": "g", "machines": 1, "chips_per_machine": 0}),
+                "synth",
+                EXIT_CONFIG,
+                "g: machines, chips_per_machine and trays_per_machine must be >= 1",
+            ),
+            (
+                "scenario",
+                synth_scenario(start="9999-12-31T00:00:00Z", intervals=400),
+                "synth",
+                EXIT_CONFIG,
+                "the last of 400 intervals from 9999-12-31T00:00:00Z is past 9999-12-31",
+            ),
+        ],
+        ids=[
+            "catalog-rectifier-flag-text",
+            "factors-reduction-flag-text",
+            "run-complete-flag-text",
+            "catalog-chips-fraction",
+            "catalog-chips-beyond-float-range",
+            "config-buckets-fraction",
+            "config-accept-text",
+            "run-machines-text",
+            "catalog-entry-key",
+            "inventory-key",
+            "inventory-component-key",
+            "inventory-transport-leg-key",
+            "run-key",
+            "synth-manifest-catalog-key",
+            "synth-generation-key",
+            "synth-scenario-key",
+            "synth-negative-intervals",
+            "synth-negative-machines",
+            "synth-zero-chips",
+            "synth-last-interval-past-9999",
+        ],
+    )
+    def test_malformed_document_is_named(self, tmp_path, capsys, key, content, command, expected, named):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if key == "scenario":
+            argv = ("--scenario-file", str(bad))
+        else:
+            argv = ("--config", str(bad if key == "config" else write_config(tmp_path, **{key: str(bad)})))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, *argv, "-o", str(out))
+        assert code == expected, err
+        assert named in err
+        assert not out.exists()
 
 
 class TestIngestCommand:

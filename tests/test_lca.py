@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fleetcarbon.config import read_catalog_mapping
+from fleetcarbon.config import read_model
 from fleetcarbon.lca import (
     LcaComponentEntry,
     MachineInventory,
@@ -187,10 +187,10 @@ class TestInventoryViews:
 
     def test_deployment_year_given_as_text(self):
         inv = inventory(components=[entry(300.0)], acc_trays=1, pid="p")
-        catalog = read_catalog_mapping(
-            {"p": {"chips_per_machine": 1, "trays_per_machine": 2, "deployment_year": "2020"}}
+        platform = read_model(
+            PlatformSpec, {"chips_per_machine": 1, "trays_per_machine": 2, "deployment_year": "2020"}, platform_id="p"
         )
-        assert inventory_views(inv, catalog["p"]).years == tuple(range(2020, 2026))
+        assert inventory_views(inv, platform).years == tuple(range(2020, 2026))
 
     def test_views_conserve_totals(self, inventories, platforms):
         for pid, s in platforms.items():

@@ -1,0 +1,120 @@
+"""Property: one mutation of a bundled document never crashes the CLI.
+
+Each example takes one configuration document, applies one mutation (drop
+a key, misspell a key, or give a value another JSON type, including a
+number written as "nan", NaN or 1e400) and runs the real `cli.main` in
+process on it. Every run must end in exit 0, 2, 3 or 4: an uncaught
+exception fails the example, with its traceback.
+"""
+
+import copy
+import json
+import math
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fleetcarbon import synth
+from fleetcarbon.cli import main
+from fleetcarbon.config import bundled_config_path, bundled_data_dir
+
+# Stand-ins for bare JSON numbers beyond float range, which json.dumps cannot write.
+HUGE = {"<1e400>": "1e400", "<10**400>": "1" + "0" * 400}
+REPLACEMENTS = ("text", "false", "nan", "1e400", True, None, [], {}, 7, 2.5, math.nan, *HUGE)
+EXIT_CODES = {0, 2, 3, 4}
+
+
+def demo_config() -> dict:
+    cfg = json.loads(bundled_config_path().read_text())
+    for key in ("telemetry", "platforms", "inventories", "factors", "run_manifest", "run_intervals"):
+        cfg[key] = str(bundled_data_dir() / cfg[key])
+    return cfg
+
+
+def bundled(name: str) -> dict:
+    return json.loads((bundled_data_dir() / name).read_text())
+
+
+def first_interval_record() -> dict:
+    return json.loads((bundled_data_dir() / "workload_runs.jsonl").read_text().split("\n", 1)[0])
+
+
+SMALL_SCENARIO = asdict(
+    synth.SynthScenario(
+        seed=3,
+        intervals=4,
+        generations=(synth.GenerationSpec(name="g1", machines=2), synth.GenerationSpec(name="g2", machines=1)),
+    )
+)
+
+# document -> (how to build it, the run-config key naming it, the commands that read it)
+DOCUMENTS = {
+    "config": (demo_config, None, ("cci", "workload")),
+    "catalog": (lambda: bundled("platforms.json"), "platforms", ("lca", "cci")),
+    "synth-manifest-catalog": (lambda: synth.build_manifest(synth.default_scenario()), "platforms", ("ingest",)),
+    "inventories": (lambda: bundled("inventories.json"), "inventories", ("lca", "workload")),
+    "factors": (lambda: bundled("factors.json"), "factors", ("scenario", "workload")),
+    "run-manifest": (lambda: bundled("workload_manifest.json"), "run_manifest", ("workload",)),
+    "run-interval-record": (first_interval_record, "run_intervals", ("workload",)),
+    "synth-scenario": (lambda: SMALL_SCENARIO, None, ("synth",)),
+}
+
+
+def locations(node, path=()):
+    """(path to a container, key or index in it) for every value below `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path, key
+        yield from locations(value, path + (key,))
+
+
+def mutate(doc, data):
+    doc = copy.deepcopy(doc)
+    path, key = data.draw(st.sampled_from(list(locations(doc))))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    kinds = ("replace", "drop", "rename") if isinstance(parent, dict) else ("replace",)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "rename":
+        parent[key[:-1] or "_"] = parent.pop(key)
+    else:
+        parent[key] = data.draw(st.sampled_from(REPLACEMENTS))
+    return doc
+
+
+def render(name: str, doc) -> str:
+    text = json.dumps(doc)
+    for stand_in, number in HUGE.items():
+        text = text.replace(json.dumps(stand_in), number)
+    if name == "run-interval-record":  # the mutated record, then the rest of the bundled file
+        text += "\n" + (bundled_data_dir() / "workload_runs.jsonl").read_text().split("\n", 1)[1]
+    return text
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_mutated_document_exits_cleanly(name, tmp_path_factory):
+    build, key, commands = DOCUMENTS[name]
+    original = build()
+    work = tmp_path_factory.mktemp(name)
+    document, config = work / "document.json", work / "config.json"
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def check(data):
+        document.write_text(render(name, mutate(original, data)))
+        if name == "config":
+            argv = ["--config", str(document)]
+        elif key is None:  # the synth scenario
+            argv = ["--scenario-file", str(document)]
+        else:
+            config.write_text(json.dumps(dict(demo_config(), **{key: str(document)})))
+            argv = ["--config", str(config)]
+        for command in commands:
+            assert main([command, *argv, "-o", str(work / "out")]) in EXIT_CODES
+
+    check()

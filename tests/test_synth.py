@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from fleetcarbon.config import load_platforms
+from fleetcarbon.config import SYNTH_MANIFEST_KEYS, load_platforms
 from fleetcarbon.report import dataset_observations
 from fleetcarbon.synth import (
     GenerationSpec,
     SynthScenario,
+    build_manifest,
     default_scenario,
     generate,
     machine_power_at,
@@ -195,6 +196,10 @@ class TestGroundTruth:
 def test_generation_spec_rejects_values_the_generator_cannot_draw(field):
     with pytest.raises(ValueError):
         GenerationSpec(name="g", machines=1, **field)
+
+
+def test_catalog_accepts_exactly_the_manifest_keys_synth_writes():
+    assert set(build_manifest(default_scenario())) == SYNTH_MANIFEST_KEYS
 
 
 def test_scenario_rejects_zero_buckets():
