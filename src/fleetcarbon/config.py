@@ -44,8 +44,6 @@ _CONFIG_KEYS = frozenset(
         "incomplete_runs",
     )
 )
-_INCOMPLETE_RUNS_KEYS = frozenset(("accept", "reject"))
-# The top-level keys `synth.build_manifest` writes; the catalog reads the manifest's "platforms".
 SYNTH_MANIFEST_KEYS = frozenset(
     ("seed", "intervals", "buckets", "baseline", "total_rows", "generations", "platforms")
 )
@@ -113,7 +111,7 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
         incomplete = raw.get("incomplete_runs", {})
         reject_unknown_keys(
             f"config {cfg_path}",
-            _unknown(raw, _CONFIG_KEYS) + _unknown(incomplete, _INCOMPLETE_RUNS_KEYS, "incomplete_runs"),
+            _unknown(raw, _CONFIG_KEYS) + _unknown(incomplete, {"accept", "reject"}, "incomplete_runs"),
         )
         return RunConfig(
             telemetry=_path("telemetry"),
@@ -275,11 +273,11 @@ def read_document(path: str | Path, what: str, build: Callable[[dict], T]) -> T:
 
 
 def load_platforms(path: str | Path) -> dict[str, PlatformSpec]:
-    """A platform catalog, or the catalog a synth manifest holds under "platforms"."""
+    """A platform catalog, or the one under "platforms" in a manifest `synth.build_manifest` wrote."""
 
     def build(raw: dict) -> dict[str, PlatformSpec]:
-        manifest = "platforms" in raw
-        entries, unknown = (raw["platforms"], _unknown(raw, SYNTH_MANIFEST_KEYS)) if manifest else (raw, [])
+        entries = raw.get("platforms", raw)
+        unknown = _unknown(raw, SYNTH_MANIFEST_KEYS) if entries is not raw else []
         for pid, cfg in entries.items():
             unknown += unknown_keys(PlatformSpec, cfg, pid, outside=("platform_id",))
         reject_unknown_keys(f"platform catalog {path}", unknown)

@@ -183,6 +183,8 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
 
     try:
         runs_cfg = manifest["runs"]
+        if not isinstance(runs_cfg, list):  # a string or an object would read as no runs
+            raise TypeError(f"runs is {type(runs_cfg).__name__}, not a list")
         wanted = {str(r["run_id"]) for r in runs_cfg}
     except (KeyError, TypeError) as exc:
         raise IngestError(f"run manifest {manifest_path}: no list of runs with ids: {exc!r}") from None

@@ -507,19 +507,29 @@ class TestMalformedDocuments:
         [
             (
                 "platforms",
-                bundled_json("platforms.json", lambda d: d["v4i"].update(power_readings_include_rectifier="false")),
+                bundled_json(
+                    "platforms.json", lambda d: d["v4i"].update(power_readings_include_rectifier="false")
+                ),
                 "cci",
                 EXIT_CONFIG,
                 "v4i.power_readings_include_rectifier: 'false' is not true or false",
             ),
             (
                 "factors",
-                bundled_json("factors.json", lambda d: d["scenarios"]["cfe90"].update(apply_manufacturing_reduction="false")),
+                bundled_json(
+                    "factors.json", lambda d: d["scenarios"]["cfe90"].update(apply_manufacturing_reduction="false")
+                ),
                 "scenario",
                 EXIT_CONFIG,
                 "scenarios.cfe90.apply_manufacturing_reduction: 'false' is not true or false",
             ),
-            ("run_manifest", bundled_manifest(complete="false"), "workload", EXIT_INGEST, "runs[0].complete: 'false'"),
+            (
+                "run_manifest",
+                bundled_manifest(complete="false"),
+                "workload",
+                EXIT_INGEST,
+                "runs[0].complete: 'false' is not true or false",
+            ),
             (
                 "platforms",
                 bundled_json("platforms.json", lambda d: d["v4i"].update(chips_per_machine=8.9)),
@@ -542,7 +552,14 @@ class TestMalformedDocuments:
                 EXIT_CONFIG,
                 "incomplete_runs.accept: 'sft-v5e-r1' is not a list",
             ),
-            ("run_manifest", bundled_manifest(machines="m0"), "workload", EXIT_INGEST, "runs[0].machines: 'm0' is not a list"),
+            (
+                "run_manifest",
+                bundled_manifest(machines="m0"),
+                "workload",
+                EXIT_INGEST,
+                "runs[0].machines: 'm0' is not a list",
+            ),
+            ("run_manifest", b'{"runs": "rlhf-v5e-r1"}', "workload", EXIT_INGEST, "runs is str, not a list"),
             (
                 "platforms",
                 bundled_json("platforms.json", lambda d: renamed(d["v4i"], "lifetime_years", "lifetime_year")),
@@ -552,14 +569,18 @@ class TestMalformedDocuments:
             ),
             (
                 "inventories",
-                bundled_json("inventories.json", lambda d: renamed(d["v4i"], "accelerator_trays", "accelerator_tray")),
+                bundled_json(
+                    "inventories.json", lambda d: renamed(d["v4i"], "accelerator_trays", "accelerator_tray")
+                ),
                 "lca",
                 EXIT_CONFIG,
                 "unknown keys: 'v4i.accelerator_tray'",
             ),
             (
                 "inventories",
-                bundled_json("inventories.json", lambda d: renamed(d["v4i"]["components"][0], "kg_co2e", "kg_co2")),
+                bundled_json(
+                    "inventories.json", lambda d: renamed(d["v4i"]["components"][0], "kg_co2e", "kg_co2")
+                ),
                 "lca",
                 EXIT_CONFIG,
                 "unknown keys: 'v4i.components[0].kg_co2'",
@@ -573,7 +594,9 @@ class TestMalformedDocuments:
             ),
             (
                 "run_manifest",
-                bundled_json("workload_manifest.json", lambda d: renamed(d["runs"][0], "flops_per_step", "flops_per_stp")),
+                bundled_json(
+                    "workload_manifest.json", lambda d: renamed(d["runs"][0], "flops_per_step", "flops_per_stp")
+                ),
                 "workload",
                 EXIT_INGEST,
                 "unknown keys: 'runs[0].flops_per_stp'",
@@ -625,6 +648,7 @@ class TestMalformedDocuments:
             "config-buckets-fraction",
             "config-accept-text",
             "run-machines-text",
+            "run-manifest-runs-text",
             "catalog-entry-key",
             "inventory-key",
             "inventory-component-key",

@@ -187,9 +187,8 @@ class TestInventoryViews:
 
     def test_deployment_year_given_as_text(self):
         inv = inventory(components=[entry(300.0)], acc_trays=1, pid="p")
-        platform = read_model(
-            PlatformSpec, {"chips_per_machine": 1, "trays_per_machine": 2, "deployment_year": "2020"}, platform_id="p"
-        )
+        raw = {"chips_per_machine": 1, "trays_per_machine": 2, "deployment_year": "2020"}
+        platform = read_model(PlatformSpec, raw, platform_id="p")
         assert inventory_views(inv, platform).years == tuple(range(2020, 2026))
 
     def test_views_conserve_totals(self, inventories, platforms):
