@@ -25,7 +25,7 @@ from . import report as reportmod
 from . import synth as synthmod
 from .errors import ComputationError, ConfigError, IngestError
 from .telemetry import BucketScheme, ingest, write_rejection_log
-from .workload import RunPolicy, read_runs
+from .workload import read_runs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +52,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _load(args) -> cfgmod.RunConfig:
     return cfgmod.load_config(
         args.config,
-        output_format=args.format,
+        format=args.format,
         standard=args.standard,
         pue=args.pue,
         telemetry=args.telemetry,
@@ -101,7 +101,7 @@ def cmd_report(args) -> int:
     accounts = reportmod.fold_platforms(
         dataset, inventories, factors, config.standard, config.pue
     )
-    fmt = config.output_format
+    fmt = config.format
     tables = [
         reportmod.platform_table(accounts),
         reportmod.stage_breakdown_table(accounts),
@@ -119,7 +119,7 @@ def cmd_cci(args) -> int:
         dataset, inventories, factors, config.standard, config.pue
     )
     table = reportmod.platform_table(accounts)
-    sys.stdout.write(table.render(config.output_format))
+    sys.stdout.write(table.render(config.format))
     return EXIT_OK
 
 
@@ -127,7 +127,7 @@ def cmd_lca(args) -> int:
     config = _load(args)
     platforms = cfgmod.load_platforms(config.platforms)
     inventories = cfgmod.load_inventories(config.inventories)
-    fmt = config.output_format
+    fmt = config.format
     tables = [
         reportmod.manufacturing_table(platforms, inventories),
         reportmod.amortization_table(platforms, inventories),
@@ -150,13 +150,10 @@ def cmd_workload(args) -> int:
         else factors.factor_for(config.standard)
     )
     runs = read_runs(config.run_manifest, config.run_intervals)
-    policy = RunPolicy(
-        accept=frozenset(config.incomplete_accept), reject=frozenset(config.incomplete_reject)
-    )
     table = reportmod.workload_table(
-        runs, platforms, inventories, factor, config.workload_pue, policy
+        runs, platforms, inventories, factor, config.workload_pue, config.incomplete_runs
     )
-    print(f"wrote {_write(table, args.output_dir, config.output_format)}")
+    print(f"wrote {_write(table, args.output_dir, config.format)}")
     return EXIT_OK
 
 
@@ -172,7 +169,7 @@ def cmd_scenario(args) -> int:
     table = reportmod.scenario_table(
         accounts, factors, names, baseline_platform=args.baseline_platform
     )
-    print(f"wrote {_write(table, args.output_dir, config.output_format)}")
+    print(f"wrote {_write(table, args.output_dir, config.format)}")
     return EXIT_OK
 
 
@@ -187,7 +184,7 @@ def cmd_weight(args) -> int:
     )
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"wrote {_write(table, args.output_dir, config.output_format)}")
+    print(f"wrote {_write(table, args.output_dir, config.format)}")
     return EXIT_OK
 
 

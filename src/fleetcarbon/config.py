@@ -9,12 +9,14 @@ to) ships inside the package.
 builds a dataclass from a decoded JSON object, taking each key's name,
 default and type from its fields: a `float` is a finite number (a JSON
 number or numeric text), an `int` a whole one, a `bool` only JSON true or
-false, a `str` any value through `str()`; `X | None` may be null,
-`tuple[T, ...]` is a JSON list and a nested dataclass is read the same way.
+false, a `str` any value through `str()`, a `Path` only non-empty text;
+`X | None` may be null, `tuple[T, ...]` is a JSON list and a nested
+dataclass is read the same way.
 An absent key takes its field's default, or is an error without one.
 `unknown_keys` walks a document against the same fields, so each loader
 names every misspelt key, with its place, before it builds any model.
-Only the run config is read by hand: its keys are not its fields' names.
+Each model checks its own ranges in `__post_init__`, so a value out of
+range is named by the same ConfigError as a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -26,27 +28,42 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .errors import ConfigError
 from .factors import EmissionFactorSet, ScenarioSpec
 from .lca import MachineInventory
 from .telemetry import PlatformSpec
 
+if TYPE_CHECKING:
+    from .workload import WorkloadRun
+
 DEFAULT_PUE = 1.10
 T = TypeVar("T")
 
-# Every key a run config may hold; any other key (a misspelling) is an error.
-_CONFIG_KEYS = frozenset(
-    (
-        "telemetry", "platforms", "inventories", "factors", "run_manifest", "run_intervals",
-        "standard", "pue", "buckets", "format", "workload_factor_g_per_kwh", "workload_pue",
-        "incomplete_runs",
-    )
-)
 SYNTH_MANIFEST_KEYS = frozenset(
     ("seed", "intervals", "buckets", "baseline", "total_rows", "generations", "platforms")
 )
+
+
+@dataclass(frozen=True)
+class RunPolicy:
+    """Manual-validation verdicts for incomplete runs.
+
+    Incomplete runs still yield valid per-step numbers for the steps they
+    did complete, but their measured power is hand-checked; this records
+    the outcome. Runs in neither list are processed but flagged.
+    """
+
+    accept: tuple[str, ...] = ()
+    reject: tuple[str, ...] = ()
+
+    def verdict(self, run: WorkloadRun) -> str:
+        if run.run_id in self.reject:
+            return "rejected"
+        if run.complete or run.run_id in self.accept:
+            return "accepted"
+        return "needs-validation"
 
 
 @dataclass(frozen=True)
@@ -60,28 +77,21 @@ class RunConfig:
     standard: str = "market"
     pue: float = DEFAULT_PUE
     buckets: int = 10
-    output_format: str = "csv"
+    format: str = "csv"
     workload_factor_g_per_kwh: float | None = None
     workload_pue: float = 1.0  # per-step accounting at the machine meter
-    incomplete_accept: tuple[str, ...] = ()
-    incomplete_reject: tuple[str, ...] = ()
+    incomplete_runs: RunPolicy = RunPolicy()
 
-    def validate(self) -> None:
-        for label, path in (
-            ("telemetry", self.telemetry),
-            ("platforms", self.platforms),
-            ("inventories", self.inventories),
-            ("factors", self.factors),
-        ):
-            if not path.exists():
-                raise ConfigError(f"{label} file does not exist: {path}")
+    def __post_init__(self) -> None:
         for label, pue in (("pue", self.pue), ("workload_pue", self.workload_pue)):
             if not 1.0 <= pue < math.inf:
-                raise ConfigError(f"{label} {pue} must be finite and >= 1")
+                raise ValueError(f"{label} {pue} must be finite and >= 1")
         if self.buckets < 1:
-            raise ConfigError(f"buckets {self.buckets} must be >= 1")
-        if self.output_format not in ("csv", "json", "md"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
+            raise ValueError(f"buckets {self.buckets} must be >= 1")
+        if self.format not in ("csv", "json", "md"):
+            raise ValueError(f"unknown output format {self.format!r}")
+        if self.workload_factor_g_per_kwh is not None and self.workload_factor_g_per_kwh < 0:
+            raise ValueError(f"workload_factor_g_per_kwh {self.workload_factor_g_per_kwh} must be >= 0")
 
 
 def bundled_data_dir() -> Path:
@@ -99,44 +109,18 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     Keyword overrides win over file values, mirroring CLI flags.
     """
     cfg_path = Path(path) if path is not None else bundled_config_path()
+    clean = {k: v for k, v in overrides.items() if v is not None}
 
     def build(raw: dict) -> RunConfig:
-        def _path(key: str) -> Path | None:
-            value = raw.get(key)
-            return (cfg_path.parent / value) if value else None
-
-        for key in ("telemetry", "platforms", "inventories", "factors"):
-            if not raw.get(key):
-                raise ConfigError(f"config {cfg_path} is missing {key!r}")
-        incomplete = raw.get("incomplete_runs", {})
-        reject_unknown_keys(
-            f"config {cfg_path}",
-            _unknown(raw, _CONFIG_KEYS) + _unknown(incomplete, {"accept", "reject"}, "incomplete_runs"),
-        )
-        return RunConfig(
-            telemetry=_path("telemetry"),
-            platforms=_path("platforms"),
-            inventories=_path("inventories"),
-            factors=_path("factors"),
-            run_manifest=_path("run_manifest"),
-            run_intervals=_path("run_intervals"),
-            standard=str(raw.get("standard", "market")),
-            pue=_read(float, raw.get("pue", DEFAULT_PUE), "pue"),
-            buckets=_read(int, raw.get("buckets", 10), "buckets"),
-            output_format=str(raw.get("format", "csv")),
-            workload_factor_g_per_kwh=_read(
-                float | None, raw.get("workload_factor_g_per_kwh"), "workload_factor_g_per_kwh"
-            ),
-            workload_pue=_read(float, raw.get("workload_pue", 1.0), "workload_pue"),
-            incomplete_accept=_read(tuple[str, ...], incomplete.get("accept", []), "incomplete_runs.accept"),
-            incomplete_reject=_read(tuple[str, ...], incomplete.get("reject", []), "incomplete_runs.reject"),
-        )
+        reject_unknown_keys(f"config {cfg_path}", unknown_keys(RunConfig, raw))
+        config = read_model(RunConfig, raw)
+        paths = {name: cfg_path.parent / value for name, value in vars(config).items() if isinstance(value, Path)}
+        return replace(config, **{**paths, **clean})
 
     config = read_document(cfg_path, "config", build)
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    if clean:
-        config = replace(config, **clean)
-    config.validate()
+    for label in ("telemetry", "platforms", "inventories", "factors"):
+        if not (path := getattr(config, label)).exists():
+            raise ConfigError(f"{label} file does not exist: {path}")
     return config
 
 
@@ -171,7 +155,13 @@ def _flag(value) -> bool:
     return value
 
 
-_SCALARS: dict[type, Callable] = {float: _real, int: _whole, bool: _flag, str: str}
+def _path(value) -> Path:
+    if not isinstance(value, str) or not value:  # Path("") would name the working directory
+        raise ValueError(f"{value!r} is not a path")
+    return Path(value)
+
+
+_SCALARS: dict[type, Callable] = {float: _real, int: _whole, bool: _flag, str: str, Path: _path}
 
 
 def _read(hint, value, where: str):

@@ -59,6 +59,10 @@ class ScenarioSpec:
             raise ValueError(f"{self.name}: negative operations_factor_g_per_kwh")
         if not 0.0 <= self.manufacturing_electricity_share <= 1.0:
             raise ValueError(f"{self.name}: manufacturing_electricity_share outside [0, 1]")
+        if self.manufacturing_baseline_factor <= 0:
+            raise ValueError(f"{self.name}: manufacturing_baseline_factor must be > 0")
+        if self.manufacturing_target_factor < 0:
+            raise ValueError(f"{self.name}: negative manufacturing_target_factor")
 
 
 def scenario_manufacturing_reduction(spec: ScenarioSpec) -> float:
@@ -69,8 +73,6 @@ def scenario_manufacturing_reduction(spec: ScenarioSpec) -> float:
     dirtier than the baseline yields a negative reduction (reported as-is,
     the scenario then worsens emissions).
     """
-    if spec.manufacturing_baseline_factor <= 0:
-        raise ValueError(f"{spec.name}: baseline factor must be > 0")
     return spec.manufacturing_electricity_share * (
         1.0 - spec.manufacturing_target_factor / spec.manufacturing_baseline_factor
     )

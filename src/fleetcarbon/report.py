@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 
 from .cci import CciReport, build_report, operational_cci
-from .config import FactorConfig
+from .config import FactorConfig, RunPolicy
 from .errors import ComputationError, ConfigError
 from .factors import scenario_manufacturing_reduction
 from .lca import (
@@ -49,7 +49,7 @@ from .telemetry import (
     lifetime_energy_per_chip,
 )
 from .weighting import balanced_comparison
-from .workload import RunPolicy, WorkloadRun, emissions_per_step, workload_cci
+from .workload import WorkloadRun, emissions_per_step, workload_cci
 
 
 @dataclass(frozen=True)
@@ -404,6 +404,8 @@ def scenario_table(
                 base.energy_kwh_per_exaflop * scenario.operations_factor_g_per_kwh
             )
             scen_total = scen_embodied + scen_operational
+            if scen_total == 0:
+                raise ComputationError(f"scenario {name!r}: platform {pid!r} has a zero total CCI")
             rows.append(
                 (
                     name,

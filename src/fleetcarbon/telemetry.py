@@ -33,6 +33,10 @@ from .errors import ComputationError, IngestError
 INTERVAL_SECONDS = 300
 GRID_SNAP_TOLERANCE_S = 5
 HOURS_PER_YEAR = 8766.0  # 365.25 days
+# The paper serves every TPU generation for 6 years, as the bundled catalog
+# does; a catalog may give up to five times that. The amortization table
+# writes one row per year of it.
+MAX_LIFETIME_YEARS = 30.0
 
 # Reasons an accepted row is kept out of the cells, counted in `exclusions`.
 REASON_MISSING_POWER = "missing power"
@@ -73,8 +77,10 @@ class PlatformSpec:
     def __post_init__(self) -> None:
         if self.chips_per_machine < 1:
             raise ValueError(f"{self.platform_id}: chips_per_machine must be >= 1")
-        if self.lifetime_years <= 0:
-            raise ValueError(f"{self.platform_id}: lifetime_years must be > 0")
+        if self.trays_per_machine < 1:
+            raise ValueError(f"{self.platform_id}: trays_per_machine must be >= 1")
+        if not 0 < self.lifetime_years <= MAX_LIFETIME_YEARS:
+            raise ValueError(f"{self.platform_id}: lifetime_years must lie in (0, {MAX_LIFETIME_YEARS:g}]")
         if self.rectifier_overhead < 0:
             raise ValueError(f"{self.platform_id}: rectifier_overhead must be >= 0")
 

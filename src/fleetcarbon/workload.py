@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cci import EXA, J_PER_KWH
@@ -75,26 +75,6 @@ class StepEmissions:
     @property
     def total_g(self) -> float:
         return self.operational_g + self.embodied_g
-
-
-@dataclass(frozen=True)
-class RunPolicy:
-    """Manual-validation verdicts for incomplete runs.
-
-    Incomplete runs still yield valid per-step numbers for the steps they
-    did complete, but their measured power is hand-checked; this records
-    the outcome. Runs in neither list are processed but flagged.
-    """
-
-    accept: frozenset[str] = field(default_factory=frozenset)
-    reject: frozenset[str] = field(default_factory=frozenset)
-
-    def verdict(self, run: WorkloadRun) -> str:
-        if run.run_id in self.reject:
-            return "rejected"
-        if run.complete or run.run_id in self.accept:
-            return "accepted"
-        return "needs-validation"
 
 
 def on_duty_power(run: WorkloadRun, threshold: float = DEFAULT_DUTY_THRESHOLD) -> OnDutyPower:

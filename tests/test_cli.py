@@ -638,6 +638,57 @@ class TestMalformedDocuments:
                 EXIT_CONFIG,
                 "the last of 400 intervals from 9999-12-31T00:00:00Z is past 9999-12-31",
             ),
+            (
+                "config",
+                config_json(workload_factor_g_per_kwh="-1"),
+                "workload",
+                EXIT_CONFIG,
+                "workload_factor_g_per_kwh -1.0 must be >= 0",
+            ),
+            ("config", config_json(telemetry='""'), "cci", EXIT_CONFIG, "telemetry: '' is not a path"),
+            ("config", config_json(run_manifest='""'), "cci", EXIT_CONFIG, "run_manifest: '' is not a path"),
+            ("config", config_json(incomplete_runs="[]"), "workload", EXIT_CONFIG, "incomplete_runs: [] is not a JSON object"),
+            (
+                "factors",
+                bundled_json(
+                    "factors.json",
+                    lambda d: d["scenarios"]["cfe90-manufacturing"].update(manufacturing_baseline_factor=0),
+                ),
+                "scenario",
+                EXIT_CONFIG,
+                "cfe90-manufacturing: manufacturing_baseline_factor must be > 0",
+            ),
+            (
+                "factors",
+                bundled_json(
+                    "factors.json",
+                    lambda d: d["scenarios"]["cfe90-manufacturing"].update(manufacturing_target_factor=-5000),
+                ),
+                "scenario",
+                EXIT_CONFIG,
+                "cfe90-manufacturing: negative manufacturing_target_factor",
+            ),
+            (
+                "platforms",
+                bundled_json("platforms.json", lambda d: d["v4i"].update(lifetime_years=1000)),
+                "lca",
+                EXIT_CONFIG,
+                "v4i: lifetime_years must lie in (0, 30]",
+            ),
+            (
+                "platforms",
+                bundled_json("platforms.json", lambda d: d["v4i"].update(trays_per_machine=0)),
+                "cci",
+                EXIT_CONFIG,
+                "v4i: trays_per_machine must be >= 1",
+            ),
+            (
+                "platforms",
+                bundled_json("platforms.json", lambda d: d["v4i"].update(trays_per_machine=-2)),
+                "cci",
+                EXIT_CONFIG,
+                "v4i: trays_per_machine must be >= 1",
+            ),
         ],
         ids=[
             "catalog-rectifier-flag-text",
@@ -661,6 +712,15 @@ class TestMalformedDocuments:
             "synth-negative-machines",
             "synth-zero-chips",
             "synth-last-interval-past-9999",
+            "config-workload-factor-negative",
+            "config-telemetry-empty",
+            "config-run-manifest-empty",
+            "config-incomplete-runs-list",
+            "factors-zero-manufacturing-baseline",
+            "factors-negative-manufacturing-target",
+            "catalog-lifetime-beyond-bound",
+            "catalog-zero-trays",
+            "catalog-negative-trays",
         ],
     )
     def test_malformed_document_is_named(self, tmp_path, capsys, key, content, command, expected, named):
@@ -783,6 +843,21 @@ class TestScenarioCommand:
         assert float(v6e["cfe90-manufacturing"]["improvement_vs_self"]) == pytest.approx(4.6, rel=0.05)
         assert float(v6e["cfe90"]["improvement_vs_baseline_platform"]) == pytest.approx(10, rel=0.05)
         assert float(v6e["cfe90-manufacturing"]["improvement_vs_baseline_platform"]) == pytest.approx(14, rel=0.05)
+
+
+    def test_zero_scenario_total_is_compute_error(self, tmp_path):
+        # clean operations and a fully cleaned fab leave nothing to divide by
+        factors = json.loads((bundled_config_path().parent / "factors.json").read_text())
+        factors["scenarios"]["cfe90-manufacturing"].update(
+            operations_factor_g_per_kwh=0, manufacturing_electricity_share=1, manufacturing_target_factor=0
+        )
+        path = tmp_path / "factors.json"
+        path.write_text(json.dumps(factors))
+        cfg_path = write_config(tmp_path, factors=str(path))
+        proc = run_cli_process("scenario", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_COMPUTE, proc.stderr
+        assert "scenario 'cfe90-manufacturing': platform 'v4' has a zero total CCI" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSynthCommand:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fleetcarbon.config import RunPolicy
 from fleetcarbon.errors import ComputationError, IngestError
 from fleetcarbon.lca import machine_manufacturing, machine_transport
 from fleetcarbon.workload import (
     OnDutyPower,
     RunInterval,
-    RunPolicy,
     WorkloadRun,
     embodied_rate_g_per_s,
     emissions_per_step,
