@@ -7,10 +7,10 @@ per-step workload emissions (workload), what-if scenarios (scenario),
 duty-cycle-balanced comparisons (weight), and the synthetic fleet
 generator (synth).
 
-One config file feeds everything; flags override file values. Without
---config the bundled demo configuration is used. Exit codes: 0 success,
-2 configuration problems, 3 unreadable inputs, 4 computations the data
-cannot support.
+One config file feeds every subcommand but synth; flags override file
+values. Without --config the bundled demo configuration is used. Exit
+codes: 0 success, 2 configuration problems, 3 unreadable inputs, 4
+computations the data cannot support.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pue", type=float, default=None, help="data-center PUE override")
     parser.add_argument("--telemetry", type=Path, default=None, help="telemetry file override")
     parser.add_argument("--platforms", type=Path, default=None, help="platform catalog override")
-    parser.add_argument("-o", "--output-dir", type=Path, default=Path("."), help="where to write reports")
 
 
 def _load(args) -> cfgmod.RunConfig:
@@ -224,17 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (func, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("-o", "--output-dir", type=Path, default=Path("."), help="where to write reports")
         p.set_defaults(func=func)
+        if name == "synth":  # reads no config
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--scenario-file", type=Path, default=None)
+            continue
+        _add_common(p)
         if name == "scenario":
             p.add_argument("scenarios", nargs="*", help="scenario names (default: all configured)")
             p.add_argument("--baseline-platform", default=None)
         if name == "weight":
             p.add_argument("--cohort", nargs="*", default=None, help="platform ids to compare")
             p.add_argument("--baseline", default=None, help="baseline generation")
-        if name == "synth":
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--scenario-file", type=Path, default=None)
     return parser
 
 

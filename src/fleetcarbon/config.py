@@ -1,4 +1,4 @@
-"""Run configuration, and the one reader every configuration document goes through.
+"""Run configuration, and the one strict reader every configuration document goes through.
 
 Relative paths in a run config resolve against the file's own directory, so
 a config can travel with its data. A bundled demo config (and the fixture
@@ -10,11 +10,13 @@ builds a dataclass from a decoded JSON object, taking each key's name,
 default and type from its fields: a `float` is a finite number (a JSON
 number or numeric text), an `int` a whole one, a `bool` only JSON true or
 false, a `str` any value through `str()`, a `Path` only non-empty text;
-`X | None` may be null, `tuple[T, ...]` is a JSON list and a nested
-dataclass is read the same way.
-An absent key takes its field's default, or is an error without one.
-`unknown_keys` walks a document against the same fields, so each loader
-names every misspelt key, with its place, before it builds any model.
+`X | None` may be null, `tuple[T, ...]` is a JSON list, `dict[str, M]` a
+JSON object of models and a nested dataclass is read the same way. The key
+of a `dict[str, M]` entry fills M's first field (a platform's id, a
+standard's label, a scenario's name), so the entry may not hold it.
+An absent key takes its field's default, or is an error without one. A key
+that names no field, at any depth, would otherwise fall back to its default
+unseen, so the reader names every such key before it builds anything.
 Each model checks its own ranges in `__post_init__`, so a value out of
 range is named by the same ConfigError as a value of the wrong type.
 """
@@ -28,7 +30,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from .errors import ConfigError
 from .factors import EmissionFactorSet, ScenarioSpec
@@ -106,18 +108,21 @@ def bundled_config_path() -> Path:
 def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     """Read a config file (the bundled demo config when none is given).
 
-    Keyword overrides win over file values, mirroring CLI flags.
+    Keyword overrides win over file values, mirroring CLI flags; one out of
+    range is named as an option, not as the file's.
     """
     cfg_path = Path(path) if path is not None else bundled_config_path()
-    clean = {k: v for k, v in overrides.items() if v is not None}
 
     def build(raw: dict) -> RunConfig:
-        reject_unknown_keys(f"config {cfg_path}", unknown_keys(RunConfig, raw))
         config = read_model(RunConfig, raw)
         paths = {name: cfg_path.parent / value for name, value in vars(config).items() if isinstance(value, Path)}
-        return replace(config, **{**paths, **clean})
+        return replace(config, **paths)
 
     config = read_document(cfg_path, "config", build)
+    try:
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(f"bad option: {exc}") from None
     for label in ("telemetry", "platforms", "inventories", "factors"):
         if not (path := getattr(config, label)).exists():
             raise ConfigError(f"{label} file does not exist: {path}")
@@ -164,81 +169,98 @@ def _path(value) -> Path:
 _SCALARS: dict[type, Callable] = {float: _real, int: _whole, bool: _flag, str: str, Path: _path}
 
 
-def _read(hint, value, where: str):
-    """`value`, found at `where` in its document, read as the type `hint`."""
+def _at(place: str, key: str) -> str:
+    return f"{place}.{key}" if place else key
+
+
+def _read(hint, value, where: str, given: dict):
+    """`value`, found at `where` in its document, read as `hint`; `given` fills fields of its models."""
     convert = _SCALARS.get(hint)
     if convert is not None:
         try:
             return convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: {exc}") from None
-    if type(None) in typing.get_args(hint):  # X | None
-        return None if value is None else _read(typing.get_args(hint)[0], value, where)
-    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _read(args[0], value, where, given)
+    if origin is tuple:  # tuple[T, ...]
         if not isinstance(value, list):
             raise ValueError(f"{where}: {value!r} is not a list")
-        return tuple(_read(typing.get_args(hint)[0], item, f"{where}[{i}]") for i, item in enumerate(value))
-    return read_model(hint, value, where)
+        return tuple(_read(args[0], item, f"{where}[{i}]", given) for i, item in enumerate(value))
+    if origin is dict:  # dict[str, M]: each key fills M's first field
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: {value!r} is not a JSON object")
+        model, first = args[1], next(iter(_schema(args[1])))
+        return {key: _build(model, item, _at(where, key), {**given, first: key}) for key, item in value.items()}
+    return _build(hint, value, where, given)
 
 
-@functools.cache
-def _schema(cls: type) -> dict[str, tuple[object, bool, type | None]]:
-    """Each field of `cls`: its type, whether it lacks a default, and the dataclass it holds, if any."""
-    hints, schema = typing.get_type_hints(cls), {}
-    for f in fields(cls):
-        hint = hints[f.name]
-        item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
-        required = f.default is MISSING and f.default_factory is MISSING
-        schema[f.name] = (hint, required, item if is_dataclass(item) else None)
-    return schema
-
-
-def read_model(cls: type[T], raw, place: str = "", /, **given) -> T:
-    """Build dataclass `cls` from the decoded JSON object `raw`, found at `place` in its document.
-
-    `given` fills the fields `raw` lacks, such as a platform id taken from its catalog key.
-    """
+def _build(cls: type[T], raw, place: str, given: dict) -> T:
+    """Dataclass `cls` from the JSON object `raw`, found at `place`; `given` fills fields `raw` may not hold."""
     if not isinstance(raw, dict):
         raise ValueError(f"{place or cls.__name__}: {raw!r} is not a JSON object")
-    values, prefix = {}, f"{place}." if place else ""
+    values = dict(given)
     for name, (hint, required, _) in _schema(cls).items():
         if name in raw:
-            values[name] = _read(hint, raw[name], prefix + name)
-        elif name in given:
-            values[name] = given[name]
-        elif required:
-            raise ValueError(f"{prefix}{name} is missing")
+            values[name] = _read(hint, raw[name], _at(place, name), {})
+        elif required and name not in given:
+            raise ValueError(f"{_at(place, name)} is missing")
     return cls(**values)
 
 
-def _unknown(raw: dict, known, place: str = "") -> list[str]:
-    """The keys of `raw` outside `known`, sorted and prefixed with `place` (only `raw.keys()` is read)."""
-    return [f"{place}.{key}" if place else key for key in sorted(raw.keys() - known)]
+@functools.cache
+def _schema(cls: type) -> dict[str, tuple[object, bool, bool]]:
+    """Each field of `cls`: its type, whether it lacks a default, and whether it holds models."""
+    hints, schema = typing.get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        item = args[0] if origin is tuple else args[1] if origin is dict else hint
+        required = f.default is MISSING and f.default_factory is MISSING
+        schema[f.name] = (hint, required, is_dataclass(item))
+    return schema
 
 
-def unknown_keys(cls: type, raw, place: str = "", outside: tuple[str, ...] = ()) -> list[str]:
-    """The keys in `raw`, and in the models nested in it, that name no field of `cls`.
+def _unknown(hint, value, where: str, given) -> Iterator[str]:
+    """The place of each key in `value` that names no field of the models `hint` holds, or one `given` fills.
 
-    `outside` names fields `read_model` is given, which `raw` may not hold. A value of
-    the wrong shape is left for `read_model` to name.
+    A model's own keys come first, sorted, then those of its nested models in
+    field order. A value of the wrong shape is left for `_read` to name.
     """
-    if not isinstance(raw, dict):
-        return []
-    schema = _schema(cls)
-    unknown = _unknown(raw, schema.keys() - set(outside), place)
-    for name, (_, _, model) in schema.items():
-        if model is not None and name not in outside and name in raw.keys():
-            value, where = raw[name], f"{place}.{name}" if place else name
-            items = value if isinstance(value, list) else [value]
-            for i, item in enumerate(items):
-                unknown += unknown_keys(model, item, f"{where}[{i}]" if items is value else where)
-    return unknown
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _unknown(args[0], item, f"{where}[{i}]", given)
+    elif origin is dict and isinstance(value, dict):
+        first = next(iter(_schema(args[1])))
+        for key, item in value.items():
+            yield from _unknown(args[1], item, _at(where, key), {*given, first})
+    elif is_dataclass(hint) and isinstance(value, dict):
+        schema = _schema(hint)
+        yield from (_at(where, key) for key in sorted(value.keys() - (schema.keys() - given)))
+        for name, (field_hint, _, nested) in schema.items():
+            if nested and name not in given and name in value:
+                yield from _unknown(field_hint, value[name], _at(where, name), ())
 
 
-def reject_unknown_keys(where: str, unknown: list[str], error: type[Exception] = ConfigError) -> None:
+def _reject(unknown: list[str]) -> None:
     """A misspelt key would otherwise fall back to its default: name every one."""
     if unknown:
-        raise error(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
+        raise ValueError(f"unknown keys: {', '.join(map(repr, unknown))}")
+
+
+def read_model(cls: type[T], raw, place: str = "", /, **given) -> T:
+    """Read the decoded JSON value `raw`, found at `place` in its document, as `cls`.
+
+    `cls` is a dataclass, `tuple[M, ...]` or `dict[str, M]` of one; a dict
+    entry's key fills M's first field. `given` fills fields of each model
+    read, such as a run's intervals taken from another file. Every key in
+    `raw` that names no field, or names one a key or `given` fills, is named
+    in one ValueError before any model is built.
+    """
+    _reject(list(_unknown(cls, raw, place, given.keys())))
+    return _read(cls, raw, place, given)
 
 
 def read_document(path: str | Path, what: str, build: Callable[[dict], T]) -> T:
@@ -266,34 +288,23 @@ def load_platforms(path: str | Path) -> dict[str, PlatformSpec]:
     """A platform catalog, or the one under "platforms" in a manifest `synth.build_manifest` wrote."""
 
     def build(raw: dict) -> dict[str, PlatformSpec]:
-        entries = raw.get("platforms", raw)
-        unknown = _unknown(raw, SYNTH_MANIFEST_KEYS) if entries is not raw else []
-        for pid, cfg in entries.items():
-            unknown += unknown_keys(PlatformSpec, cfg, pid, outside=("platform_id",))
-        reject_unknown_keys(f"platform catalog {path}", unknown)
-        return {
-            pid: read_model(PlatformSpec, cfg, pid, platform_id=pid, inventory_ref=pid)
-            for pid, cfg in entries.items()
-        }
+        if "platforms" not in raw:
+            return read_model(dict[str, PlatformSpec], raw)
+        _reject(sorted(raw.keys() - SYNTH_MANIFEST_KEYS))
+        return read_model(dict[str, PlatformSpec], raw["platforms"], "platforms")
 
     return read_document(path, "platform catalog", build)
 
 
 def load_inventories(path: str | Path) -> dict[str, MachineInventory]:
-    def build(raw: dict) -> dict[str, MachineInventory]:
-        unknown = []
-        for pid, cfg in raw.items():
-            found = unknown_keys(MachineInventory, cfg, pid, outside=("platform_id",))
-            unknown += [key for key in found if key != f"{pid}.notes"]  # notes: free-text documentation
-        reject_unknown_keys(f"inventories {path}", unknown)
-        return {pid: read_model(MachineInventory, cfg, pid, platform_id=pid) for pid, cfg in raw.items()}
-
-    return read_document(path, "inventories", build)
+    return read_document(path, "inventories", lambda raw: read_model(dict[str, MachineInventory], raw))
 
 
 @dataclass(frozen=True)
 class FactorConfig:
-    standards: dict[str, EmissionFactorSet]
+    """The factors file: named accounting standards and what-if scenarios."""
+
+    standards: dict[str, EmissionFactorSet] = field(default_factory=dict)
     scenarios: dict[str, ScenarioSpec] = field(default_factory=dict)
 
     def factor_for(self, standard: str) -> float:
@@ -309,18 +320,4 @@ class FactorConfig:
 
 
 def load_factors(path: str | Path) -> FactorConfig:
-    """Named accounting standards (a standard's label defaults to its name) and scenarios."""
-
-    def build(raw: dict) -> FactorConfig:
-        standards, scenarios = raw.get("standards", {}), raw.get("scenarios", {})
-        unknown = _unknown(raw, {f.name for f in fields(FactorConfig)})
-        for name, cfg in standards.items():
-            unknown += unknown_keys(EmissionFactorSet, cfg, f"standards.{name}")
-        for name, cfg in scenarios.items():
-            unknown += unknown_keys(ScenarioSpec, cfg, f"scenarios.{name}", outside=("name",))
-        reject_unknown_keys(f"factor sets {path}", unknown)
-        standards = {n: read_model(EmissionFactorSet, c, f"standards.{n}", label=n) for n, c in standards.items()}
-        scenarios = {n: read_model(ScenarioSpec, c, f"scenarios.{n}", name=n) for n, c in scenarios.items()}
-        return FactorConfig(standards, scenarios)
-
-    return read_document(path, "factor sets", build)
+    return read_document(path, "factor sets", lambda raw: read_model(FactorConfig, raw))

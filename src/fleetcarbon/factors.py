@@ -25,6 +25,7 @@ class EmissionFactorSet:
     The effective (market-style) factor is always the location-based
     factor minus the credited procurement impact, so hourly-matching
     standards are expressed by the impact their stricter crediting leaves.
+    Its label is its name in the factors file, the key of its entry.
     """
 
     label: str

@@ -5,7 +5,7 @@ instance, transport legs, and per-chip construction and direct-fuel
 allocations. This module composes them, allocates them per chip, and
 exposes both an amortized life-cycle view and a corporate-inventory view
 that books hardware in year one. `inventory_for` is the one place a
-platform's `inventory_ref` is resolved.
+platform's inventory is looked up.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ class TransportLeg:
             raise ValueError(f"{self.description}: give either kg_co2e or the parametric form, not both")
         if self.kg_co2e is None and any(v is None for v in parametric):
             raise ValueError(f"{self.description}: needs kg_co2e or all of mass/distance/mode factor")
+        for name in ("kg_co2e", "mass_kg", "distance_km", "mode_factor_g_per_tkm"):
+            if (value := getattr(self, name)) is not None and value < 0:
+                raise ValueError(f"{self.description}: {name} must be >= 0")
 
     def emissions_kg(self) -> float:
         if self.kg_co2e is not None:
@@ -102,6 +105,9 @@ class MachineInventory:
             raise ValueError(f"{self.platform_id}: accelerator_trays must be >= 1")
         if not 0.0 <= self.eol_credit_fraction <= 0.04:
             raise ValueError(f"{self.platform_id}: eol_credit_fraction outside [0, 0.04]")
+        for name in ("dc_construction_kg_per_chip", "scope1_kg_per_chip"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{self.platform_id}: {name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -131,11 +137,12 @@ class InventoryViews:
 def inventory_for(
     spec: PlatformSpec, inventories: dict[str, MachineInventory]
 ) -> MachineInventory:
-    """The inventory a catalog platform names through its `inventory_ref`."""
-    inv = inventories.get(spec.inventory_ref)
+    """The inventory a catalog platform names through its `inventory_ref`, or else its own id."""
+    ref = spec.inventory_ref or spec.platform_id
+    inv = inventories.get(ref)
     if inv is None:
         raise ConfigError(
-            f"platform {spec.platform_id!r} names inventory {spec.inventory_ref!r}, "
+            f"platform {spec.platform_id!r} names inventory {ref!r}, "
             "which the inventories file does not define"
         )
     return inv

@@ -23,7 +23,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from .cci import kwh_per_exaflop
-from .config import read_model, reject_unknown_keys, unknown_keys
+from .config import read_model
 from .telemetry import INTERVAL_SECONDS, TELEMETRY_COLUMNS, parse_rfc3339
 
 IDLE_POWER_FRACTION = 0.6
@@ -194,9 +194,8 @@ def scenario_from_mapping(cfg: dict) -> SynthScenario:
     """Read a scenario description (e.g. decoded JSON) through `config.read_model`.
 
     Its keys, defaults and types are the fields of `SynthScenario` and, in each
-    of its `generations`, of `GenerationSpec`; any other key is a ConfigError.
+    of its `generations`, of `GenerationSpec`; any other key is a ValueError.
     """
-    reject_unknown_keys("synth scenario", unknown_keys(SynthScenario, cfg))
     return read_model(SynthScenario, cfg)
 
 

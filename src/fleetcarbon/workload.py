@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .cci import EXA, J_PER_KWH
-from .config import finite_number, read_model, reject_unknown_keys, unknown_keys
+from .config import finite_number, read_model
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
 from .telemetry import PlatformSpec, parse_rfc3339
@@ -143,8 +143,9 @@ def workload_cci(step_total_g: float, flops_per_step: float) -> float:
 def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[WorkloadRun, ...]:
     """Load workload runs: a JSON manifest `{"runs": [...]}` plus JSON-lines interval records.
 
-    Each run is read by `config.read_model`: its keys, defaults and types
-    are the fields of `WorkloadRun` other than `intervals`, and any other
+    Every run is read by `config.read_model` before the interval file is
+    opened: its keys, defaults and types are the fields of `WorkloadRun`
+    other than `intervals`, which the interval records fill, and any other
     key in a run, or beside `runs`, is an error. Interval records carry
     run_id, machine_id, interval_start, power_w and duty_cycle; records
     for unknown runs are ignored so one interval file can back several
@@ -165,16 +166,15 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
         runs_cfg = manifest["runs"]
         if not isinstance(runs_cfg, list):  # a string or an object would read as no runs
             raise TypeError(f"runs is {type(runs_cfg).__name__}, not a list")
-        wanted = {str(r["run_id"]) for r in runs_cfg}
     except (KeyError, TypeError) as exc:
-        raise IngestError(f"run manifest {manifest_path}: no list of runs with ids: {exc!r}") from None
-    unknown = sorted(manifest.keys() - {"runs"})
-    for i, run in enumerate(runs_cfg):
-        unknown += unknown_keys(WorkloadRun, run, f"runs[{i}]", outside=("intervals",))
-    reject_unknown_keys(f"run manifest {manifest_path}", unknown, IngestError)
-    per_run: dict[str, dict[str, dict[str, dict[str, float]]]] = {
-        run_id: {} for run_id in wanted
-    }
+        raise IngestError(f"run manifest {manifest_path}: no list of runs: {exc!r}") from None
+    try:
+        if unknown := sorted(manifest.keys() - {"runs"}):
+            raise ValueError(f"unknown keys: {', '.join(map(repr, unknown))}")
+        runs = read_model(tuple[WorkloadRun, ...], runs_cfg, "runs", intervals=())
+    except ValueError as exc:
+        raise IngestError(f"run manifest {manifest_path}: {exc!r}") from None
+    per_run: dict[str, dict[str, dict[str, dict[str, float]]]] = {run.run_id: {} for run in runs}
     utc_keys: dict[str, str] = {}  # interval_start as written -> its UTC isoformat
     try:
         with Path(intervals_path).open("r", encoding="utf-8") as fh:
@@ -185,7 +185,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                 try:
                     rec = _decode_record(line)
                     run_id = str(rec["run_id"])
-                    if run_id not in wanted:
+                    if run_id not in per_run:
                         continue
                     stamp = str(rec["interval_start"])
                     ts = utc_keys.get(stamp)
@@ -209,15 +209,8 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read run intervals {intervals_path}: {exc}") from None
 
-    runs = []
-    for i, cfg in enumerate(runs_cfg):
-        run_id = str(cfg["run_id"])
-        intervals = tuple(
-            RunInterval(power_w=slot["power"], duty_cycle=slot["duty"])
-            for _, slot in sorted(per_run[run_id].items())
-        )
-        try:
-            runs.append(read_model(WorkloadRun, cfg, f"runs[{i}]", intervals=intervals))
-        except ValueError as exc:
-            raise IngestError(f"run manifest {manifest_path}: bad run {run_id!r}: {exc!r}") from None
-    return tuple(runs)
+    intervals = {
+        run_id: tuple(RunInterval(slot["power"], slot["duty"]) for _, slot in sorted(slots.items()))
+        for run_id, slots in per_run.items()
+    }
+    return tuple(replace(run, intervals=intervals[run.run_id]) for run in runs)

@@ -12,9 +12,6 @@ from fleetcarbon import workload
 
 GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "make_bundled_data.py"
 
-# Keys the builders are allowed to leave unread: free-text documentation.
-UNREAD_ALLOWED = {("inventories", "notes")}
-
 
 def test_generator_reproduces_bundled_data(tmp_path):
     spec = importlib.util.spec_from_file_location("make_bundled_data", GENERATOR)
@@ -65,7 +62,7 @@ def unread_keys(node, path=""):
     elif isinstance(node, Tracked):
         for key, value in dict.items(node):
             if key not in node.read:
-                yield f"{path}.{key}", key
+                yield f"{path}.{key}"
             yield from unread_keys(value, f"{path}.{key}")
 
 
@@ -91,5 +88,4 @@ def test_every_bundled_key_is_read(monkeypatch, run_config, what, load):
     monkeypatch.setattr(workload, "json", types.SimpleNamespace(loads=loads))
     load(run_config)
     assert len(documents) == 1
-    unread = [path for path, key in unread_keys(documents[0]) if (what, key) not in UNREAD_ALLOWED]
-    assert unread == [], f"{what}: keys no builder reads"
+    assert list(unread_keys(documents[0])) == [], f"{what}: keys no builder reads"

@@ -194,6 +194,13 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "pue nan" in err
 
+    def test_flag_out_of_range_is_named_as_an_option(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "scenario", "-o", str(tmp_path / "out"), "--pue", "0.5")
+        assert code == EXIT_CONFIG
+        assert "bad option: pue 0.5 must be finite and >= 1" in err
+        assert "config.json" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_telemetry(self, tmp_path, capsys):
         cfg = json.loads(bundled_config_path().read_text())
         base = bundled_config_path().parent
@@ -689,6 +696,54 @@ class TestMalformedDocuments:
                 EXIT_CONFIG,
                 "v4i: trays_per_machine must be >= 1",
             ),
+            (
+                "inventories",
+                bundled_json("inventories.json", lambda d: d["v4i"].update(dc_construction_kg_per_chip=-5000)),
+                "cci",
+                EXIT_CONFIG,
+                "v4i: dc_construction_kg_per_chip must be >= 0",
+            ),
+            (
+                "inventories",
+                bundled_json("inventories.json", lambda d: d["v4i"]["transport_legs"][0].update(kg_co2e=-28)),
+                "lca",
+                EXIT_CONFIG,
+                "factory to airport: kg_co2e must be >= 0",
+            ),
+            (
+                "factors",
+                bundled_json("factors.json", lambda d: d["standards"]["market"].update(label="market-based")),
+                "cci",
+                EXIT_CONFIG,
+                "unknown keys: 'standards.market.label'",
+            ),
+            (
+                "inventories",
+                bundled_json("inventories.json", lambda d: d["v4i"].update(notes="free text")),
+                "lca",
+                EXIT_CONFIG,
+                "unknown keys: 'v4i.notes'",
+            ),
+            (
+                "platforms",
+                bundled_json("platforms.json", lambda d: d["v4i"].update(platform_id="v4i")),
+                "lca",
+                EXIT_CONFIG,
+                "unknown keys: 'v4i.platform_id'",
+            ),
+            (
+                "run_manifest",
+                bundled_json(
+                    "workload_manifest.json",
+                    lambda d: (
+                        renamed(d["runs"][0], "flops_per_step", "flops_per_stp"),
+                        renamed(d["runs"][2], "step_time_s", "step_time"),
+                    ),
+                ),
+                "workload",
+                EXIT_INGEST,
+                "unknown keys: 'runs[0].flops_per_stp', 'runs[2].step_time'",
+            ),
         ],
         ids=[
             "catalog-rectifier-flag-text",
@@ -721,6 +776,12 @@ class TestMalformedDocuments:
             "catalog-lifetime-beyond-bound",
             "catalog-zero-trays",
             "catalog-negative-trays",
+            "inventory-negative-dc-construction",
+            "inventory-transport-leg-negative",
+            "factors-standard-label",
+            "inventory-notes",
+            "catalog-entry-platform-id",
+            "run-keys-in-two-runs",
         ],
     )
     def test_malformed_document_is_named(self, tmp_path, capsys, key, content, command, expected, named):
@@ -895,6 +956,13 @@ class TestSynthCommand:
         assert "Traceback" not in proc.stderr
         assert not (out / "synthetic_telemetry.csv").exists()
         assert not (out / "synthetic_manifest.json").exists()
+
+    def test_config_flags_are_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", "x", "-o", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config x" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_for_seed(self, tmp_path, capsys):
         run_cli(capsys, "synth", "--seed", "5", "-o", str(tmp_path / "a"))

@@ -1,10 +1,12 @@
 """Property: one mutation of a bundled document never crashes the CLI.
 
 Each example takes one configuration document, applies one mutation (drop
-a key, misspell a key, or give a value another JSON type, including a
-number written as "nan", NaN or 1e400) and runs the real `cli.main` in
-process on it. Every run must end in exit 0, 2, 3 or 4: an uncaught
-exception fails the example, with its traceback.
+a key, misspell a key, or give a value another JSON type or a value out
+of range, including 0, -1 and a number written as "nan", NaN or 1e400)
+and runs the real `cli.main` in process on it. Every run must end in exit
+0, 2, 3 or 4: an uncaught exception fails the example, with its
+traceback. Only the exit code is checked, so a value accepted wrongly
+with exit 0 goes unseen.
 """
 
 import copy
@@ -22,7 +24,7 @@ from fleetcarbon.config import bundled_config_path, bundled_data_dir
 
 # Stand-ins for bare JSON numbers beyond float range, which json.dumps cannot write.
 HUGE = {"<1e400>": "1e400", "<10**400>": "1" + "0" * 400}
-REPLACEMENTS = ("text", "false", "nan", "1e400", True, None, [], {}, 7, 2.5, math.nan, *HUGE)
+REPLACEMENTS = ("text", "false", "nan", "1e400", True, None, [], {}, 7, 2.5, 0, -1, math.nan, *HUGE)
 EXIT_CODES = {0, 2, 3, 4}
 
 

@@ -189,7 +189,6 @@ def write_inventories() -> None:
             legs.append(leg)
         acc_trays = 2 if PLATFORMS[pid][0] == 8 else 1
         out[pid] = {
-            "notes": "component category split is approximate; tray and machine totals are calibrated",
             "accelerator_trays": acc_trays,
             "components": components,
             "transport_legs": legs,
@@ -210,9 +209,9 @@ def write_factors() -> None:
     }
     data = {
         "standards": {
-            "location": {"label": "location-based", "lb_factor": 366.0, "cfe_impact": 0.0},
-            "market": {"label": "market-based", "lb_factor": 366.0, "cfe_impact": 231.0},
-            "hourly247": {"label": "hourly 24/7 matched", "lb_factor": 366.0, "cfe_impact": 154.0},
+            "location": {"lb_factor": 366.0, "cfe_impact": 0.0},
+            "market": {"lb_factor": 366.0, "cfe_impact": 231.0},
+            "hourly247": {"lb_factor": 366.0, "cfe_impact": 154.0},
         },
         "scenarios": {
             "cfe90": {**scenario_common, "apply_manufacturing_reduction": False},
