@@ -8,14 +8,18 @@ duty-cycle-balanced comparisons (weight), and the synthetic fleet
 generator (synth).
 
 One config file feeds every subcommand but synth; flags override file
-values. Without --config the bundled demo configuration is used. Exit
-codes: 0 success, 2 configuration problems, 3 unreadable inputs, 4
-computations the data cannot support.
+values. Without --config the bundled demo configuration is used. Each
+subcommand but synth takes the loaded config and returns the tables it
+writes; `main` loads the config once and writes each table to -o as
+<name>.<format>, printing a `wrote` line for it. Exit codes: 0 success,
+2 configuration problems, 3 unreadable inputs, 4 computations the data
+cannot support.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,8 +52,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--platforms", type=Path, default=None, help="platform catalog override")
 
 
-def _load(args) -> cfgmod.RunConfig:
-    return cfgmod.load_config(
+def _run(command, args) -> int:
+    """Load the config once, run `command` on it and write each table it returns to -o."""
+    config = cfgmod.load_config(
         args.config,
         format=args.format,
         standard=args.standard,
@@ -57,6 +62,14 @@ def _load(args) -> cfgmod.RunConfig:
         telemetry=args.telemetry,
         platforms=args.platforms,
     )
+    tables = command(config, args)
+    if tables:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+    for table in tables:
+        path = args.output_dir / f"{table.name}.{config.format}"
+        path.write_text(table.render(config.format), encoding="utf-8")
+        print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _inputs(config: cfgmod.RunConfig):
@@ -67,15 +80,14 @@ def _inputs(config: cfgmod.RunConfig):
     return platforms, inventories, factors, dataset
 
 
-def _write(table: reportmod.Table, out_dir: Path, fmt: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{table.name}.{fmt}"
-    path.write_text(table.render(fmt), encoding="utf-8")
-    return path
+def _accounts(config: cfgmod.RunConfig):
+    """`_inputs` with the dataset folded into each platform's account."""
+    platforms, inventories, factors, dataset = _inputs(config)
+    accounts = reportmod.fold_platforms(dataset, inventories, factors, config.standard, config.pue)
+    return platforms, inventories, factors, accounts
 
 
-def cmd_ingest(args) -> int:
-    config = _load(args)
+def cmd_ingest(config, args) -> list[reportmod.Table]:
     platforms = cfgmod.load_platforms(config.platforms)
     dataset = ingest(config.telemetry, platforms)
     args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -91,100 +103,69 @@ def cmd_ingest(args) -> int:
         "rejection_log": str(log_path),
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK
+    return []
 
 
-def cmd_report(args) -> int:
-    config = _load(args)
-    platforms, inventories, factors, dataset = _inputs(config)
-    accounts = reportmod.fold_platforms(
-        dataset, inventories, factors, config.standard, config.pue
-    )
-    fmt = config.format
-    tables = [
+def cmd_report(config, args) -> list[reportmod.Table]:
+    platforms, inventories, _, accounts = _accounts(config)
+    return [
         reportmod.platform_table(accounts),
         reportmod.stage_breakdown_table(accounts),
         reportmod.manufacturing_table(platforms, inventories),
     ]
-    for table in tables:
-        print(f"wrote {_write(table, args.output_dir, fmt)}")
-    return EXIT_OK
 
 
-def cmd_cci(args) -> int:
-    config = _load(args)
-    _, inventories, factors, dataset = _inputs(config)
-    accounts = reportmod.fold_platforms(
-        dataset, inventories, factors, config.standard, config.pue
-    )
-    table = reportmod.platform_table(accounts)
-    sys.stdout.write(table.render(config.format))
-    return EXIT_OK
+def cmd_cci(config, args) -> list[reportmod.Table]:
+    *_, accounts = _accounts(config)
+    sys.stdout.write(reportmod.platform_table(accounts).render(config.format))
+    return []
 
 
-def cmd_lca(args) -> int:
-    config = _load(args)
+def cmd_lca(config, args) -> list[reportmod.Table]:
     platforms = cfgmod.load_platforms(config.platforms)
     inventories = cfgmod.load_inventories(config.inventories)
-    fmt = config.format
-    tables = [
+    return [
         reportmod.manufacturing_table(platforms, inventories),
         reportmod.amortization_table(platforms, inventories),
     ]
-    for table in tables:
-        print(f"wrote {_write(table, args.output_dir, fmt)}")
-    return EXIT_OK
 
 
-def cmd_workload(args) -> int:
-    config = _load(args)
+def cmd_workload(config, args) -> list[reportmod.Table]:
     if config.run_manifest is None or config.run_intervals is None:
         raise ConfigError("config has no run_manifest/run_intervals for workload reporting")
     platforms = cfgmod.load_platforms(config.platforms)
     inventories = cfgmod.load_inventories(config.inventories)
     factors = cfgmod.load_factors(config.factors)
-    factor = (
-        config.workload_factor_g_per_kwh
-        if config.workload_factor_g_per_kwh is not None
-        else factors.factor_for(config.standard)
-    )
+    factor = config.workload_factor_g_per_kwh
+    if factor is None:
+        factor = factors.factor_for(config.standard)
     runs = read_runs(config.run_manifest, config.run_intervals)
-    table = reportmod.workload_table(
-        runs, platforms, inventories, factor, config.workload_pue, config.incomplete_runs
-    )
-    print(f"wrote {_write(table, args.output_dir, config.format)}")
-    return EXIT_OK
+    return [
+        reportmod.workload_table(
+            runs, platforms, inventories, factor, config.workload_pue, config.incomplete_runs
+        )
+    ]
 
 
-def cmd_scenario(args) -> int:
-    config = _load(args)
-    _, inventories, factors, dataset = _inputs(config)
+def cmd_scenario(config, args) -> list[reportmod.Table]:
+    _, _, factors, accounts = _accounts(config)
     names = args.scenarios or sorted(factors.scenarios)
     if not names:
         raise ConfigError("no scenarios defined in the factor configuration")
-    accounts = reportmod.fold_platforms(
-        dataset, inventories, factors, config.standard, config.pue
-    )
-    table = reportmod.scenario_table(
-        accounts, factors, names, baseline_platform=args.baseline_platform
-    )
-    print(f"wrote {_write(table, args.output_dir, config.format)}")
-    return EXIT_OK
+    return [reportmod.scenario_table(accounts, factors, names, baseline_platform=args.baseline_platform)]
 
 
-def cmd_weight(args) -> int:
-    config = _load(args)
-    platforms, inventories, factors, dataset = _inputs(config)
+def cmd_weight(config, args) -> list[reportmod.Table]:
+    platforms, _, factors, dataset = _inputs(config)
     cohort = args.cohort or sorted(platforms)
+    if unknown := [pid for pid in cohort if pid not in platforms]:
+        raise ConfigError(f"cohort platforms not in catalog: {', '.join(map(repr, unknown))}")
     baseline = args.baseline or cohort[0]
     factor = factors.factor_for(config.standard)
-    table, warnings = reportmod.weighting_table(
-        dataset, cohort, baseline, factor, pue=config.pue
-    )
+    table, warnings = reportmod.weighting_table(dataset, cohort, baseline, factor, pue=config.pue)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"wrote {_write(table, args.output_dir, config.format)}")
-    return EXIT_OK
+    return [table]
 
 
 def cmd_synth(args) -> int:
@@ -224,11 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-o", "--output-dir", type=Path, default=Path("."), help="where to write reports")
-        p.set_defaults(func=func)
         if name == "synth":  # reads no config
+            p.set_defaults(func=func)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--scenario-file", type=Path, default=None)
             continue
+        p.set_defaults(func=functools.partial(_run, func))
         _add_common(p)
         if name == "scenario":
             p.add_argument("scenarios", nargs="*", help="scenario names (default: all configured)")
@@ -240,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -60,6 +60,10 @@ class RunPolicy:
     accept: tuple[str, ...] = ()
     reject: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if both := sorted(set(self.accept) & set(self.reject)):
+            raise ValueError(f"incomplete_runs: {', '.join(map(repr, both))} both accepted and rejected")
+
     def verdict(self, run: WorkloadRun) -> str:
         if run.run_id in self.reject:
             return "rejected"

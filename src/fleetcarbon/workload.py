@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .cci import EXA, J_PER_KWH
-from .config import finite_number, read_model
+from .config import _reject, finite_number, read_model
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
 from .telemetry import PlatformSpec, parse_rfc3339
@@ -49,6 +49,9 @@ class WorkloadRun:
     def __post_init__(self) -> None:
         if not self.machines:
             raise ValueError(f"run {self.run_id}: machine set is empty")
+        if len(set(self.machines)) < len(self.machines):
+            repeated = next(m for i, m in enumerate(self.machines) if m in self.machines[:i])
+            raise ValueError(f"run {self.run_id}: machine {repeated!r} listed twice")
         if self.step_time_s <= 0:
             raise ValueError(f"run {self.run_id}: step_time must be > 0")
         if self.flops_per_step is not None and self.flops_per_step < 0:
@@ -146,7 +149,8 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     Every run is read by `config.read_model` before the interval file is
     opened: its keys, defaults and types are the fields of `WorkloadRun`
     other than `intervals`, which the interval records fill, and any other
-    key in a run, or beside `runs`, is an error. Interval records carry
+    key in a run, or beside `runs`, is an error. Run ids are unique, and so
+    are the machines of each run. Interval records carry
     run_id, machine_id, interval_start, power_w and duty_cycle; records
     for unknown runs are ignored so one interval file can back several
     manifests. Every number must be finite, power non-negative and duty
@@ -169,12 +173,15 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     except (KeyError, TypeError) as exc:
         raise IngestError(f"run manifest {manifest_path}: no list of runs: {exc!r}") from None
     try:
-        if unknown := sorted(manifest.keys() - {"runs"}):
-            raise ValueError(f"unknown keys: {', '.join(map(repr, unknown))}")
+        _reject(sorted(manifest.keys() - {"runs"}))
         runs = read_model(tuple[WorkloadRun, ...], runs_cfg, "runs", intervals=())
+        per_run: dict[str, dict[str, RunInterval]] = {}  # run id -> UTC interval start -> readings
+        for run in runs:
+            if run.run_id in per_run:
+                raise ValueError(f"run {run.run_id} listed twice")
+            per_run[run.run_id] = {}
     except ValueError as exc:
         raise IngestError(f"run manifest {manifest_path}: {exc!r}") from None
-    per_run: dict[str, dict[str, dict[str, dict[str, float]]]] = {run.run_id: {} for run in runs}
     utc_keys: dict[str, str] = {}  # interval_start as written -> its UTC isoformat
     try:
         with Path(intervals_path).open("r", encoding="utf-8") as fh:
@@ -191,17 +198,19 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     ts = utc_keys.get(stamp)
                     if ts is None:  # a bad stamp raises here, so it is never cached
                         ts = utc_keys[stamp] = parse_rfc3339(stamp).isoformat()
-                    slot = per_run[run_id].setdefault(ts, {"power": {}, "duty": {}})
+                    interval = per_run[run_id].get(ts)
+                    if interval is None:
+                        interval = per_run[run_id][ts] = RunInterval({}, {})
                     machine = str(rec["machine_id"])
-                    if machine in slot["power"]:
+                    if machine in interval.power_w:
                         raise ValueError(f"repeated key: run {run_id!r}, machine {machine!r}, interval {ts}")
                     power, duty = finite_number(rec["power_w"]), finite_number(rec["duty_cycle"])
                     if power < 0:
                         raise ValueError(f"power_w {power} is negative")
                     if not 0.0 <= duty <= 1.0:
                         raise ValueError(f"duty_cycle {duty} outside [0, 1]")
-                    slot["power"][machine] = power
-                    slot["duty"][machine] = duty
+                    interval.power_w[machine] = power
+                    interval.duty_cycle[machine] = duty
                 except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                     raise IngestError(
                         f"{intervals_path}: bad interval record at line {line_no}: {exc}"
@@ -209,8 +218,7 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read run intervals {intervals_path}: {exc}") from None
 
-    intervals = {
-        run_id: tuple(RunInterval(slot["power"], slot["duty"]) for _, slot in sorted(slots.items()))
-        for run_id, slots in per_run.items()
-    }
-    return tuple(replace(run, intervals=intervals[run.run_id]) for run in runs)
+    return tuple(
+        replace(run, intervals=tuple(interval for _, interval in sorted(per_run[run.run_id].items())))
+        for run in runs
+    )

@@ -236,6 +236,14 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "scenario", "not-a-scenario", "-o", str(tmp_path))
         assert code == EXIT_COMPUTE
 
+    def test_unknown_cohort_platform(self, tmp_path, capsys):
+        # only v4i and v5e would be compared, with exit 0
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "weight", "--cohort", "v4i", "v5e", "v6x", "-o", str(out))
+        assert code == EXIT_CONFIG
+        assert "cohort platforms not in catalog: 'v6x'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key,content,command,expected",
         [
@@ -744,6 +752,27 @@ class TestMalformedDocuments:
                 EXIT_INGEST,
                 "unknown keys: 'runs[0].flops_per_stp', 'runs[2].step_time'",
             ),
+            (
+                "config",
+                config_json(incomplete_runs='{"accept": ["sft-v5e-r1"], "reject": ["sft-v5e-r1"]}'),
+                "workload",
+                EXIT_CONFIG,
+                "incomplete_runs: 'sft-v5e-r1' both accepted and rejected",
+            ),
+            (
+                "run_manifest",
+                bundled_json("workload_manifest.json", lambda d: d["runs"].append(d["runs"][0])),
+                "workload",
+                EXIT_INGEST,
+                "run rlhf-v5e-r1 listed twice",
+            ),
+            (
+                "run_manifest",
+                bundled_json("workload_manifest.json", lambda d: d["runs"][1]["machines"].append("rlhf-v6e-r1-m07")),
+                "workload",
+                EXIT_INGEST,
+                "run rlhf-v6e-r1: machine 'rlhf-v6e-r1-m07' listed twice",
+            ),
         ],
         ids=[
             "catalog-rectifier-flag-text",
@@ -782,6 +811,9 @@ class TestMalformedDocuments:
             "inventory-notes",
             "catalog-entry-platform-id",
             "run-keys-in-two-runs",
+            "config-run-accepted-and-rejected",
+            "run-listed-twice",
+            "run-machine-listed-twice",
         ],
     )
     def test_malformed_document_is_named(self, tmp_path, capsys, key, content, command, expected, named):
