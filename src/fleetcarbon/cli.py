@@ -74,15 +74,15 @@ def _run(command, args) -> int:
 
 def _inputs(config: cfgmod.RunConfig):
     platforms = cfgmod.load_platforms(config.platforms)
-    inventories = cfgmod.load_inventories(config.inventories)
     factors = cfgmod.load_factors(config.factors)
     dataset = ingest(config.telemetry, platforms, BucketScheme(config.buckets))
-    return platforms, inventories, factors, dataset
+    return platforms, factors, dataset
 
 
 def _accounts(config: cfgmod.RunConfig):
-    """`_inputs` with the dataset folded into each platform's account."""
-    platforms, inventories, factors, dataset = _inputs(config)
+    """The inventories and `_inputs`, with the dataset folded into each platform's account."""
+    inventories = cfgmod.load_inventories(config.inventories)  # before ingest: a bad file exits 2 whatever the rows
+    platforms, factors, dataset = _inputs(config)
     accounts = reportmod.fold_platforms(dataset, inventories, factors, config.standard, config.pue)
     return platforms, inventories, factors, accounts
 
@@ -156,7 +156,7 @@ def cmd_scenario(config, args) -> list[reportmod.Table]:
 
 
 def cmd_weight(config, args) -> list[reportmod.Table]:
-    platforms, _, factors, dataset = _inputs(config)
+    platforms, factors, dataset = _inputs(config)
     cohort = args.cohort or sorted(platforms)
     if unknown := [pid for pid in cohort if pid not in platforms]:
         raise ConfigError(f"cohort platforms not in catalog: {', '.join(map(repr, unknown))}")

@@ -1,4 +1,4 @@
-"""Run configuration, and the one strict reader every configuration document goes through.
+"""Run configuration, and the one strict reader every JSON document goes through.
 
 Relative paths in a run config resolve against the file's own directory, so
 a config can travel with its data. A bundled demo config (and the fixture
@@ -267,25 +267,25 @@ def read_model(cls: type[T], raw, place: str = "", /, **given) -> T:
     return _read(cls, raw, place, given)
 
 
-def read_document(path: str | Path, what: str, build: Callable[[dict], T]) -> T:
+def read_document(path: str | Path, what: str, build: Callable[[dict], T], error: type[Exception] = ConfigError) -> T:
     """Decode a JSON-object document and build a model from it.
 
-    The one error policy for configuration documents: an unreadable file,
-    malformed JSON, a non-finite number, a top level that is not an object,
-    and a shape or value `build` cannot use all raise ConfigError.
+    The one error policy for every JSON document, the run manifest included:
+    an unreadable file, malformed JSON, a non-finite number, a top level that
+    is not an object, and a shape or value `build` cannot use all raise `error`.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
         raw = json.loads(text, parse_float=finite_number, parse_constant=finite_number)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or number
-        raise ConfigError(f"cannot load {what} {path}: {exc}") from None
+        raise error(f"cannot load {what} {path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"{what} {path} is not a JSON object")
+        raise error(f"{what} {path} is not a JSON object")
     try:
         return build(raw)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {what} {path}: {exc!r}") from None
+        raise error(f"bad {what} {path}: {exc!r}") from None
 
 
 def load_platforms(path: str | Path) -> dict[str, PlatformSpec]:

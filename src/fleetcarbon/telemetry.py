@@ -170,14 +170,13 @@ class Rejection:
 class FleetDataset:
     """The ledger of one ingest, plus the catalog its rows were validated against.
 
-    `samples` maps (platform_id, duty bucket under `scheme`) to the Cell of
-    that platform's complete rows. `accepted` counts every accepted row per
+    `samples` maps (platform_id, duty bucket) to the Cell of that
+    platform's complete rows. `accepted` counts every accepted row per
     platform, incomplete ones included; `len()` is their total.
     """
 
     samples: dict[tuple[str, int], Cell]
     catalog: dict[str, PlatformSpec]
-    scheme: BucketScheme = BucketScheme()
     accepted: dict[str, int] = field(default_factory=dict)
     rejections: tuple[Rejection, ...] = ()
     exclusions: dict[str, int] = field(default_factory=dict)
@@ -205,7 +204,6 @@ class FleetWindow:
     sample_count: int
     power_sum_w: float  # sum of machine power over samples
     total_flops: int
-    duty_cycle_sum: float
 
     @property
     def total_energy_kwh(self) -> float:
@@ -229,7 +227,6 @@ class FleetWindow:
             sample_count=self.sample_count + other.sample_count,
             power_sum_w=self.power_sum_w + other.power_sum_w,
             total_flops=self.total_flops + other.total_flops,
-            duty_cycle_sum=self.duty_cycle_sum + other.duty_cycle_sum,
         )
 
 
@@ -507,7 +504,6 @@ def ingest(
     return FleetDataset(
         samples=cells,
         catalog=dict(catalog),
-        scheme=scheme,
         accepted=accepted,
         rejections=tuple(rejections),
         exclusions=exclusions,
@@ -563,7 +559,6 @@ def aggregate(dataset: FleetDataset, platform_id: str) -> FleetWindow:
             platform_id, "total machine power", (p for cell in cells for p in cell.power)
         ),
         total_flops=total_flops,
-        duty_cycle_sum=math.fsum(d for cell in cells for d in cell.duty),
     )
 
 

@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .cci import EXA, J_PER_KWH
-from .config import _reject, finite_number, read_model
+from .config import _reject, finite_number, read_document, read_model
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
 from .telemetry import PlatformSpec, parse_rfc3339
 
 DEFAULT_DUTY_THRESHOLD = 0.8
 
-# Decodes one interval line; json.loads with these hooks would build a decoder per line.
+# One decoder for every interval line: hooks passed per call would build a decoder per line.
 _decode_record = json.JSONDecoder(parse_float=finite_number, parse_constant=finite_number).decode
 
 
@@ -146,42 +146,32 @@ def workload_cci(step_total_g: float, flops_per_step: float) -> float:
 def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[WorkloadRun, ...]:
     """Load workload runs: a JSON manifest `{"runs": [...]}` plus JSON-lines interval records.
 
-    Every run is read by `config.read_model` before the interval file is
-    opened: its keys, defaults and types are the fields of `WorkloadRun`
-    other than `intervals`, which the interval records fill, and any other
-    key in a run, or beside `runs`, is an error. Run ids are unique, and so
-    are the machines of each run. Interval records carry
-    run_id, machine_id, interval_start, power_w and duty_cycle; records
-    for unknown runs are ignored so one interval file can back several
-    manifests. Every number must be finite, power non-negative and duty
-    cycle within [0, 1]. A second record for the same run, machine and
-    interval (timestamps compared in UTC) is an error.
+    The manifest goes through `config.read_document`, the one reader of
+    every JSON document, with IngestError as its error class. Every run is
+    read by `config.read_model` before the interval file is opened: its
+    keys, defaults and types are the fields of `WorkloadRun` other than
+    `intervals`, which the interval records fill, and any other key in a
+    run, or beside `runs`, is an error. Run ids are unique, and so are the
+    machines of each run. Interval records carry run_id, machine_id,
+    interval_start, power_w and duty_cycle; records for unknown runs are
+    ignored so one interval file can back several manifests, but a record
+    for a machine its run does not list is an error. Every number must be
+    finite, power non-negative and duty cycle within [0, 1]. A second
+    record for the same run, machine and interval (timestamps compared in
+    UTC) is an error.
     """
-    try:
-        manifest = json.loads(
-            Path(manifest_path).read_text(encoding="utf-8"),
-            parse_float=finite_number,
-            parse_constant=finite_number,
-        )
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or number
-        raise IngestError(f"cannot read run manifest {manifest_path}: {exc}") from None
 
-    try:
-        runs_cfg = manifest["runs"]
-        if not isinstance(runs_cfg, list):  # a string or an object would read as no runs
-            raise TypeError(f"runs is {type(runs_cfg).__name__}, not a list")
-    except (KeyError, TypeError) as exc:
-        raise IngestError(f"run manifest {manifest_path}: no list of runs: {exc!r}") from None
-    try:
+    def build(manifest: dict) -> tuple[WorkloadRun, ...]:
         _reject(sorted(manifest.keys() - {"runs"}))
-        runs = read_model(tuple[WorkloadRun, ...], runs_cfg, "runs", intervals=())
-        per_run: dict[str, dict[str, RunInterval]] = {}  # run id -> UTC interval start -> readings
-        for run in runs:
-            if run.run_id in per_run:
-                raise ValueError(f"run {run.run_id} listed twice")
-            per_run[run.run_id] = {}
-    except ValueError as exc:
-        raise IngestError(f"run manifest {manifest_path}: {exc!r}") from None
+        return read_model(tuple[WorkloadRun, ...], manifest["runs"], "runs", intervals=())
+
+    runs = read_document(manifest_path, "run manifest", build, IngestError)
+    per_run: dict[str, dict[str, RunInterval]] = {}  # run id -> UTC interval start -> readings
+    listed: dict[str, frozenset[str]] = {}  # run id -> its machines
+    for run in runs:
+        if run.run_id in per_run:
+            raise IngestError(f"bad run manifest {manifest_path}: run {run.run_id} listed twice")
+        per_run[run.run_id], listed[run.run_id] = {}, frozenset(run.machines)
     utc_keys: dict[str, str] = {}  # interval_start as written -> its UTC isoformat
     try:
         with Path(intervals_path).open("r", encoding="utf-8") as fh:
@@ -194,6 +184,9 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     run_id = str(rec["run_id"])
                     if run_id not in per_run:
                         continue
+                    machine = str(rec["machine_id"])
+                    if machine not in listed[run_id]:  # on_duty_power would never read it
+                        raise ValueError(f"machine {machine!r} is not listed in run {run_id!r}")
                     stamp = str(rec["interval_start"])
                     ts = utc_keys.get(stamp)
                     if ts is None:  # a bad stamp raises here, so it is never cached
@@ -201,7 +194,6 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     interval = per_run[run_id].get(ts)
                     if interval is None:
                         interval = per_run[run_id][ts] = RunInterval({}, {})
-                    machine = str(rec["machine_id"])
                     if machine in interval.power_w:
                         raise ValueError(f"repeated key: run {run_id!r}, machine {machine!r}, interval {ts}")
                     power, duty = finite_number(rec["power_w"]), finite_number(rec["duty_cycle"])

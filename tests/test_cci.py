@@ -17,13 +17,12 @@ from fleetcarbon.report import fold_platforms
 from fleetcarbon.telemetry import FleetWindow, PlatformSpec, aggregate
 
 
-def window(power_sum=1184.0, samples=1, flops=10**18, duty=0.5, pid="p1"):
+def window(power_sum=1184.0, samples=1, flops=10**18, pid="p1"):
     return FleetWindow(
         platform_id=pid,
         sample_count=samples,
         power_sum_w=power_sum,
         total_flops=flops,
-        duty_cycle_sum=duty * samples,
     )
 
 

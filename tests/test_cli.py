@@ -109,6 +109,14 @@ def bundled_manifest(**first_run):
     return bundled_json("workload_manifest.json", lambda d: d["runs"][0].update(first_run))
 
 
+def appended_interval(**raw):
+    """The bundled run intervals plus a copy of their first record with `raw` replacing its fields."""
+    lines = (bundled_config_path().parent / "workload_runs.jsonl").read_bytes()
+    return lines + json.dumps(dict(json.loads(lines.split(b"\n", 1)[0]), **raw)).encode() + b"\n"
+
+
+# a record for a machine its run does not list; on_duty_power would never read it
+UNLISTED_MACHINE_INTERVALS = appended_interval(machine_id="not-in-pod", power_w=99999)
 DEEP = b"[" * 100_000 + b"]" * 100_000  # far beyond the decoder's recursion limit
 CATALOG_V4I = '{{"v4i": {{"chips_per_machine": 8, "trays_per_machine": 3, {}}}}}'
 
@@ -243,6 +251,19 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "cohort platforms not in catalog: 'v6x'" in err
         assert not out.exists()
+
+    def test_weight_reads_no_inventories(self, tmp_path, capsys):
+        bad = tmp_path / "inventories.json"
+        bad.write_text("{not json")
+        cfg_path = write_config(tmp_path, inventories=str(bad))
+        assert run_cli(capsys, "weight", "-o", str(tmp_path / "demo"))[0] == 0
+        code, _, err = run_cli(capsys, "weight", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert code == 0, err
+        weighting = (tmp_path / "out" / "weighting.csv").read_bytes()
+        assert weighting == (tmp_path / "demo" / "weighting.csv").read_bytes()
+        code, _, err = run_cli(capsys, "report", "--config", str(cfg_path), "-o", str(tmp_path / "report"))
+        assert code == EXIT_CONFIG
+        assert "cannot load inventories" in err
 
     @pytest.mark.parametrize(
         "key,content,command,expected",
@@ -574,7 +595,8 @@ class TestMalformedDocuments:
                 EXIT_INGEST,
                 "runs[0].machines: 'm0' is not a list",
             ),
-            ("run_manifest", b'{"runs": "rlhf-v5e-r1"}', "workload", EXIT_INGEST, "runs is str, not a list"),
+            ("run_manifest", b'{"runs": "rlhf-v5e-r1"}', "workload", EXIT_INGEST, "runs: 'rlhf-v5e-r1' is not a list"),
+            ("run_manifest", b"{}", "workload", EXIT_INGEST, "KeyError('runs')"),
             (
                 "platforms",
                 bundled_json("platforms.json", lambda d: renamed(d["v4i"], "lifetime_years", "lifetime_year")),
@@ -773,6 +795,13 @@ class TestMalformedDocuments:
                 EXIT_INGEST,
                 "run rlhf-v6e-r1: machine 'rlhf-v6e-r1-m07' listed twice",
             ),
+            (
+                "run_intervals",
+                UNLISTED_MACHINE_INTERVALS,
+                "workload",
+                EXIT_INGEST,
+                "bad interval record at line 1537: machine 'not-in-pod' is not listed in run 'rlhf-v5e-r1'",
+            ),
         ],
         ids=[
             "catalog-rectifier-flag-text",
@@ -784,6 +813,7 @@ class TestMalformedDocuments:
             "config-accept-text",
             "run-machines-text",
             "run-manifest-runs-text",
+            "run-manifest-no-runs",
             "catalog-entry-key",
             "inventory-key",
             "inventory-component-key",
@@ -814,6 +844,7 @@ class TestMalformedDocuments:
             "config-run-accepted-and-rejected",
             "run-listed-twice",
             "run-machine-listed-twice",
+            "run-interval-unlisted-machine",
         ],
     )
     def test_malformed_document_is_named(self, tmp_path, capsys, key, content, command, expected, named):

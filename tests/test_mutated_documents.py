@@ -98,25 +98,30 @@ def render(name: str, doc) -> str:
     return text
 
 
+def check_mutation(name: str, original, data, work) -> None:
+    """One example: mutate `original`, the document `name`, and run every command that reads it in `work`."""
+    _, key, commands = DOCUMENTS[name]
+    document, config = work / "document.json", work / "config.json"
+    document.write_text(render(name, mutate(original, data)))
+    if name == "config":
+        argv = ["--config", str(document)]
+    elif key is None:  # the synth scenario
+        argv = ["--scenario-file", str(document)]
+    else:
+        config.write_text(json.dumps(dict(demo_config(), **{key: str(document)})))
+        argv = ["--config", str(config)]
+    for command in commands:
+        assert main([command, *argv, "-o", str(work / "out")]) in EXIT_CODES
+
+
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_mutated_document_exits_cleanly(name, tmp_path_factory):
-    build, key, commands = DOCUMENTS[name]
-    original = build()
+    original = DOCUMENTS[name][0]()
     work = tmp_path_factory.mktemp(name)
-    document, config = work / "document.json", work / "config.json"
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(st.data())
     def check(data):
-        document.write_text(render(name, mutate(original, data)))
-        if name == "config":
-            argv = ["--config", str(document)]
-        elif key is None:  # the synth scenario
-            argv = ["--scenario-file", str(document)]
-        else:
-            config.write_text(json.dumps(dict(demo_config(), **{key: str(document)})))
-            argv = ["--config", str(config)]
-        for command in commands:
-            assert main([command, *argv, "-o", str(work / "out")]) in EXIT_CODES
+        check_mutation(name, original, data, work)
 
     check()

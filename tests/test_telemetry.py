@@ -249,7 +249,6 @@ class TestIngest:
     def test_cells_follow_the_bucket_scheme(self):
         rows = [record(duty=d, minute=5 * i) for i, d in enumerate((0.0, 0.1, 0.15, 0.5, 1.0))]
         ds = ingest(rows, {"p1": spec()}, BucketScheme(4))
-        assert ds.scheme == BucketScheme(4)
         assert {key: cell.count for key, cell in ds.samples.items()} == {
             ("p1", 0): 3,
             ("p1", 1): 1,
@@ -516,7 +515,6 @@ class TestAggregate:
         a = parts[0].combine(parts[1]).combine(parts[2]).combine(parts[3])
         b = parts[3].combine(parts[2]).combine(parts[1]).combine(parts[0])
         assert a.total_energy_kwh == b.total_energy_kwh
-        assert a.duty_cycle_sum == b.duty_cycle_sum
 
     @given(
         rows=st.lists(
@@ -552,7 +550,6 @@ class TestAggregate:
             w = aggregate(ds, pid)
             assert w.sample_count == len(mine)
             assert w.power_sum_w == math.fsum(powers)
-            assert w.duty_cycle_sum == math.fsum(r["duty_cycle"] for r in mine)
             assert w.total_flops == sum(r["flops"] for r in mine)
 
     def test_compacted_cells_keep_exact_sums_in_any_row_order(self):

@@ -348,7 +348,7 @@ class TestReadRuns:
     def test_bare_list_manifest_is_ingest_error(self, run_config, tmp_path):
         manifest = tmp_path / "runs.json"
         manifest.write_text(json.dumps(json.loads(run_config.run_manifest.read_text())["runs"]))
-        with pytest.raises(IngestError, match="no list of runs"):
+        with pytest.raises(IngestError, match="is not a JSON object"):
             read_runs(manifest, run_config.run_intervals)
 
     def test_repeated_record_is_ingest_error(self, run_config, tmp_path):
