@@ -27,8 +27,13 @@ J_PER_KWH = 3.6e6
 
 @dataclass(frozen=True)
 class CciReport:
-    """Carbon intensity of one platform under one accounting standard."""
+    """Carbon intensity of one platform, with the five inputs `build_report` derived it from."""
 
+    spec: PlatformSpec
+    window: FleetWindow
+    breakdown: EmbodiedBreakdown
+    factor_g_per_kwh: float
+    pue: float
     energy_kwh_per_exaflop: float  # PUE-inclusive
     embodied_cci: float  # gCO2e per 10^18 FLOPs
     operational_cci: float
@@ -101,6 +106,7 @@ def build_report(
     epf = energy_per_exaflop(window, pue)
     lef = lifetime_exaflops(window, spec)
     return CciReport(
+        spec, window, breakdown, factor_g_per_kwh, pue,
         energy_kwh_per_exaflop=epf,
         embodied_cci=embodied_cci(breakdown.total * 1000.0, lef),
         operational_cci=operational_cci(epf, factor_g_per_kwh),

@@ -80,11 +80,11 @@ def _inputs(config: cfgmod.RunConfig):
 
 
 def _accounts(config: cfgmod.RunConfig):
-    """The inventories and `_inputs`, with the dataset folded into each platform's account."""
+    """The inventories and `_inputs`, with the dataset folded into each platform's CCI report."""
     inventories = cfgmod.load_inventories(config.inventories)  # before ingest: a bad file exits 2 whatever the rows
     platforms, factors, dataset = _inputs(config)
-    accounts = reportmod.fold_platforms(dataset, inventories, factors, config.standard, config.pue)
-    return platforms, inventories, factors, accounts
+    reports = reportmod.fold_platforms(dataset, inventories, factors, config.standard, config.pue)
+    return platforms, inventories, factors, reports
 
 
 def cmd_ingest(config, args) -> list[reportmod.Table]:
@@ -107,17 +107,17 @@ def cmd_ingest(config, args) -> list[reportmod.Table]:
 
 
 def cmd_report(config, args) -> list[reportmod.Table]:
-    platforms, inventories, _, accounts = _accounts(config)
+    platforms, inventories, _, reports = _accounts(config)
     return [
-        reportmod.platform_table(accounts),
-        reportmod.stage_breakdown_table(accounts),
+        reportmod.platform_table(reports, config.standard),
+        reportmod.stage_breakdown_table(reports, config.standard),
         reportmod.manufacturing_table(platforms, inventories),
     ]
 
 
 def cmd_cci(config, args) -> list[reportmod.Table]:
-    *_, accounts = _accounts(config)
-    sys.stdout.write(reportmod.platform_table(accounts).render(config.format))
+    *_, reports = _accounts(config)
+    sys.stdout.write(reportmod.platform_table(reports, config.standard).render(config.format))
     return []
 
 
@@ -135,10 +135,9 @@ def cmd_workload(config, args) -> list[reportmod.Table]:
         raise ConfigError("config has no run_manifest/run_intervals for workload reporting")
     platforms = cfgmod.load_platforms(config.platforms)
     inventories = cfgmod.load_inventories(config.inventories)
-    factors = cfgmod.load_factors(config.factors)
     factor = config.workload_factor_g_per_kwh
     if factor is None:
-        factor = factors.factor_for(config.standard)
+        factor = cfgmod.load_factors(config.factors).factor_for(config.standard)
     runs = read_runs(config.run_manifest, config.run_intervals)
     return [
         reportmod.workload_table(
@@ -148,11 +147,11 @@ def cmd_workload(config, args) -> list[reportmod.Table]:
 
 
 def cmd_scenario(config, args) -> list[reportmod.Table]:
-    _, _, factors, accounts = _accounts(config)
+    _, _, factors, reports = _accounts(config)
     names = args.scenarios or sorted(factors.scenarios)
     if not names:
         raise ConfigError("no scenarios defined in the factor configuration")
-    return [reportmod.scenario_table(accounts, factors, names, baseline_platform=args.baseline_platform)]
+    return [reportmod.scenario_table(reports, factors, names, baseline_platform=args.baseline_platform)]
 
 
 def cmd_weight(config, args) -> list[reportmod.Table]:

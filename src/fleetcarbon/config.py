@@ -137,22 +137,19 @@ def finite_number(value) -> float:
     """A JSON number, or a number written as JSON text, as a finite float.
 
     NaN, infinities and values beyond float range are errors, whether they
-    arrive as JSON tokens (`NaN`, `1e400`) or as text (`"nan"`, `"inf"`).
+    arrive as JSON tokens (`NaN`, `1e400`) or as text (`"nan"`, `"inf"`);
+    so is a boolean, which `float` would read as 0.0 or 1.0.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"non-finite number {value!r}")
     return number
 
 
-def _real(value) -> float:
-    if isinstance(value, bool):  # float(True) would read as 1.0
-        raise TypeError(f"{value!r} is not a number")
-    return finite_number(value)
-
-
 def _whole(value) -> int:
-    number = _real(value)  # an integer beyond float range would overflow where it is used
+    number = finite_number(value)  # an integer beyond float range would overflow where it is used
     if not number.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return value if type(value) is int else int(number)
@@ -170,7 +167,7 @@ def _path(value) -> Path:
     return Path(value)
 
 
-_SCALARS: dict[type, Callable] = {float: _real, int: _whole, bool: _flag, str: str, Path: _path}
+_SCALARS: dict[type, Callable] = {float: finite_number, int: _whole, bool: _flag, str: str, Path: _path}
 
 
 def _at(place: str, key: str) -> str:

@@ -10,10 +10,11 @@ environment-dependent is written.
 The telemetry-driven tables read the ledger `telemetry.ingest` builds,
 whose cells hold each (platform, duty-bucket) total of the complete rows;
 no table walks rows. The platforms, stage breakdown and scenario tables
-read one `FleetAccounts`: `fold_platforms` combines each catalog
+read the `CciReport`s of `fold_platforms`, which combines each catalog
 platform's cells into a window and takes it through the embodied
-breakdown and its CCI report exactly once, and a command builds every such
-table it writes from that one result. The weighting table hands the
+breakdown and its CCI report exactly once; each report carries its
+window, breakdown, factor and PUE, and a command builds every such table
+it writes from that one result. The weighting table hands the
 cohort's cells to the duty-balanced comparison as its strata.
 
 Per the house accounting style, mass columns (kg suffix) are rounded to
@@ -32,7 +33,6 @@ from .config import FactorConfig, RunPolicy
 from .errors import ComputationError, ConfigError
 from .factors import scenario_manufacturing_reduction
 from .lca import (
-    EmbodiedBreakdown,
     MachineInventory,
     inventory_for,
     inventory_views,
@@ -43,7 +43,6 @@ from .lca import (
 from .telemetry import (
     Cell,
     FleetDataset,
-    FleetWindow,
     PlatformSpec,
     aggregate,
     lifetime_energy_per_chip,
@@ -103,56 +102,34 @@ def _round_kg(value: float) -> int:
     return round(value)
 
 
-@dataclass(frozen=True)
-class PlatformAccount:
-    """One platform's aggregated window, embodied breakdown and CCI report."""
-
-    spec: PlatformSpec
-    window: FleetWindow
-    breakdown: EmbodiedBreakdown
-    report: CciReport
-
-
-@dataclass(frozen=True)
-class FleetAccounts:
-    """Every catalog platform accounted under one standard and PUE."""
-
-    standard: str
-    factor_g_per_kwh: float
-    pue: float
-    platforms: dict[str, PlatformAccount]  # in sorted platform order
-
-
 def fold_platforms(
     dataset: FleetDataset,
     inventories: dict[str, MachineInventory],
     factors: FactorConfig,
     standard: str,
     pue: float,
-) -> FleetAccounts:
-    """Aggregate, break down and report each platform of the dataset's catalog once."""
+) -> dict[str, CciReport]:
+    """Aggregate, break down and report each platform of the dataset's catalog once,
+    in sorted platform order."""
     factor = factors.factor_for(standard)
-    accounts = {}
+    reports = {}
     for pid in sorted(dataset.catalog):
         spec = dataset.catalog[pid]
-        window = aggregate(dataset, pid)
         breakdown = per_chip_embodied(inventory_for(spec, inventories), spec)
-        rep = build_report(window, spec, breakdown, factor, pue)
-        accounts[pid] = PlatformAccount(spec, window, breakdown, rep)
-    return FleetAccounts(standard, factor, pue, accounts)
+        reports[pid] = build_report(aggregate(dataset, pid), spec, breakdown, factor, pue)
+    return reports
 
 
-def platform_table(accounts: FleetAccounts) -> Table:
+def platform_table(reports: dict[str, CciReport], standard: str) -> Table:
     """Per-platform lifetime accounting under one electricity standard."""
-    factor = accounts.factor_g_per_kwh
     rows = []
-    for pid, acct in accounts.platforms.items():
-        window, breakdown, rep = acct.window, acct.breakdown, acct.report
-        energy_chip = lifetime_energy_per_chip(window, acct.spec, accounts.pue)
+    for pid, rep in reports.items():
+        window, breakdown = rep.window, rep.breakdown
+        energy_chip = lifetime_energy_per_chip(window, rep.spec, rep.pue)
         rows.append(
             (
                 pid,
-                accounts.standard,
+                standard,
                 window.sample_count,
                 round(window.mean_machine_power_w, 1),
                 rep.energy_kwh_per_exaflop,
@@ -161,7 +138,7 @@ def platform_table(accounts: FleetAccounts) -> Table:
                 _round_kg(breakdown.dc_construction),
                 _round_kg(breakdown.cpu_mt),
                 _round_kg(breakdown.tpu_mt),
-                _round_kg(energy_chip * factor / 1000.0),
+                _round_kg(energy_chip * rep.factor_g_per_kwh / 1000.0),
                 rep.lifetime_exaflops_per_chip,
                 rep.embodied_cci,
                 rep.operational_cci,
@@ -191,11 +168,11 @@ def platform_table(accounts: FleetAccounts) -> Table:
     )
 
 
-def stage_breakdown_table(accounts: FleetAccounts) -> Table:
+def stage_breakdown_table(reports: dict[str, CciReport], standard: str) -> Table:
     """Chart-ready intensity per life-cycle stage, g per ExaFLOP."""
     rows = []
-    for pid, acct in accounts.platforms.items():
-        breakdown, rep = acct.breakdown, acct.report
+    for pid, rep in reports.items():
+        breakdown = rep.breakdown
         lef = rep.lifetime_exaflops_per_chip
         stages = (
             ("dc_construction", breakdown.dc_construction * 1000.0 / lef),
@@ -203,7 +180,7 @@ def stage_breakdown_table(accounts: FleetAccounts) -> Table:
             ("tpu_manufacturing_transport", breakdown.tpu_mt * 1000.0 / lef),
             ("end_of_life", breakdown.eol * 1000.0 / lef),
             ("scope1", breakdown.scope1 * 1000.0 / lef),
-            (f"operational_{accounts.standard}", rep.operational_cci),
+            (f"operational_{standard}", rep.operational_cci),
         )
         for stage, value in stages:
             rows.append((pid, stage, value))
@@ -365,7 +342,7 @@ def dataset_observations(
 
 
 def scenario_table(
-    accounts: FleetAccounts,
+    reports: dict[str, CciReport],
     factors: FactorConfig,
     scenario_names: list[str],
     baseline_platform: str | None = None,
@@ -376,7 +353,7 @@ def scenario_table(
     and of a named reference platform) to the scenario intensity; above 1
     means the scenario is an improvement. Embodied intensity and energy per
     ExaFLOP do not depend on the standard, so the baseline totals are
-    re-priced from `accounts` rather than recomputed.
+    re-priced from `reports` rather than recomputed.
     """
     rows = []
     for name in scenario_names:
@@ -390,15 +367,13 @@ def scenario_table(
             else 0.0
         )
         base_totals = {
-            pid: acct.report.embodied_cci
-            + operational_cci(acct.report.energy_kwh_per_exaflop, base_factor)
-            for pid, acct in accounts.platforms.items()
+            pid: base.embodied_cci + operational_cci(base.energy_kwh_per_exaflop, base_factor)
+            for pid, base in reports.items()
         }
         ref = baseline_platform or next(iter(base_totals))
         if ref not in base_totals:
             raise ComputationError(f"baseline platform {ref!r} not in catalog")
-        for pid, acct in accounts.platforms.items():
-            base = acct.report
+        for pid, base in reports.items():
             scen_embodied = base.embodied_cci * (1.0 - reduction)
             scen_operational = (
                 base.energy_kwh_per_exaflop * scenario.operations_factor_g_per_kwh

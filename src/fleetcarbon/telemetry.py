@@ -244,7 +244,15 @@ def parse_rfc3339(text: str) -> datetime:
         raise ValueError(f"{text!r} is outside the representable UTC range") from None
 
 
+def _number(raw) -> float:
+    if isinstance(raw, bool):  # float(True) would read as 1.0
+        raise TypeError(f"{raw!r} is not a number")
+    return float(raw)
+
+
 def _parse_flops(raw: str | int | float) -> int:
+    if isinstance(raw, bool):
+        raise TypeError(f"{raw!r} is not a number")
     if isinstance(raw, str):
         text = raw.strip()
         try:
@@ -264,7 +272,7 @@ def _parse_tray_power(raw) -> tuple[float, ...]:
     if isinstance(raw, str):  # blank readings are skipped; anything else is an error
         readings = tuple(map(float, filter(str.strip, raw.split(";"))))
     else:
-        readings = tuple(map(float, raw))
+        readings = tuple(map(_number, raw))
     if not math.isfinite(sum(readings)):  # NaN, inf, or a sum beyond float range
         raise ValueError(f"non-finite tray power {readings!r}")
     return readings
@@ -284,7 +292,7 @@ def _checked_numbers(raw_power, raw_duty, raw_flops, platform_id: str, spec: Pla
     duty: float | None = None
     if raw_duty is not None and raw_duty != "":
         try:
-            duty = float(raw_duty)
+            duty = _number(raw_duty)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"bad number: duty_cycle {raw_duty!r}") from None
     flops: int | None = None
@@ -421,8 +429,9 @@ def ingest(
     or .json) or an iterable of record dicts; wrap an open CSV text file in
     `csv.DictReader` to pass it as the latter. Every row goes through the
     same checks, in a fixed order, and the first failure is the reason:
-    platform, timestamp, the three numbers' syntax, their ranges, the tray
-    count, then the (machine, interval) key. Every unparseable row,
+    platform, timestamp, the three numbers' syntax (a boolean is not a
+    number), their ranges, the tray count, then the key: a blank or absent
+    machine_id, then a repeated (machine, interval). Every unparseable row,
     malformed JSON included, is recorded in the rejection log with its
     1-based row number; so is a repeat of an accepted row's (machine_id,
     interval) key, after the first. Complete rows are folded into cells by
@@ -457,7 +466,7 @@ def ingest(
             # Complete plain-text rows passing every number check take this short path (tray
             # text without "-" has no negative reading); the full check names any failure.
             plain = False
-            if raw_power and raw_duty and raw_flops and type(raw_flops) is str:
+            if raw_power and raw_duty and raw_flops and type(raw_flops) is type(raw_duty) is str:
                 try:
                     trays = tuple(map(float, raw_power.split(";")))
                     duty = float(raw_duty)
@@ -475,9 +484,11 @@ def ingest(
             if not plain:
                 trays, duty, flops = _checked_numbers(raw_power, raw_duty, raw_flops, platform_id, spec)
 
-            machine_id = str(machine_id or "").strip()
+            machine_id = "" if machine_id is None else str(machine_id).strip()
             times = seen.get(machine_id)
-            if times is None:
+            if times is None:  # a blank id is never stored, so every such row is checked here
+                if not machine_id:
+                    raise ValueError("missing machine_id")
                 times = seen[machine_id] = set()
             if epoch in times:
                 at = datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()

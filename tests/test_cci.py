@@ -12,7 +12,7 @@ from fleetcarbon.cci import (
     operational_cci,
 )
 from fleetcarbon.errors import ComputationError
-from fleetcarbon.lca import per_chip_embodied
+from fleetcarbon.lca import EmbodiedBreakdown, per_chip_embodied
 from fleetcarbon.report import fold_platforms
 from fleetcarbon.telemetry import FleetWindow, PlatformSpec, aggregate
 
@@ -46,8 +46,8 @@ class TestEnergyPerExaflop:
         self, fleet_dataset, inventories, factor_config, run_config, standard
     ):
         # the paper's headline: v4i carries about three times v6e's total CCI
-        accounts = fold_platforms(fleet_dataset, inventories, factor_config, standard, run_config.pue)
-        totals = {pid: acct.report.total_cci for pid, acct in accounts.platforms.items()}
+        reports = fold_platforms(fleet_dataset, inventories, factor_config, standard, run_config.pue)
+        totals = {pid: rep.total_cci for pid, rep in reports.items()}
         assert 2.9 < totals["v4i"] / totals["v6e"] < 3.0
 
     def test_unit_identity(self):
@@ -122,6 +122,13 @@ class TestLifetimeExaflops:
 class TestReportAndEstimates:
     def report(self, embodied=79.0, operational=263.0):
         return CciReport(
+            spec=spec(),
+            window=window(),
+            breakdown=EmbodiedBreakdown(
+                cpu_mt=100.0, tpu_mt=400.0, dc_construction=150.0, eol=0.0, scope1=40.0
+            ),
+            factor_g_per_kwh=136.0,
+            pue=1.1,
             energy_kwh_per_exaflop=1.93,
             embodied_cci=embodied,
             operational_cci=operational,

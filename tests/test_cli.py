@@ -265,6 +265,20 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "cannot load inventories" in err
 
+    def test_workload_reads_factors_only_without_its_own_factor(self, tmp_path, capsys):
+        bad = tmp_path / "factors.json"
+        bad.write_text("{not json")
+        cfg_path = write_config(tmp_path, factors=str(bad))
+        assert run_cli(capsys, "workload", "-o", str(tmp_path / "demo"))[0] == 0
+        code, _, err = run_cli(capsys, "workload", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert code == 0, err
+        workloads = (tmp_path / "out" / "workloads.csv").read_bytes()
+        assert workloads == (tmp_path / "demo" / "workloads.csv").read_bytes()
+        cfg_path = write_config(tmp_path, factors=str(bad), workload_factor_g_per_kwh=None)
+        code, _, err = run_cli(capsys, "workload", "--config", str(cfg_path), "-o", str(tmp_path / "null"))
+        assert code == EXIT_CONFIG
+        assert "cannot load factor sets" in err
+
     @pytest.mark.parametrize(
         "key,content,command,expected",
         [
@@ -802,6 +816,13 @@ class TestMalformedDocuments:
                 EXIT_INGEST,
                 "bad interval record at line 1537: machine 'not-in-pod' is not listed in run 'rlhf-v5e-r1'",
             ),
+            (
+                "run_intervals",
+                bundled_intervals(power_w="true"),
+                "workload",
+                EXIT_INGEST,
+                "bad interval record at line 1: True is not a number",
+            ),
         ],
         ids=[
             "catalog-rectifier-flag-text",
@@ -845,6 +866,7 @@ class TestMalformedDocuments:
             "run-listed-twice",
             "run-machine-listed-twice",
             "run-interval-unlisted-machine",
+            "run-interval-power-true",
         ],
     )
     def test_malformed_document_is_named(self, tmp_path, capsys, key, content, command, expected, named):

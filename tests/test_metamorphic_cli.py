@@ -7,22 +7,31 @@ every timestamp by a multiple of the 300 s interval. `cci`, `report`,
 `scenario` and `weight` must then write the same bytes, in CSV and in JSON,
 as on the demo itself. `ingest` must report the same summary, except that
 `rows_rejected` rises by exactly the number of rows each appended copy or
-unknown-platform row added. Every command runs in process through
-`cli.main`, and the examples are derandomized.
+unknown-platform row added.
+
+Doubling every tray reading must double exactly every column that is
+linear in power (energy and operational carbon per ExaFLOP, balanced
+power) and leave the rest unchanged, rounded columns and sums aside. For
+`workload`, renaming machines one-to-one in the run manifest and the
+interval lines, or shuffling the interval lines, must leave its table
+byte-identical. Every command runs in process through `cli.main`, and the
+examples are derandomized.
 """
 
 import contextlib
 import csv
 import io
 import json
+import random
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetcarbon.cli import main
-from fleetcarbon.config import load_config
+from fleetcarbon.config import bundled_config_path, load_config
 
 COMMANDS = ("cci", "report", "scenario", "weight")
 FORMATS = ("csv", "json")
@@ -36,7 +45,9 @@ def demo_rows() -> tuple[list[str], list[list[str]]]:
 
 
 HEADER, ROWS = demo_rows()
-MACHINE, PLATFORM, STAMP = (HEADER.index(name) for name in ("machine_id", "platform_id", "interval_start"))
+MACHINE, PLATFORM, STAMP, TRAYS = (
+    HEADER.index(name) for name in ("machine_id", "platform_id", "interval_start", "tray_power_w")
+)
 
 
 def run(argv, out_dir) -> dict[str, bytes]:
@@ -124,5 +135,109 @@ def test_edit_leaves_every_table_unchanged(relation, demo, tmp_path_factory):
         for case, files in demo_tables.items():
             assert tables[case] == files, case
         assert summary == dict(demo_summary, rows_rejected=demo_summary["rows_rejected"] + added_rejections)
+
+    check()
+
+
+# Columns that doubling every tray reading doubles exactly, and columns it moves
+# by no exact rule: values rounded at build time, and sums of a doubled and an
+# unchanged part. Every other column must stay as it is.
+DOUBLED = {"kwh_per_exaflop", "operational_cci", "scenario_operational_cci"}
+SKIPPED = {
+    "mean_power_w",
+    "lifetime_kwh_per_chip",
+    "operational_kg_per_chip",
+    "total_cci",
+    "baseline_total_cci",
+    "scenario_total_cci",
+    "improvement_vs_self",
+    "improvement_vs_baseline_platform",
+}
+POWER_METRICS = {"power_w", "energy_kwh_per_exaflop", "carbon_g_per_exaflop"}
+
+
+def doubles(row, column) -> bool:
+    if column == "g_per_exaflop":  # the stage breakdown: only its operational stage
+        return row["stage"].startswith("operational_")
+    if column == "weighted_value":  # the weighting table: the metrics linear in power
+        return row["metric"] in POWER_METRICS
+    return column in DOUBLED
+
+
+def doubled(trays: str) -> str:
+    """Tray readings text with each reading written as repr(2 * x); a blank field stays blank."""
+    return ";".join(repr(2 * float(x)) if x.strip() else x for x in trays.split(";"))
+
+
+def test_doubled_tray_readings_double_the_power_columns(demo, tmp_path):
+    demo_tables, demo_summary = demo
+    telemetry = tmp_path / "telemetry.csv"
+    rows = [[doubled(field) if i == TRAYS else field for i, field in enumerate(row)] for row in ROWS]
+    with telemetry.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([HEADER, *rows])
+    tables, summary = outputs(telemetry, tmp_path)
+    assert summary == demo_summary
+    for case in (f"{command}.json" for command in COMMANDS):
+        assert tables[case].keys() == demo_tables[case].keys()
+        for name, text in demo_tables[case].items():
+            if not text.startswith(b"{"):  # `wrote` lines and stderr
+                assert tables[case][name] == text, (case, name)
+                continue
+            before, after = json.loads(text)["rows"], json.loads(tables[case][name])["rows"]
+            assert len(after) == len(before)
+            for old, new in zip(before, after):
+                for column in old.keys() - SKIPPED:
+                    expected = 2 * old[column] if doubles(old, column) else old[column]
+                    assert new[column] == expected, (case, name, column, old)
+
+
+def demo_runs() -> tuple[dict, dict, list[str]]:
+    """The demo config with absolute input paths, its run manifest and its interval lines."""
+    config_path = bundled_config_path()
+    raw = json.loads(config_path.read_text(encoding="utf-8"))
+    for key in ("telemetry", "platforms", "inventories", "factors", "run_manifest", "run_intervals"):
+        raw[key] = str(config_path.parent / raw[key])
+    manifest = json.loads(Path(raw["run_manifest"]).read_text(encoding="utf-8"))
+    return raw, manifest, Path(raw["run_intervals"]).read_text(encoding="utf-8").splitlines()
+
+
+RUN_CONFIG, MANIFEST, INTERVAL_LINES = demo_runs()
+
+
+def renamed_pods(draw):
+    machines = sorted({m for run in MANIFEST["runs"] for m in run["machines"]})
+    suffix = draw(st.sampled_from(("", "-b", "/renamed")))
+    new = dict(zip(machines, (name + suffix for name in draw(st.permutations(machines)))))
+    manifest = {"runs": [{**run, "machines": [new[m] for m in run["machines"]]} for run in MANIFEST["runs"]]}
+    records = (json.loads(line) for line in INTERVAL_LINES)
+    return manifest, [json.dumps({**rec, "machine_id": new[rec["machine_id"]]}) for rec in records]
+
+
+def shuffled_intervals(draw):
+    lines = list(INTERVAL_LINES)
+    random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(lines)  # too many lines to draw a permutation
+    return MANIFEST, lines
+
+
+WORKLOAD_RELATIONS = {"rename-pod-machines": renamed_pods, "shuffle-interval-lines": shuffled_intervals}
+
+
+@pytest.mark.parametrize("relation", WORKLOAD_RELATIONS)
+def test_edit_leaves_the_workload_table_unchanged(relation, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(RUN_CONFIG), encoding="utf-8")
+    demo = run(["workload", "--config", str(config)], tmp_path / "demo")
+    manifest, intervals = tmp_path / "manifest.json", tmp_path / "intervals.jsonl"
+    config.write_text(
+        json.dumps({**RUN_CONFIG, "run_manifest": str(manifest), "run_intervals": str(intervals)}), encoding="utf-8"
+    )
+
+    @settings(max_examples=6, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def check(data):
+        edited, lines = WORKLOAD_RELATIONS[relation](data.draw)
+        manifest.write_text(json.dumps(edited), encoding="utf-8")
+        intervals.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert run(["workload", "--config", str(config)], tmp_path / "out") == demo
 
     check()

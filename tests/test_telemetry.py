@@ -168,6 +168,38 @@ class TestIngest:
         assert len(ds) == 0
         assert ds.rejections[0].reason.startswith(f"bad number: {field}")
 
+    @pytest.mark.parametrize("field", ["tray_power_w", "duty_cycle", "flops"])
+    @pytest.mark.parametrize("suffix", [".jsonl", None], ids=["json-lines", "dicts"])
+    def test_boolean_is_not_a_number(self, tmp_path, field, suffix):
+        record = {"machine_id": "m0", "platform_id": "p1", "interval_start": "2024-10-01T00:00:00Z",
+                  "tray_power_w": "300;442", "duty_cycle": "0.5", "flops": "1000"}
+        record[field] = [True, True] if field == "tray_power_w" else True
+        source = [record]
+        if suffix:
+            source = tmp_path / f"t{suffix}"
+            source.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        ds = ingest(source, {"p1": spec(trays=2)})
+        assert len(ds) == 0
+        assert len(ds.rejections) == 1
+        assert ds.rejections[0].reason.startswith(f"bad number: {field}")
+
+    def test_row_without_machine_id_rejected(self):
+        unnamed = record(minute=15)
+        del unnamed["machine_id"]
+        rows = [
+            record(machine=""),
+            record(machine=" ", minute=5),
+            record(machine=None, minute=10),
+            unnamed,
+            record(machine="", duty=2.0),  # the key is checked after the numbers
+            record(machine=0),  # a number is a name
+        ]
+        ds = ingest(rows, {"p1": spec()})
+        assert len(ds) == 1
+        assert [r.reason for r in ds.rejections] == ["missing machine_id"] * 4 + [
+            "range violation: duty_cycle 2.0 outside [0, 1]"
+        ]
+
     def test_malformed_json_line_rejected_and_later_rows_read(self, tmp_path):
         good = (
             '{"machine_id": "%s", "platform_id": "p1", "interval_start": '
