@@ -3,11 +3,12 @@
 Machines report one row per five-minute interval: per-tray average power,
 duty cycle, and executed FLOPs. `ingest` reads the rows once, in one loop,
 and builds no object per row. Each row is validated against a platform
-catalog (malformed rows land in a rejection log with their reason, never
-dropped silently); a row lacking power, duty cycle or FLOPs is only counted
-in `exclusions`; every complete row is folded into the `Cell` of its
-platform and duty-cycle bucket: row count, FLOP total, and buffered exact
-parts of machine power and duty cycle.
+catalog, each of its numbers parsed once and range-checked once (malformed
+rows land in a rejection log with their reason, never dropped silently); a
+row lacking power, duty cycle or FLOPs is only counted in `exclusions`;
+every complete row is folded into the `Cell` of its platform and duty-cycle
+bucket: row count, FLOP total, and buffered exact parts of machine power
+and duty cycle.
 
 Everything downstream reads those cells: `aggregate` combines one
 platform's cells into a `FleetWindow`, and the duty-balanced comparison
@@ -244,76 +245,48 @@ def parse_rfc3339(text: str) -> datetime:
         raise ValueError(f"{text!r} is outside the representable UTC range") from None
 
 
-def _number(raw) -> float:
-    if isinstance(raw, bool):  # float(True) would read as 1.0
-        raise TypeError(f"{raw!r} is not a number")
-    return float(raw)
-
-
-def _parse_flops(raw: str | int | float) -> int:
-    if isinstance(raw, bool):
-        raise TypeError(f"{raw!r} is not a number")
-    if isinstance(raw, str):
-        text = raw.strip()
-        try:
-            raw = int(text)  # exact for arbitrarily large counts
-        except ValueError:
-            raw = float(text)
-    if isinstance(raw, float):
-        if not math.isfinite(raw):
-            raise ValueError(f"non-finite flops {raw!r}")
-        return round(raw)
-    if raw > _FLOPS_MAX:
-        raise ValueError(f"flops {raw} beyond float range")
-    return raw
-
-
-def _parse_tray_power(raw) -> tuple[float, ...]:
-    if isinstance(raw, str):  # blank readings are skipped; anything else is an error
-        readings = tuple(map(float, filter(str.strip, raw.split(";"))))
-    else:
-        readings = tuple(map(_number, raw))
-    if not math.isfinite(sum(readings)):  # NaN, inf, or a sum beyond float range
-        raise ValueError(f"non-finite tray power {readings!r}")
-    return readings
-
-
-def _checked_numbers(raw_power, raw_duty, raw_flops, platform_id: str, spec: PlatformSpec):
+def _numbers(raw_power, raw_duty, raw_flops):
     """A row's tray readings, duty cycle and FLOPs, each () or None when missing.
 
-    A ValueError names the first failure: syntax in column order, ranges, tray count.
+    Reads text or JSON values: blank readings in tray text are skipped, a
+    boolean is not a number, a fractional FLOP count rounds to the nearest,
+    and the tray sum and FLOP count must lie within float range. A
+    ValueError names the first field, in column order, that does not parse.
     """
-    trays: tuple[float, ...] = ()
-    if raw_power is not None and raw_power != "":
-        try:
-            trays = _parse_tray_power(raw_power)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"bad number: tray_power_w {raw_power!r}") from None
-    duty: float | None = None
-    if raw_duty is not None and raw_duty != "":
-        try:
-            duty = _number(raw_duty)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"bad number: duty_cycle {raw_duty!r}") from None
-    flops: int | None = None
-    if raw_flops is not None and raw_flops != "":
-        try:
-            flops = _parse_flops(raw_flops)
-        except (TypeError, ValueError):
-            raise ValueError(f"bad number: flops {raw_flops!r}") from None
-
-    if duty is not None and not 0.0 <= duty <= 1.0:
-        raise ValueError(f"range violation: duty_cycle {duty} outside [0, 1]")
-    if flops is not None and flops < 0:
-        raise ValueError(f"range violation: flops {flops} is negative")
-    for w in trays:
-        if w < 0:
-            raise ValueError(f"range violation: tray power {w} is negative")
-    if trays and len(trays) != spec.trays_per_machine:
-        raise ValueError(
-            f"tray count: {len(trays)} readings, platform {platform_id!r} "
-            f"has {spec.trays_per_machine} trays"
-        )
+    trays, duty, flops = (), None, None
+    field, raw = "tray_power_w", raw_power
+    try:
+        if raw_power is not None and raw_power != "":
+            if isinstance(raw_power, str):  # blank readings are skipped
+                readings = tuple(filter(str.strip, raw_power.split(";")))
+            else:
+                readings = tuple(raw_power)
+            if bool in map(type, readings):  # float(True) would read as 1.0
+                raise TypeError
+            trays = tuple(map(float, readings))
+            if not math.isfinite(sum(trays)):  # NaN, inf, or a sum beyond float range
+                raise ValueError
+        field, raw = "duty_cycle", raw_duty
+        if raw_duty is not None and raw_duty != "":
+            if type(raw_duty) is bool:
+                raise TypeError
+            duty = float(raw_duty)
+        field, raw = "flops", raw_flops
+        if raw_flops is not None and raw_flops != "":
+            flops = raw_flops
+            if type(flops) is bool:
+                raise TypeError
+            if isinstance(flops, str):
+                try:
+                    flops = int(flops)  # exact for arbitrarily large counts
+                except ValueError:
+                    flops = float(flops)
+            if isinstance(flops, float):
+                flops = round(flops)  # OverflowError or ValueError unless finite
+            if flops > _FLOPS_MAX:
+                raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"bad number: {field} {raw!r}") from None
     return trays, duty, flops
 
 
@@ -429,13 +402,16 @@ def ingest(
     or .json) or an iterable of record dicts; wrap an open CSV text file in
     `csv.DictReader` to pass it as the latter. Every row goes through the
     same checks, in a fixed order, and the first failure is the reason:
-    platform, timestamp, the three numbers' syntax (a boolean is not a
-    number), their ranges, the tray count, then the key: a blank or absent
-    machine_id, then a repeated (machine, interval). Every unparseable row,
-    malformed JSON included, is recorded in the rejection log with its
-    1-based row number; so is a repeat of an accepted row's (machine_id,
-    interval) key, after the first. Complete rows are folded into cells by
-    platform and `scheme` bucket; an empty input yields an empty dataset.
+    platform, timestamp, the three numbers' syntax in column order (a
+    boolean is not a number), their ranges (duty cycle, FLOPs, the first
+    negative tray reading), the tray count, then the key: a blank or absent
+    machine_id, then a repeated (machine, interval). A complete text row's
+    numbers are parsed by `float` and `int`; any other row's, or one that
+    fails there, by `_numbers`. Every unparseable row, malformed JSON
+    included, is recorded in the rejection log with its 1-based row number;
+    so is a repeat of an accepted row's (machine_id, interval) key, after
+    the first. Complete rows are folded into cells by platform and `scheme`
+    bucket; an empty input yields an empty dataset.
     """
     accepted: dict[str, int] = {}
     exclusions: dict[str, int] = {}
@@ -450,7 +426,7 @@ def ingest(
             if type(fields) is not tuple:  # the ValueError of an undecodable record
                 raise fields
             machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops = fields
-            platform_id = str(platform_id or "").strip()
+            platform_id = "" if platform_id is None else str(platform_id).strip()
             platform = platforms.get(platform_id)
             if platform is None:
                 raise ValueError(f"unknown platform_id {platform_id!r}")
@@ -463,26 +439,29 @@ def ingest(
                     epochs.clear()
                 epoch = epochs[str(raw_ts)] = _epoch(raw_ts)
 
-            # Complete plain-text rows passing every number check take this short path (tray
-            # text without "-" has no negative reading); the full check names any failure.
-            plain = False
-            if raw_power and raw_duty and raw_flops and type(raw_flops) is type(raw_duty) is str:
-                try:
-                    trays = tuple(map(float, raw_power.split(";")))
-                    duty = float(raw_duty)
-                    flops = int(raw_flops)
-                except (AttributeError, TypeError, ValueError, OverflowError):
-                    pass
-                else:
-                    plain = (
-                        0 <= flops <= _FLOPS_MAX
-                        and 0.0 <= duty <= 1.0
-                        and "-" not in raw_power
-                        and sum(trays) < inf
-                        and len(trays) == spec.trays_per_machine
-                    )
-            if not plain:
-                trays, duty, flops = _checked_numbers(raw_power, raw_duty, raw_flops, platform_id, spec)
+            # Most rows are complete text and parse here; any other row, or one this parse
+            # fails, goes through _numbers, which names the field at fault.
+            try:
+                trays = tuple(map(float, raw_power.split(";")))
+                duty, flops = float(raw_duty), int(raw_flops)
+                parsed = type(raw_duty) is type(raw_flops) is str and -inf < sum(trays) < inf
+                parsed = parsed and flops <= _FLOPS_MAX
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                parsed = False
+            if not parsed:
+                trays, duty, flops = _numbers(raw_power, raw_duty, raw_flops)
+            if duty is not None and not 0.0 <= duty <= 1.0:
+                raise ValueError(f"range violation: duty_cycle {duty} outside [0, 1]")
+            if flops is not None and flops < 0:
+                raise ValueError(f"range violation: flops {flops} is negative")
+            for w in trays:
+                if w < 0:
+                    raise ValueError(f"range violation: tray power {w} is negative")
+            if trays and len(trays) != spec.trays_per_machine:
+                raise ValueError(
+                    f"tray count: {len(trays)} readings, platform {platform_id!r} "
+                    f"has {spec.trays_per_machine} trays"
+                )
 
             machine_id = "" if machine_id is None else str(machine_id).strip()
             times = seen.get(machine_id)

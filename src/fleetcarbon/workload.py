@@ -92,9 +92,8 @@ def on_duty_power(run: WorkloadRun, threshold: float = DEFAULT_DUTY_THRESHOLD) -
     included: list[float] = []
     excluded = 0
     for interval in run.intervals:
-        on_duty = all(
-            interval.duty_cycle.get(machine, 0.0) >= threshold for machine in run.machines
-        )
+        # an absent machine reads as NaN, so it is off duty at every threshold
+        on_duty = all(interval.duty_cycle.get(machine, math.nan) >= threshold for machine in run.machines)
         if not on_duty:
             excluded += 1
             continue

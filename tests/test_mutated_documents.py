@@ -10,6 +10,7 @@ with exit 0 goes unseen.
 """
 
 import copy
+import csv
 import json
 import math
 from dataclasses import asdict
@@ -43,6 +44,14 @@ def first_interval_record() -> dict:
     return json.loads((bundled_data_dir() / "workload_runs.jsonl").read_text().split("\n", 1)[0])
 
 
+def first_telemetry_record() -> dict:
+    """The first bundled telemetry row as a JSON object, its tray readings a list."""
+    with (bundled_data_dir() / "fleet_telemetry.csv").open(encoding="utf-8", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    trays = [float(w) for w in row["tray_power_w"].split(";")]
+    return dict(row, tray_power_w=trays, duty_cycle=float(row["duty_cycle"]), flops=int(row["flops"]))
+
+
 SMALL_SCENARIO = asdict(
     synth.SynthScenario(
         seed=3,
@@ -60,6 +69,8 @@ DOCUMENTS = {
     "factors": (lambda: bundled("factors.json"), "factors", ("scenario", "workload")),
     "run-manifest": (lambda: bundled("workload_manifest.json"), "run_manifest", ("workload",)),
     "run-interval-record": (first_interval_record, "run_intervals", ("workload",)),
+    # one JSON line: the .json suffix makes ingest read the document as JSON lines
+    "telemetry-record": (first_telemetry_record, "telemetry", ("ingest",)),
     "synth-scenario": (lambda: SMALL_SCENARIO, None, ("synth",)),
 }
 

@@ -1,8 +1,10 @@
 import csv
 import io
+import itertools
 import json
 import math
 import random
+import sys
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
@@ -199,6 +201,13 @@ class TestIngest:
         assert [r.reason for r in ds.rejections] == ["missing machine_id"] * 4 + [
             "range violation: duty_cycle 2.0 outside [0, 1]"
         ]
+
+    @pytest.mark.parametrize("pid", [0, False], ids=["zero", "false"])
+    def test_platform_id_given_as_a_json_value_keys_as_its_text(self, pid, platforms):
+        row = dict(record(), platform_id=pid)
+        ds = ingest([row], {str(pid): spec(pid=str(pid))})
+        assert ds.rejections == () and ds.accepted == {str(pid): 1}
+        assert [r.reason for r in ingest([row], platforms).rejections] == [f"unknown platform_id {str(pid)!r}"]
 
     def test_malformed_json_line_rejected_and_later_rows_read(self, tmp_path):
         good = (
@@ -427,6 +436,117 @@ def test_csv_json_lines_and_dicts_get_the_same_verdicts(tmp_path, header):
         assert [r.row for r in from_csv[0]] == list(range(4, 15))
         assert from_csv[0][-1].reason.startswith("duplicate row for machine 'm0'")
     assert len(from_csv[0]) + from_csv[1] == len(rows)
+
+
+BAD = object()  # a value that does not parse as its field
+FLOPS_MAX = int(sys.float_info.max)
+# (raw value, what it reads as): tray readings, a duty cycle and a FLOP count; () and None are missing
+TRAY_TEXT = [
+    ("300;442;442", (300.0, 442.0, 442.0)), ("300;442", (300.0, 442.0)), ("", ()), (" ", ()),
+    ("300;;442;442", (300.0, 442.0, 442.0)), (" 300; 442 ;442 ", (300.0, 442.0, 442.0)),
+    ("-0.0;442;442", (-0.0, 442.0, 442.0)), ("300;-442;442", (300.0, -442.0, 442.0)),
+    ("-1;-2;3", (-1.0, -2.0, 3.0)), ("1e-5;1;2", (1e-5, 1.0, 2.0)), ("nan;1;1", BAD), ("-inf;1;1", BAD),
+    ("1e308;1e308;1", BAD), ("300;x;442", BAD),
+]
+TRAY_JSON = [
+    ([300.0, 442.0, 442.0], (300.0, 442.0, 442.0)), ([300, 442, 442], (300.0, 442.0, 442.0)),
+    (["300", "442", "442"], (300.0, 442.0, 442.0)), ([1, 2], (1.0, 2.0)), ([-1.0, 2, 3], (-1.0, 2.0, 3.0)),
+    ([], ()), (None, ()), ([True, True, True], BAD), ([math.nan, 1, 1], BAD), ([10**400, 1, 1], BAD),
+    (300, BAD), (["", "1", "1"], BAD),
+]
+DUTY_TEXT = [
+    ("0.5", 0.5), ("0", 0.0), ("1", 1.0), (" 0.5 ", 0.5), ("1.0001", 1.0001), ("-0.1", -0.1),
+    ("nan", math.nan), ("1e400", math.inf), ("", None), (" ", BAD), ("half", BAD),
+]
+DUTY_JSON = [
+    (0.5, 0.5), (0, 0.0), (1, 1.0), ("0.5", 0.5), (2.0, 2.0), (math.nan, math.nan), (None, None),
+    (True, BAD), (10**400, BAD), ([0.5], BAD),
+]
+FLOPS_TEXT = [
+    ("1000", 1000), (" 7 ", 7), ("1e3", 1000), ("1.5", 2), ("2.5", 2), ("-0", 0), ("-5", -5),
+    (str(FLOPS_MAX), FLOPS_MAX), ("", None), (str(FLOPS_MAX + 1), BAD), ("1" + "0" * 400, BAD),
+    ("1e400", BAD), ("nan", BAD), ("inf", BAD), ("x", BAD),
+]
+FLOPS_JSON = [
+    (1000, 1000), (1.5, 2), (-0.5, 0), (-1, -1), (1e308, int(1e308)), (FLOPS_MAX, FLOPS_MAX), ("1000", 1000),
+    (None, None), (True, BAD), (math.nan, BAD), (10**400, BAD), (FLOPS_MAX + 1, BAD), ([1], BAD),
+]
+
+
+def _expected_verdict(tray, duty, flops, trays_per_machine):
+    """A grid row's rejection reason, or None, in ingest's documented order.
+
+    Syntax in column order, then the ranges (duty cycle, FLOPs, the first
+    negative tray reading), then the tray count.
+    """
+    for name, (raw, value) in zip(("tray_power_w", "duty_cycle", "flops"), (tray, duty, flops)):
+        if value is BAD:
+            return f"bad number: {name} {raw!r}"
+    readings, cycle, count = tray[1], duty[1], flops[1]
+    if cycle is not None and not 0.0 <= cycle <= 1.0:
+        return f"range violation: duty_cycle {cycle} outside [0, 1]"
+    if count is not None and count < 0:
+        return f"range violation: flops {count} is negative"
+    negative = [w for w in readings if w < 0]
+    if negative:
+        return f"range violation: tray power {negative[0]} is negative"
+    if readings and len(readings) != trays_per_machine:
+        return f"tray count: {len(readings)} readings, platform 'p1' has {trays_per_machine} trays"
+    return None
+
+
+def _grid_rows(trays, duties, flops):
+    return [
+        {"machine_id": f"m{i}", "platform_id": "p1", "interval_start": "2024-10-01T00:00:00Z",
+         "tray_power_w": t, "duty_cycle": d, "flops": f}
+        for i, (t, d, f) in enumerate(itertools.product(trays, duties, flops))
+    ]
+
+
+def _expected_ledger(trays, duties, flops):
+    """The rejections, exclusions and per-bucket totals the grid of these values must give."""
+    rejections, exclusions, cells = [], {}, {}
+    for row_no, (t, d, f) in enumerate(itertools.product(trays, duties, flops), start=1):
+        reason = _expected_verdict(t, d, f, trays_per_machine=3)
+        if reason is not None:
+            rejections.append((row_no, reason))
+        elif not t[1] or d[1] is None or f[1] is None:
+            missing = REASON_MISSING_UTILIZATION if t[1] else REASON_MISSING_POWER
+            exclusions[missing] = exclusions.get(missing, 0) + 1
+        else:
+            cell = cells.setdefault(("p1", BucketScheme().bucket_of(d[1])), [0, [], [], 0])
+            cell[0] += 1
+            cell[1].append(math.fsum(t[1]))  # machine power: the readings include the rectifier
+            cell[2].append(d[1])
+            cell[3] += f[1]
+    cells = {key: (n, math.fsum(power), math.fsum(duty), total) for key, (n, power, duty, total) in cells.items()}
+    return rejections, exclusions, cells
+
+
+@pytest.mark.parametrize("kind", ["csv-text", "text-dicts", "json-lines", "json-dicts"])
+def test_every_field_value_gets_the_documented_verdict(tmp_path, kind):
+    """Each grid row's reason, or the cell it lands in, matches a reference built from the documented order."""
+    if kind in ("csv-text", "text-dicts"):
+        values = (TRAY_TEXT, DUTY_TEXT, FLOPS_TEXT)
+    else:  # JSON values beside text ones, in one row
+        values = (TRAY_TEXT + TRAY_JSON, DUTY_TEXT + DUTY_JSON, FLOPS_TEXT + FLOPS_JSON)
+    rows = _grid_rows(*([raw for raw, _ in field] for field in values))
+    source = rows
+    if kind == "csv-text":
+        source = tmp_path / "t.csv"
+        with source.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, TELEMETRY_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    elif kind == "json-lines":
+        source = tmp_path / "t.jsonl"
+        source.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    ds = ingest(source, {"p1": spec(trays=3)})
+    rejections, exclusions, cells = _expected_ledger(*values)
+    assert [(r.row, r.reason) for r in ds.rejections] == rejections
+    assert len(ds) + len(rejections) == len(rows)
+    assert ds.exclusions == exclusions
+    assert _summary(ds)[3] == cells
 
 
 class TestExcludeIncomplete:

@@ -105,6 +105,11 @@ class TestOnDutyPower:
         with pytest.raises(ComputationError, match="no on-duty intervals"):
             on_duty_power(run(intervals, machines=("m0", "m1")))
 
+    def test_missing_machine_is_off_duty_at_threshold_zero(self):
+        intervals = [interval({"a": 1000}, {"a": 0.9})]  # b absent
+        with pytest.raises(ComputationError, match="no on-duty intervals"):
+            on_duty_power(run(intervals, machines=("a", "b")), threshold=0.0)
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_threshold_monotonicity(self, t_low, t_high):
         t_low, t_high = sorted((t_low, t_high))
@@ -119,6 +124,54 @@ class TestOnDutyPower:
                 return 0
 
         assert included(t_high) <= included(t_low)
+
+
+POD = tuple(f"m{i:02d}" for i in range(12))
+
+
+def pod_readings():
+    """Four intervals of a 12-machine pod, each machine at its own power; m05 straggles in the third.
+
+    Yields (interval index, machine, power W, duty cycle).
+    """
+    for k in range(4):
+        for i, machine in enumerate(POD):
+            duty = 0.5 if (k, machine) == (2, "m05") else 0.9 + 0.005 * i
+            yield k, machine, 1000.0 + 37.25 * i + 3.5 * k, duty
+
+
+def pod_oracle():
+    """The fsum mean of every reading in the intervals where the whole pod is on duty."""
+    straggled = {k for k, _, _, duty in pod_readings() if duty < 0.8}
+    on_duty = [power for k, _, power, _ in pod_readings() if k not in straggled]
+    return math.fsum(on_duty) / len(on_duty)
+
+
+class TestPodReadingsPerMachine:
+    def test_on_duty_power_is_the_mean_of_every_machine_reading(self):
+        intervals = [interval({}, {}) for _ in range(4)]
+        for k, machine, power, duty in pod_readings():
+            intervals[k].power_w[machine], intervals[k].duty_cycle[machine] = power, duty
+        result = on_duty_power(run(intervals, machines=POD))
+        assert result.power_w == pod_oracle()
+        assert (result.included_intervals, result.excluded_intervals) == (3, 1)
+
+    def test_read_runs_keeps_every_machine_reading(self, tmp_path):
+        manifest = tmp_path / "runs.json"
+        pod = {"run_id": "r", "platform_id": "v5e", "machines": list(POD), "step_time_s": 1}
+        manifest.write_text(json.dumps({"runs": [pod]}))
+        intervals = tmp_path / "intervals.jsonl"
+        intervals.write_text(
+            "".join(
+                json.dumps({"run_id": "r", "machine_id": machine, "interval_start": f"2024-10-01T00:{5 * k:02d}:00Z",
+                            "power_w": power, "duty_cycle": duty}) + "\n"
+                for k, machine, power, duty in reversed(list(pod_readings()))
+            )
+        )
+        (pod_run,) = read_runs(manifest, intervals)
+        result = on_duty_power(pod_run)
+        assert result.power_w == pod_oracle()
+        assert (result.included_intervals, result.excluded_intervals) == (3, 1)
 
 
 class TestEmissionsPerStep:
