@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationError, ConfigError
-from .telemetry import PlatformSpec
+from .telemetry import PlatformSpec, finite_sum
 
 COMPONENT_CATEGORIES = (
     "tpu_asic",
@@ -154,19 +154,17 @@ def tray_multiplicity(inv: MachineInventory, tray: str) -> int:
 
 
 def machine_manufacturing(inv: MachineInventory, tray: str | None = None) -> float:
-    """Manufacturing kgCO2e per machine: tray entries times tray count."""
-    return math.fsum(
-        entry.kg_co2e * tray_multiplicity(inv, entry.tray)
-        for entry in inv.components
-        if tray is None or entry.tray == tray
+    """Manufacturing kgCO2e per machine: tray entries times tray count; it must be finite."""
+    entries = (e for e in inv.components if tray is None or e.tray == tray)
+    return finite_sum(
+        inv.platform_id, "manufacturing total", (e.kg_co2e * tray_multiplicity(inv, e.tray) for e in entries)
     )
 
 
 def machine_transport(inv: MachineInventory, tray: str | None = None) -> float:
-    """Transport kgCO2e per machine over all shipping legs."""
-    return math.fsum(
-        leg.emissions_kg() for leg in inv.transport_legs if tray is None or leg.tray == tray
-    )
+    """Transport kgCO2e per machine over all shipping legs; it must be finite."""
+    legs = (leg for leg in inv.transport_legs if tray is None or leg.tray == tray)
+    return finite_sum(inv.platform_id, "transport total", (leg.emissions_kg() for leg in legs))
 
 
 def per_chip_embodied(inv: MachineInventory, spec: PlatformSpec) -> EmbodiedBreakdown:
@@ -174,19 +172,23 @@ def per_chip_embodied(inv: MachineInventory, spec: PlatformSpec) -> EmbodiedBrea
 
     Manufacturing + transport splits by tray role; the end-of-life credit
     (zero unless configured) nets against that sum; construction and
-    direct-fuel allocations arrive per chip already.
+    direct-fuel allocations arrive per chip already. A total beyond float
+    range is a ComputationError naming the platform.
     """
     chips = spec.chips_per_machine
     host_mt = machine_manufacturing(inv, "host") + machine_transport(inv, "host")
     acc_mt = machine_manufacturing(inv, "accelerator") + machine_transport(inv, "accelerator")
     eol = -inv.eol_credit_fraction * (host_mt + acc_mt) / chips
-    return EmbodiedBreakdown(
+    breakdown = EmbodiedBreakdown(
         cpu_mt=host_mt / chips,
         tpu_mt=acc_mt / chips,
         dc_construction=inv.dc_construction_kg_per_chip,
         eol=eol,
         scope1=inv.scope1_kg_per_chip,
     )
+    if not math.isfinite(breakdown.total):
+        raise ComputationError(f"platform {spec.platform_id!r}: embodied emissions per chip are not finite")
+    return breakdown
 
 
 def _even_series(total: float, n: int) -> tuple[float, ...]:

@@ -18,7 +18,9 @@ it writes from that one result. The weighting table hands the
 cohort's cells to the duty-balanced comparison as its strata.
 
 Per the house accounting style, mass columns (kg suffix) are rounded to
-whole kilograms at build time; intensities stay full precision.
+whole kilograms at build time; intensities stay full precision. A table
+refuses a NaN or infinite float with a ComputationError naming the table,
+the column and the row, so no such value is ever written.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 from .cci import CciReport, build_report, operational_cci
@@ -56,6 +59,12 @@ class Table:
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
+
+    def __post_init__(self) -> None:
+        for row in self.rows:
+            for column, value in zip(self.columns, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ComputationError(f"table {self.name!r}: {column} of {row[0]!r} is not finite")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -98,8 +107,9 @@ def _md_text(value) -> str:
     return "" if value is None else str(value)
 
 
-def _round_kg(value: float) -> int:
-    return round(value)
+def _round_kg(value: float) -> int | float:
+    """Whole kilograms; a non-finite value is left for `Table` to refuse."""
+    return round(value) if math.isfinite(value) else value
 
 
 def fold_platforms(
@@ -295,28 +305,12 @@ def weighting_table(
     comparison = balanced_comparison(
         cells, baseline=baseline, factor_g_per_kwh=factor_g_per_kwh, pue=pue
     )
-    metric_keys = (
-        "duty_cycle",
-        "power_w",
-        "flops_per_s",
-        "energy_kwh_per_exaflop",
-        "carbon_g_per_exaflop",
-    )
     rows = []
     for gen in sorted(comparison.per_generation):
         gm = comparison.per_generation[gen]
-        for key in metric_keys:
-            if key not in gm.weighted:
-                continue
+        for key, value in gm.weighted.items():
             rows.append(
-                (
-                    gen,
-                    key,
-                    gm.observations,
-                    gm.weighted[key],
-                    gm.ratios.get(key),
-                    "no-overlap" if gm.no_overlap else "",
-                )
+                (gen, key, gm.observations, value, gm.ratios[key], "no-overlap" if gm.no_overlap else "")
             )
     table = Table(
         name="weighting",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -55,6 +56,10 @@ class GenerationSpec:
             raise ValueError(f"{self.name}: unknown duty_dist or duty_snap")
         if not (self.active_power_w > 0 and self.flops_per_s_at_full_duty > 0):
             raise ValueError(f"{self.name}: active_power_w and flops_per_s_at_full_duty must be > 0")
+        if not math.isfinite(self.flops_per_s_at_full_duty * INTERVAL_SECONDS):
+            raise ValueError(f"{self.name}: an interval's FLOPs at full duty are beyond float range")
+        if not 0 < self.energy_kwh_per_exaflop_at_full_duty() < math.inf:
+            raise ValueError(f"{self.name}: energy per ExaFLOP at full duty is not a positive finite number")
 
     def energy_kwh_per_exaflop_at_full_duty(self) -> float:
         return kwh_per_exaflop(self.active_power_w, self.flops_per_s_at_full_duty, 1.0)
@@ -75,6 +80,9 @@ class SynthScenario:
             raise ValueError(f"buckets {self.buckets} must be >= 1")
         if not self.generations:
             raise ValueError("scenario has no generations")
+        base = self.generations[0].energy_kwh_per_exaflop_at_full_duty()
+        if not all(math.isfinite(g.energy_kwh_per_exaflop_at_full_duty() / base) for g in self.generations):
+            raise ValueError("a generation's energy per ExaFLOP against the baseline's is beyond float range")
         # a malformed start, or a last interval past 9999-12-31, raises before write_fleet opens a file
         room = datetime.max - self.start_time.replace(tzinfo=None)
         if (self.intervals - 1) * INTERVAL_SECONDS > room.total_seconds():

@@ -2,13 +2,14 @@
 
 Machines report one row per five-minute interval: per-tray average power,
 duty cycle, and executed FLOPs. `ingest` reads the rows once, in one loop,
-and builds no object per row. Each row is validated against a platform
+and builds no object per row. Decoding a record into its fields is the
+first check of its row; the row is then validated against a platform
 catalog, each of its numbers parsed once and range-checked once (malformed
-rows land in a rejection log with their reason, never dropped silently); a
-row lacking power, duty cycle or FLOPs is only counted in `exclusions`;
-every complete row is folded into the `Cell` of its platform and duty-cycle
-bucket: row count, FLOP total, and buffered exact parts of machine power
-and duty cycle.
+rows, undecodable JSON included, land in a rejection log with their
+reason, never dropped silently); a row lacking power, duty cycle or FLOPs
+is only counted in `exclusions`; every complete row is folded into the
+`Cell` of its platform and duty-cycle bucket: row count, FLOP total, and
+buffered exact parts of machine power and duty cycle.
 
 Everything downstream reads those cells: `aggregate` combines one
 platform's cells into a `FleetWindow`, and the duty-balanced comparison
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ComputationError, IngestError
 
@@ -248,10 +249,11 @@ def parse_rfc3339(text: str) -> datetime:
 def _numbers(raw_power, raw_duty, raw_flops):
     """A row's tray readings, duty cycle and FLOPs, each () or None when missing.
 
-    Reads text or JSON values: blank readings in tray text are skipped, a
-    boolean is not a number, a fractional FLOP count rounds to the nearest,
-    and the tray sum and FLOP count must lie within float range. A
-    ValueError names the first field, in column order, that does not parse.
+    Reads text or JSON values: tray readings are text, whose blank readings
+    are skipped, or a list; a boolean is not a number, a fractional FLOP
+    count rounds to the nearest, and the tray sum and FLOP count must lie
+    within float range. A ValueError names the first field, in column
+    order, that does not parse.
     """
     trays, duty, flops = (), None, None
     field, raw = "tray_power_w", raw_power
@@ -259,8 +261,10 @@ def _numbers(raw_power, raw_duty, raw_flops):
         if raw_power is not None and raw_power != "":
             if isinstance(raw_power, str):  # blank readings are skipped
                 readings = tuple(filter(str.strip, raw_power.split(";")))
-            else:
+            elif isinstance(raw_power, (list, tuple)):
                 readings = tuple(raw_power)
+            else:  # a JSON object would read as the list of its keys
+                raise TypeError
             if bool in map(type, readings):  # float(True) would read as 1.0
                 raise TypeError
             trays = tuple(map(float, readings))
@@ -362,35 +366,23 @@ def _json_fields(line: str) -> tuple:
     return _record_fields(record)
 
 
-def _parsed(fields, records) -> Iterator[tuple | ValueError]:
-    for record in records:
-        try:
-            item = fields(record)
-        except ValueError as exc:
-            item = exc
-        yield item
+def _records(source) -> tuple[Callable[..., tuple], Iterable]:
+    """A function decoding a record into TELEMETRY_COLUMNS fields, and the records:
+    CSV field tuples (which `tuple` returns unchanged), non-blank JSON lines, or a
+    caller's items. Reading a file raises IngestError; decoding, a ValueError."""
+    if not isinstance(source, (str, Path)):
+        return _record_fields, source
+    path = Path(source)
+    json_lines = path.suffix in (".jsonl", ".ndjson", ".json")
 
-
-def _iter_rows(source) -> Iterator[tuple | ValueError]:
-    """Yield each row's raw fields in TELEMETRY_COLUMNS order.
-
-    A JSON line that does not decode to an object, or a non-dict record,
-    yields the ValueError naming why, so `ingest` rejects it as one row and
-    reads on.
-    """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
+    def records() -> Iterator:
         try:
             with path.open("r", encoding="utf-8", newline="") as fh:
-                if path.suffix in (".jsonl", ".ndjson", ".json"):
-                    lines = (line for line in fh if line.strip())
-                    yield from _parsed(_json_fields, lines)
-                else:
-                    yield from _csv_rows(fh)
+                yield from (line for line in fh if line.strip()) if json_lines else _csv_rows(fh)
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise IngestError(f"cannot read telemetry {path}: {exc}") from None
-        return
-    yield from _parsed(_record_fields, source)
+
+    return (_json_fields if json_lines else tuple), records()
 
 
 def ingest(
@@ -402,14 +394,14 @@ def ingest(
     or .json) or an iterable of record dicts; wrap an open CSV text file in
     `csv.DictReader` to pass it as the latter. Every row goes through the
     same checks, in a fixed order, and the first failure is the reason:
-    platform, timestamp, the three numbers' syntax in column order (a
-    boolean is not a number), their ranges (duty cycle, FLOPs, the first
+    decoding (a JSON line that is not an object, a record that is not a
+    dict), platform, timestamp, the three numbers' syntax in column order
+    (a boolean is not a number), their ranges (duty cycle, FLOPs, the first
     negative tray reading), the tray count, then the key: a blank or absent
     machine_id, then a repeated (machine, interval). A complete text row's
     numbers are parsed by `float` and `int`; any other row's, or one that
-    fails there, by `_numbers`. Every unparseable row, malformed JSON
-    included, is recorded in the rejection log with its 1-based row number;
-    so is a repeat of an accepted row's (machine_id, interval) key, after
+    fails there, by `_numbers`. Every row failing a check is recorded in
+    the rejection log with its 1-based row number, a repeated key after
     the first. Complete rows are folded into cells by platform and `scheme`
     bucket; an empty input yields an empty dataset.
     """
@@ -421,11 +413,10 @@ def ingest(
     bucket_of, inf = scheme.bucket_of, math.inf
     # platform_id -> its spec and its cells by duty bucket (None until a row lands)
     platforms = {pid: (spec, [None] * scheme.buckets) for pid, spec in catalog.items()}
-    for row_no, fields in enumerate(_iter_rows(source), start=1):
+    decode, records = _records(source)
+    for row_no, record in enumerate(records, start=1):
         try:
-            if type(fields) is not tuple:  # the ValueError of an undecodable record
-                raise fields
-            machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops = fields
+            machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops = decode(record)
             platform_id = "" if platform_id is None else str(platform_id).strip()
             platform = platforms.get(platform_id)
             if platform is None:

@@ -434,6 +434,14 @@ class TestExitCodes:
         assert "platform 'v4': total machine power is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_bucket_count_beyond_ten_thousand_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(config_json(buckets="1e308"))
+        code, out, err = run_cli(capsys, "weight", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert "buckets 100000000" in err and "must lie in [1, 10000]" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_keys_are_named(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(config_json(workload_pu="1.5", incomplete_runs='{"accept": [], "rejct": []}'))
@@ -1004,6 +1012,96 @@ class TestScenarioCommand:
         assert proc.returncode == EXIT_COMPUTE, proc.stderr
         assert "scenario 'cfe90-manufacturing': platform 'v4' has a zero total CCI" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def huge_power_telemetry(tmp_path):
+    """The bundled telemetry plus one v4 row whose power overflows every per-ExaFLOP figure."""
+    telemetry = tmp_path / "telemetry.csv"
+    bundled = (bundled_config_path().parent / "fleet_telemetry.csv").read_text()
+    telemetry.write_text(bundled + "huge-m0,v4,2024-10-01T00:00:00Z,1e307;1e307,0.55,1\n")
+    return {"telemetry": str(telemetry)}
+
+
+def huge_inventory_value(tmp_path):
+    """The bundled inventories with one v4i accelerator component at 1e308 kg, times two trays."""
+    path = tmp_path / "inventories.json"
+    path.write_bytes(bundled_json("inventories.json", lambda d: d["v4i"]["components"][0].update(kg_co2e=1e308)))
+    return {"inventories": str(path)}
+
+
+NOT_FINITE = "computation error: {} is not finite"
+
+
+class TestNonFiniteResults:
+    """A value whose results leave float range exits 4 with one stderr line and writes nothing."""
+
+    @staticmethod
+    def check(capsys, tmp_path, command, overrides, expected):
+        out, cfg_path = tmp_path / "out", write_config(tmp_path, **overrides)
+        code, stdout, err = run_cli(capsys, command, "--config", str(cfg_path), "-o", str(out))
+        assert code == EXIT_COMPUTE, err
+        assert err.splitlines() == [NOT_FINITE.format(expected)]
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("cci", "table 'platforms': kwh_per_exaflop of 'v4'"),
+            ("report", "table 'platforms': kwh_per_exaflop of 'v4'"),
+            ("scenario", "table 'scenarios': baseline_total_cci of 'cfe90'"),
+            ("weight", "table 'weighting': weighted_value of 'v4'"),
+        ],
+        ids=["cci", "report", "scenario", "weight"],
+    )
+    def test_huge_telemetry_power(self, tmp_path, capsys, command, expected):
+        self.check(capsys, tmp_path, command, huge_power_telemetry(tmp_path), expected)
+
+    @pytest.mark.parametrize("command", ["lca", "report", "cci", "scenario"])
+    def test_huge_inventory_value(self, tmp_path, capsys, command):
+        self.check(capsys, tmp_path, command, huge_inventory_value(tmp_path), "platform 'v4i': manufacturing total")
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("report", "table 'platforms': lifetime_kwh_per_chip of 'v4'"),
+            ("cci", "table 'platforms': lifetime_kwh_per_chip of 'v4'"),
+            ("scenario", "table 'scenarios': baseline_total_cci of 'cfe90'"),
+            ("weight", "table 'weighting': weighted_value of 'v4'"),
+        ],
+        ids=["report", "cci", "scenario", "weight"],
+    )
+    def test_huge_pue(self, tmp_path, capsys, command, expected):
+        self.check(capsys, tmp_path, command, {"pue": 1e308}, expected)
+
+    def test_huge_workload_factor(self, tmp_path, capsys):
+        overrides = {"workload_factor_g_per_kwh": 1e308}
+        self.check(capsys, tmp_path, "workload", overrides, "table 'workloads': cci_g_per_exaflop of 'rlhf-v5e-r1'")
+
+    @pytest.mark.parametrize(
+        "generations, expected",
+        [
+            ([{"name": "g", "machines": 1, "flops_per_s_at_full_duty": 1e308}], "g: an interval's FLOPs"),
+            ([{"name": "g", "machines": 1, "active_power_w": 1e308}], "g: energy per ExaFLOP at full duty"),
+            (
+                [
+                    {"name": "g", "machines": 1, "active_power_w": 1e-300, "flops_per_s_at_full_duty": 1e20},
+                    {"name": "h", "machines": 1, "active_power_w": 1e10, "flops_per_s_at_full_duty": 1e-10},
+                ],
+                "energy per ExaFLOP against the baseline's",
+            ),
+        ],
+        ids=["flops-rate", "active-power", "ratio-vs-baseline"],
+    )
+    def test_huge_synth_rate(self, tmp_path, capsys, generations, expected):
+        scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+        scenario.write_text(json.dumps({"generations": generations}))
+        code, stdout, err = run_cli(capsys, "synth", "--scenario-file", str(scenario), "--seed", "3", "-o", str(out))
+        assert code == EXIT_CONFIG, err
+        assert len(err.splitlines()) == 1 and err.startswith("configuration error: bad synth scenario")
+        assert expected in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestSynthCommand:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from fleetcarbon.config import read_model
+from fleetcarbon.errors import ComputationError
 from fleetcarbon.lca import (
     LcaComponentEntry,
     MachineInventory,
@@ -173,6 +174,20 @@ class TestPerChipEmbodied:
     def test_eol_fraction_bounds(self):
         with pytest.raises(ValueError):
             inventory(eol=0.05)
+
+
+    @pytest.mark.parametrize(
+        "inv, named",
+        [
+            (inventory(dc=1e308, scope1=1e308), "platform 'v5e': embodied emissions per chip"),
+            (inventory(components=[entry(1e308, tray="host"), entry(1e308, tray="host")]), "manufacturing total"),
+            (inventory(legs=[direct_leg(1e308), direct_leg(1e308)]), "transport total"),
+        ],
+        ids=["breakdown", "manufacturing", "transport"],
+    )
+    def test_total_beyond_float_range_is_compute_error(self, inv, named):
+        with pytest.raises(ComputationError, match=f"{named} (are|is) not finite"):
+            per_chip_embodied(inv, spec())
 
 
 class TestInventoryViews:

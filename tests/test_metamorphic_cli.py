@@ -14,7 +14,10 @@ linear in power (energy and operational carbon per ExaFLOP, balanced
 power) and leave the rest unchanged, rounded columns and sums aside. For
 `workload`, renaming machines one-to-one in the run manifest and the
 interval lines, or shuffling the interval lines, must leave its table
-byte-identical. Every command runs in process through `cli.main`, and the
+byte-identical. Writing the same telemetry as JSON lines of text values
+instead of CSV, on the demo and on a small `synth` fleet of the bundled
+platforms, must leave every table, the `ingest` summary and its rejection
+log unchanged. Every command runs in process through `cli.main`, and the
 examples are derandomized.
 """
 
@@ -30,8 +33,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetcarbon import synth
 from fleetcarbon.cli import main
-from fleetcarbon.config import bundled_config_path, load_config
+from fleetcarbon.config import bundled_config_path, load_config, load_platforms
 
 COMMANDS = ("cci", "report", "scenario", "weight")
 FORMATS = ("csv", "json")
@@ -137,6 +141,50 @@ def test_edit_leaves_every_table_unchanged(relation, demo, tmp_path_factory):
         assert summary == dict(demo_summary, rows_rejected=demo_summary["rows_rejected"] + added_rejections)
 
     check()
+
+
+def synth_fleet() -> synth.SynthScenario:
+    """A small fleet with one generation per bundled platform, named after it and with its
+    trays and chips; a tenth of one generation's rows lack duty cycle and FLOPs."""
+    platforms = load_platforms(load_config().platforms)
+    return synth.SynthScenario(
+        seed=11,
+        intervals=6,
+        generations=tuple(
+            synth.GenerationSpec(
+                name=pid,
+                machines=2,
+                chips_per_machine=spec.chips_per_machine,
+                trays_per_machine=spec.trays_per_machine,
+                missing_rate=0.1 if pid == "v5e" else 0.0,
+            )
+            for pid, spec in platforms.items()
+        ),
+    )
+
+
+@pytest.mark.parametrize("fleet", ["demo", "synth"])
+def test_json_lines_give_the_same_tables_as_csv(fleet, demo, tmp_path):
+    """The same rows as CSV and as JSON lines of text values give the same tables,
+    `ingest` summary and rejection log."""
+    if fleet == "demo":
+        csv_path, expected = load_config().telemetry, demo
+    else:
+        csv_path = tmp_path / "fleet.csv"
+        synth.write_fleet(synth_fleet(), csv_path, tmp_path / "manifest.json")
+        with csv_path.open("a", encoding="utf-8") as fh:  # a rejected row and a duplicate
+            fh.write("v4-m0000,v4,2024-10-01T00:00:00Z,1;2;3,0.5,1\nv4-m0000,v4,2024-10-01T00:00:00Z,1;2,0.5,1\n")
+        expected = outputs(csv_path, tmp_path / "csv")
+    with csv_path.open(newline="", encoding="utf-8") as fh:
+        lines = [json.dumps(record) + "\n" for record in csv.DictReader(fh)]
+    json_lines = tmp_path / "fleet.jsonl"
+    json_lines.write_text("".join(lines), encoding="utf-8")
+    assert outputs(json_lines, tmp_path / "jsonl") == expected
+    csv_log, json_log = (
+        run(["ingest", "--telemetry", str(path)], tmp_path / path.suffix)["rejections.csv"]
+        for path in (csv_path, json_lines)
+    )
+    assert csv_log == json_log
 
 
 # Columns that doubling every tray reading doubles exactly, and columns it moves

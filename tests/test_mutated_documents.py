@@ -2,18 +2,21 @@
 
 Each example takes one configuration document, applies one mutation (drop
 a key, misspell a key, or give a value another JSON type or a value out
-of range, including 0, -1 and a number written as "nan", NaN or 1e400)
-and runs the real `cli.main` in process on it. Every run must end in exit
-0, 2, 3 or 4: an uncaught exception fails the example, with its
-traceback. Only the exit code is checked, so a value accepted wrongly
-with exit 0 goes unseen.
+of range, including 0, -1, 1e308 and a number written as "nan", NaN or
+1e400) and runs the real `cli.main` in process on it. Every run must end
+in exit 0, 2, 3 or 4: an uncaught exception fails the example, with its
+traceback. A run that exits 0 must write, and `cci` print, only finite
+numbers; any other value accepted wrongly with exit 0 goes unseen.
 """
 
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from fleetcarbon.config import bundled_config_path, bundled_data_dir
 
 # Stand-ins for bare JSON numbers beyond float range, which json.dumps cannot write.
 HUGE = {"<1e400>": "1e400", "<10**400>": "1" + "0" * 400}
-REPLACEMENTS = ("text", "false", "nan", "1e400", True, None, [], {}, 7, 2.5, 0, -1, math.nan, *HUGE)
+REPLACEMENTS = ("text", "false", "nan", "1e400", True, None, [], {}, 7, 2.5, 0, -1, 1e308, math.nan, *HUGE)
 EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -109,11 +112,39 @@ def render(name: str, doc) -> str:
     return text
 
 
+def texts(node):
+    """Every string in a decoded document, keys included."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from texts(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from texts(value)
+
+
+def non_finite(table: str, echoed: set) -> list:
+    """The NaN and infinite numbers in a table written as JSON or CSV.
+
+    A CSV cell that the mutated document itself gave, such as a workload
+    named "nan", is text the table echoes, not a number.
+    """
+    if table.startswith("{"):
+        found = []
+        json.loads(table, parse_constant=found.append)
+        return found
+    cells = (cell for row in csv.reader(io.StringIO(table)) for cell in row)
+    return [cell for cell in cells if cell in ("nan", "inf", "-inf") and cell not in echoed]
+
+
 def check_mutation(name: str, original, data, work) -> None:
     """One example: mutate `original`, the document `name`, and run every command that reads it in `work`."""
     _, key, commands = DOCUMENTS[name]
     document, config = work / "document.json", work / "config.json"
-    document.write_text(render(name, mutate(original, data)))
+    doc = mutate(original, data)
+    document.write_text(render(name, doc))
     if name == "config":
         argv = ["--config", str(document)]
     elif key is None:  # the synth scenario
@@ -122,7 +153,16 @@ def check_mutation(name: str, original, data, work) -> None:
         config.write_text(json.dumps(dict(demo_config(), **{key: str(document)})))
         argv = ["--config", str(config)]
     for command in commands:
-        assert main([command, *argv, "-o", str(work / "out")]) in EXIT_CODES
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main([command, *argv, "-o", str(work / "out")])
+        assert code in EXIT_CODES
+        if code == 0:  # every table written, and the one `cci` prints, holds only finite numbers
+            lines = stdout.getvalue().splitlines()
+            tables = [Path(line[6:]).read_text(encoding="utf-8") for line in lines if line.startswith("wrote ")]
+            tables += [stdout.getvalue()] if command == "cci" else []
+            echoed = set(texts(doc))
+            for table in tables:
+                assert not non_finite(table, echoed), command
 
 
 @pytest.mark.parametrize("name", DOCUMENTS)

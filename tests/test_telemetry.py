@@ -452,7 +452,7 @@ TRAY_JSON = [
     ([300.0, 442.0, 442.0], (300.0, 442.0, 442.0)), ([300, 442, 442], (300.0, 442.0, 442.0)),
     (["300", "442", "442"], (300.0, 442.0, 442.0)), ([1, 2], (1.0, 2.0)), ([-1.0, 2, 3], (-1.0, 2.0, 3.0)),
     ([], ()), (None, ()), ([True, True, True], BAD), ([math.nan, 1, 1], BAD), ([10**400, 1, 1], BAD),
-    (300, BAD), (["", "1", "1"], BAD),
+    (300, BAD), (["", "1", "1"], BAD), ({"300": 1, "442": 2, "441": 3}, BAD),
 ]
 DUTY_TEXT = [
     ("0.5", 0.5), ("0", 0.0), ("1", 1.0), (" 0.5 ", 0.5), ("1.0001", 1.0001), ("-0.1", -0.1),
