@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 from .errors import ConfigError
 from .factors import EmissionFactorSet, ScenarioSpec
 from .lca import MachineInventory
-from .telemetry import PlatformSpec
+from .telemetry import BucketScheme, PlatformSpec
 
 if TYPE_CHECKING:
     from .workload import WorkloadRun
@@ -92,8 +92,7 @@ class RunConfig:
         for label, pue in (("pue", self.pue), ("workload_pue", self.workload_pue)):
             if not 1.0 <= pue < math.inf:
                 raise ValueError(f"{label} {pue} must be finite and >= 1")
-        if not 1 <= self.buckets <= 10_000:  # ingest keeps a slot per bucket for each platform
-            raise ValueError(f"buckets {self.buckets} must lie in [1, 10000]")
+        BucketScheme(self.buckets)  # raises for a count ingest cannot bucket by
         if self.format not in ("csv", "json", "md"):
             raise ValueError(f"unknown output format {self.format!r}")
         if self.workload_factor_g_per_kwh is not None and self.workload_factor_g_per_kwh < 0:

@@ -106,8 +106,9 @@ class BucketScheme:
     buckets: int = 10
 
     def __post_init__(self) -> None:
-        if self.buckets < 1:
-            raise ValueError("bucket count must be >= 1")
+        # bucket_of multiplies a duty cycle by the count, which keeps it below the count only if exact
+        if not (1 <= self.buckets <= sys.float_info.max and float(self.buckets) == self.buckets):
+            raise ValueError(f"bucket count {self.buckets} must be >= 1 and held exactly by a float")
 
     def bucket_of(self, duty_cycle: float) -> int:
         if not 0.0 <= duty_cycle <= 1.0:
@@ -411,8 +412,8 @@ def ingest(
     epochs: dict[str, int] = {}  # raw timestamp text -> snapped epoch seconds
     seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
     bucket_of, inf = scheme.bucket_of, math.inf
-    # platform_id -> its spec and its cells by duty bucket (None until a row lands)
-    platforms = {pid: (spec, [None] * scheme.buckets) for pid, spec in catalog.items()}
+    # platform_id -> its spec and its cells by duty bucket, made as rows land
+    platforms = {pid: (spec, {}) for pid, spec in catalog.items()}
     decode, records = _records(source)
     for row_no, record in enumerate(records, start=1):
         try:
@@ -474,11 +475,11 @@ def ingest(
             exclusions[reason] = exclusions.get(reason, 0) + 1
             continue
         bucket = bucket_of(duty)
-        cell = bucket_cells[bucket]
+        cell = bucket_cells.get(bucket)
         if cell is None:
             cell = bucket_cells[bucket] = Cell()
         cell.add(machine_power(trays, spec), duty, flops)
-    cells = {(pid, b): c for pid, (_, by_bucket) in platforms.items() for b, c in enumerate(by_bucket) if c}
+    cells = {(pid, b): c for pid, (_, by_bucket) in platforms.items() for b, c in sorted(by_bucket.items())}
     for cell in cells.values():  # readers then sum a few parts per cell, not a buffer
         _compact(cell.power)
         _compact(cell.duty)

@@ -175,7 +175,6 @@ class TestPerChipEmbodied:
         with pytest.raises(ValueError):
             inventory(eol=0.05)
 
-
     @pytest.mark.parametrize(
         "inv, named",
         [

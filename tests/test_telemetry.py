@@ -296,6 +296,16 @@ class TestIngest:
             ("p1", 3): 1,
         }
 
+    def test_cells_of_a_vast_scheme_are_the_filled_buckets_in_order(self):
+        scheme = BucketScheme(2**100)
+        rows = [record(duty=d, minute=5 * i) for i, d in enumerate((1.0, 0.0, 0.5, 1.0))]
+        ds = ingest(rows, {"p1": spec()}, scheme)
+        assert [(key, cell.count) for key, cell in ds.samples.items()] == [
+            (("p1", 0), 1),
+            (("p1", 2**99 - 1), 1),
+            (("p1", 2**100 - 1), 2),
+        ]
+
     def test_synthetic_fixture_count_matches_generator_bookkeeping(self, tmp_path):
         # generator emits its own row count in the manifest; ingest must agree
         from fleetcarbon.synth import GenerationSpec, SynthScenario, write_fleet

@@ -84,6 +84,11 @@ class TestBucketScheme:
         assert scheme.bucket_of(0.3) == 2
         assert scheme.bucket_of(1.0) == 9
 
+    @pytest.mark.parametrize("n", [0, 2**53 + 1, 10**400])
+    def test_bucket_count_below_one_or_not_held_exactly_by_a_float_refused(self, n):
+        with pytest.raises(ValueError, match="must be >= 1 and held exactly by a float"):
+            BucketScheme(n)
+
     @given(st.floats(0.0, 1.0, allow_nan=False), st.integers(1, 50))
     def test_every_duty_lands_in_a_valid_bucket(self, duty, n):
         scheme = BucketScheme(n)
