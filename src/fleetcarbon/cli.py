@@ -26,7 +26,6 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import report as reportmod
-from . import synth as synthmod
 from .errors import ComputationError, ConfigError, IngestError
 from .telemetry import BucketScheme, ingest, write_rejection_log
 from .workload import read_runs
@@ -89,7 +88,7 @@ def _accounts(config: cfgmod.RunConfig):
 
 def cmd_ingest(config, args) -> list[reportmod.Table]:
     platforms = cfgmod.load_platforms(config.platforms)
-    dataset = ingest(config.telemetry, platforms)
+    dataset = ingest(config.telemetry, platforms, BucketScheme(config.buckets))
     args.output_dir.mkdir(parents=True, exist_ok=True)
     log_path = args.output_dir / "rejections.csv"
     with log_path.open("w", encoding="utf-8", newline="") as fh:
@@ -168,6 +167,8 @@ def cmd_weight(config, args) -> list[reportmod.Table]:
 
 
 def cmd_synth(args) -> int:
+    from . import synth as synthmod  # the one subcommand that generates; the others never import it
+
     if args.scenario_file is not None:
         seed = {} if args.seed is None else {"seed": args.seed}
         scenario = cfgmod.read_document(

@@ -16,6 +16,7 @@ and energy per ExaFLOP against the baseline) and the platform catalog
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -98,8 +99,33 @@ def machine_power_at(duty: float, active_power_w: float) -> float:
     return active_power_w * (IDLE_POWER_FRACTION + (1.0 - IDLE_POWER_FRACTION) * duty)
 
 
-def _rows(scenario: SynthScenario):
-    """Yield telemetry rows as tuples of text in `TELEMETRY_COLUMNS` order.
+def _readings(gen: GenerationSpec, rng: random.Random, stamps: list[str], buckets: int):
+    """Yield one machine's (stamp, tray power, duty cycle, FLOPs) per interval, as text."""
+    trays, active = gen.trays_per_machine, gen.active_power_w
+    beta, duty_a, duty_b = gen.duty_dist == "beta", gen.duty_a, gen.duty_b
+    snap, noise, missing_rate = gen.duty_snap == "midpoint", gen.power_noise, gen.missing_rate
+    full_flops_per_s = gen.flops_per_s_at_full_duty
+    for stamp in stamps:
+        duty = rng.betavariate(duty_a, duty_b) if beta else rng.uniform(0.0, 1.0)
+        if snap:  # the center of the duty-cycle level the draw fell in
+            duty = (min(buckets - 1, int(duty * buckets)) + 0.5) / buckets
+        power = machine_power_at(duty, active)
+        if noise:
+            power *= 1.0 + rng.uniform(-noise, noise)
+        if trays == 1:
+            tray_text = f"{power:.3f}"
+        else:  # the host tray draws 80% of an even share, the others split the rest
+            host = power / trays * 0.8
+            tray_text = f"{host:.3f}" + f";{(power - host) / (trays - 1):.3f}" * (trays - 1)
+        if missing_rate > 0 and rng.random() < missing_rate:
+            yield stamp, tray_text, "", ""
+        else:
+            yield stamp, tray_text, f"{duty:.6f}", str(round(duty * full_flops_per_s * INTERVAL_SECONDS))
+
+
+def _machines(scenario: SynthScenario):
+    """Yield (machine_id, generation name, readings) per machine, where
+    `readings` yields the rest of each of its rows as text (see `_readings`).
 
     Deterministic for a fixed scenario: one private RNG stream per
     (generation, machine) derived from the scenario seed, so adding a
@@ -110,39 +136,18 @@ def _rows(scenario: SynthScenario):
         (t0 + timedelta(seconds=step * INTERVAL_SECONDS)).strftime("%Y-%m-%dT%H:%M:%SZ")
         for step in range(scenario.intervals)
     ]
-    buckets = scenario.buckets
     for gen in scenario.generations:
-        name, trays, active = gen.name, gen.trays_per_machine, gen.active_power_w
-        beta, duty_a, duty_b = gen.duty_dist == "beta", gen.duty_a, gen.duty_b
-        snap, noise, missing_rate = gen.duty_snap == "midpoint", gen.power_noise, gen.missing_rate
-        full_flops_per_s = gen.flops_per_s_at_full_duty
         for machine_idx in range(gen.machines):
-            rng = random.Random(f"{scenario.seed}/{name}/{machine_idx}")
-            machine_id = f"{name}-m{machine_idx:04d}"
-            for stamp in stamps:
-                duty = rng.betavariate(duty_a, duty_b) if beta else rng.uniform(0.0, 1.0)
-                if snap:  # the center of the duty-cycle level the draw fell in
-                    duty = (min(buckets - 1, int(duty * buckets)) + 0.5) / buckets
-                power = machine_power_at(duty, active)
-                if noise:
-                    power *= 1.0 + rng.uniform(-noise, noise)
-                if trays == 1:
-                    tray_text = format(round(power, 3), ".3f")
-                else:  # the host tray draws 80% of an even share, the others split the rest
-                    host = power / trays * 0.8
-                    rest = format(round((power - host) / (trays - 1), 3), ".3f")
-                    tray_text = format(round(host, 3), ".3f") + f";{rest}" * (trays - 1)
-                if missing_rate > 0 and rng.random() < missing_rate:
-                    yield machine_id, name, stamp, tray_text, "", ""
-                else:
-                    flops = round(duty * full_flops_per_s * INTERVAL_SECONDS)
-                    yield machine_id, name, stamp, tray_text, format(duty, ".6f"), str(flops)
+            rng = random.Random(f"{scenario.seed}/{gen.name}/{machine_idx}")
+            yield f"{gen.name}-m{machine_idx:04d}", gen.name, _readings(gen, rng, stamps, scenario.buckets)
 
 
 def generate(scenario: SynthScenario):
-    """Yield telemetry rows as dicts keyed by the ingest columns (see `_rows`)."""
-    for row in _rows(scenario):
-        yield dict(zip(TELEMETRY_COLUMNS, row))
+    """Yield telemetry rows as dicts keyed by the ingest columns, in the order
+    `write_fleet` writes them (see `_machines`)."""
+    for machine_id, name, readings in _machines(scenario):
+        for reading in readings:
+            yield dict(zip(TELEMETRY_COLUMNS, (machine_id, name, *reading)))
 
 
 def build_manifest(scenario: SynthScenario) -> dict:
@@ -191,7 +196,12 @@ def write_fleet(scenario: SynthScenario, telemetry_path: str | Path, manifest_pa
     with telemetry_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TELEMETRY_COLUMNS)
-        writer.writerows(_rows(scenario))
+        # csv quotes the two name fields once per machine; stamps and numbers never need quoting
+        for machine_id, name, readings in _machines(scenario):
+            quoted = io.StringIO()
+            csv.writer(quoted, lineterminator="\n").writerow((machine_id, name, ""))
+            prefix = quoted.getvalue()[:-1]
+            fh.writelines(prefix + ",".join(reading) + "\n" for reading in readings)
     Path(manifest_path).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

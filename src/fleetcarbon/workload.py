@@ -24,7 +24,9 @@ from .telemetry import PlatformSpec, parse_rfc3339
 DEFAULT_DUTY_THRESHOLD = 0.8
 
 # One decoder for every interval line: hooks passed per call would build a decoder per line.
-_decode_record = json.JSONDecoder(parse_float=finite_number, parse_constant=finite_number).decode
+# Its hooks check every float it makes, so a float it returns is finite.
+_DECODER = json.JSONDecoder(parse_float=finite_number, parse_constant=finite_number)
+_scan_record, _decode_record = _DECODER.scan_once, _DECODER.decode
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,12 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                 if not line:
                     continue
                 try:
-                    rec = _decode_record(line)
+                    try:  # the C scanner alone, without decode's wrapper, for a line that is one value
+                        rec, end = _scan_record(line, 0)
+                    except StopIteration:
+                        end = -1
+                    if end != len(line):  # decode raises its own message for what the scanner stopped at
+                        rec = _decode_record(line)
                     run_id = str(rec["run_id"])
                     if run_id not in per_run:
                         continue
@@ -195,7 +202,12 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                         interval = per_run[run_id][ts] = RunInterval({}, {})
                     if machine in interval.power_w:
                         raise ValueError(f"repeated key: run {run_id!r}, machine {machine!r}, interval {ts}")
-                    power, duty = finite_number(rec["power_w"]), finite_number(rec["duty_cycle"])
+                    power = rec["power_w"]
+                    if type(power) is not float:  # ints and text; the decoder checked every float
+                        power = finite_number(power)
+                    duty = rec["duty_cycle"]
+                    if type(duty) is not float:
+                        duty = finite_number(duty)
                     if power < 0:
                         raise ValueError(f"power_w {power} is negative")
                     if not 0.0 <= duty <= 1.0:

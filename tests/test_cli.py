@@ -11,8 +11,10 @@ import pytest
 
 import fleetcarbon
 import fleetcarbon.synth
+from fleetcarbon import cli
 from fleetcarbon.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_INGEST, main
 from fleetcarbon.config import bundled_config_path
+from fleetcarbon.telemetry import BucketScheme
 
 
 def run_cli(capsys, *argv):
@@ -932,6 +934,19 @@ class TestIngestCommand:
         log_rows = (tmp_path / "rejections.csv").read_text().splitlines()
         assert len(log_rows) == 3  # header + two rejects
 
+    def test_ingests_under_the_config_bucket_count(self, tmp_path, capsys, monkeypatch):
+        schemes, real = [], cli.ingest
+
+        def ingest(path, catalog, scheme=None):
+            schemes.append(scheme)
+            return real(path, catalog, scheme)
+
+        monkeypatch.setattr(cli, "ingest", ingest)
+        config = write_config(tmp_path, buckets=7)
+        code, out, err = run_cli(capsys, "ingest", "-o", str(tmp_path), "--config", str(config))
+        assert code == 0
+        assert schemes == [BucketScheme(7)]
+
     def test_non_finite_numbers_logged_not_raised(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -1113,6 +1128,14 @@ class TestNonFiniteResults:
 
 
 class TestSynthCommand:
+    def test_only_synth_imports_the_generator(self):
+        src = str(Path(fleetcarbon.__file__).resolve().parent.parent)
+        probe = "import sys, fleetcarbon.cli; print('fleetcarbon.synth' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+        )
+        assert result.stdout == "False\n"
+
     @pytest.mark.parametrize(
         "content",
         [

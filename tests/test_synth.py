@@ -103,6 +103,28 @@ BRANCH_SCENARIOS = {
         ),
         "e738f54ea6434173f87aca4ecf02886f0c91d73530458f76163834a44c8e4de2",
     ),
+    # one tray; names csv must quote; trays above 2**43 W, where a double's spacing passes 0.001
+    "one-tray-quoted-names-vast-trays": (
+        SynthScenario(
+            seed=59,
+            intervals=30,
+            generations=(
+                GenerationSpec(name="one,tray", machines=3, trays_per_machine=1, missing_rate=0.2),
+                GenerationSpec(
+                    name='say "q"', machines=2, trays_per_machine=2, duty_dist="uniform", duty_snap="none"
+                ),
+                GenerationSpec(
+                    name="vast",
+                    machines=2,
+                    trays_per_machine=3,
+                    active_power_w=1.0e14,
+                    flops_per_s_at_full_duty=2.0e24,
+                    power_noise=0.3,
+                ),
+            ),
+        ),
+        "3ecf0018f2a4130c74f6504bf7de2e0360f8090fb970db31400d7d001585cede",
+    ),
 }
 
 

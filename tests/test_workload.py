@@ -270,6 +270,9 @@ class TestRunPolicy:
 
 
 class TestReadRuns:
+    # an interval record without its closing brace
+    RECORD = '{"run_id": "r", "machine_id": "m", "interval_start": "2024-10-01T00:00:00Z", "power_w": 1, "duty_cycle": 1'
+
     def test_bundled_fixture_round_trip(self, run_config, platforms, inventories):
         runs = read_runs(run_config.run_manifest, run_config.run_intervals)
         assert len(runs) == 4
@@ -310,8 +313,12 @@ class TestReadRuns:
             ('"power_w": "1e400", "duty_cycle": 1', "non-finite number"),
             ('"power_w": -5000, "duty_cycle": 1', "power_w -5000.0 is negative"),
             ('"power_w": 1, "duty_cycle": 7.0', r"duty_cycle 7.0 outside \[0, 1\]"),
+            ('"power_w": 1, "duty_cycle": 1, "note": NaN', "non-finite number 'NaN'"),
+            ('"power_w": 1, "duty_cycle": 1, "note": 1e400', "non-finite number '1e400'"),
         ],
-        ids=["nan-power", "power-text-overflow", "negative-power", "duty-above-one"],
+        ids=[
+            "nan-power", "power-text-overflow", "negative-power", "duty-above-one", "nan-unread", "overflow-unread"
+        ],
     )
     def test_bad_interval_number_is_ingest_error(self, tmp_path, fields, message):
         manifest = tmp_path / "runs.json"
@@ -324,6 +331,32 @@ class TestReadRuns:
         )
         with pytest.raises(IngestError, match=f"line 1: {message}"):
             read_runs(manifest, intervals)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (RECORD + "} x", "Extra data: line 1 column 109 (char 108)"),
+            (RECORD + "}" + RECORD + "}", "Extra data: line 1 column 108 (char 107)"),
+            (RECORD + "} " + RECORD + "}", "Extra data: line 1 column 109 (char 108)"),
+            ("42 x", "Extra data: line 1 column 4 (char 3)"),
+            ("[]", "list indices must be integers or slices, not str"),
+            ("42", "'int' object is not subscriptable"),
+            ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("x", "Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=[
+            "trailing-data", "two-objects", "two-objects-spaced", "number-then-text",
+            "bare-list", "bare-number", "lone-brace", "no-value",
+        ],
+    )
+    def test_line_that_is_not_one_object_is_ingest_error(self, tmp_path, line, message):
+        manifest = tmp_path / "runs.json"
+        manifest.write_text('{"runs": [{"run_id": "r", "platform_id": "p", "machines": ["m"], "step_time_s": 1}]}')
+        intervals = tmp_path / "intervals.jsonl"
+        intervals.write_text(line + "\n")
+        with pytest.raises(IngestError) as info:
+            read_runs(manifest, intervals)
+        assert str(info.value) == f"{intervals}: bad interval record at line 1: {message}"
 
     @staticmethod
     def pod_files(tmp_path, *records):

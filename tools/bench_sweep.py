@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Size sweep of the telemetry path: synth, ingest, fold_platforms, weighting_table.
+"""Size sweep of the telemetry path (synth, ingest, fold_platforms, weighting_table) and of read_runs.
 
     python3 tools/bench_sweep.py [--src src] [--rows 10000 100000 1000000]
                                  [--repeat 3] [--work DIR]
@@ -12,7 +12,10 @@ For each size, times in this process:
 - `telemetry.ingest` of the CSV file, and its tracemalloc peak (measured
   in a separate, untimed run, because tracing slows allocation);
 - `report.fold_platforms` under the `market` standard at PUE 1.1;
-- `report.weighting_table` over all five platforms against `v4i`.
+- `report.weighting_table` over all five platforms against `v4i`;
+- `workload.read_runs` of a run manifest and a JSON-lines file of that
+  many pod interval records (runs of ten machines over the fleet's
+  intervals, cycling over the five platforms).
 
 Each time is the median of `--repeat` runs; rows/s is rows over that
 time. `--src` picks the fleetcarbon source tree to measure, so two
@@ -25,16 +28,19 @@ import argparse
 import gc
 import json
 import platform
+import random
 import statistics
 import sys
 import tempfile
 import time
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 # platform -> trays per machine, as in the bundled catalog
 PLATFORMS = {"v4i": 3, "v5e": 3, "v6e": 3, "v4": 2, "v5p": 2}
 INTERVALS = {10_000: 100, 100_000: 200, 1_000_000: 400}
+POD_MACHINES = 10
 
 
 def fleet(rows: int):
@@ -51,6 +57,36 @@ def fleet(rows: int):
     return synth.SynthScenario(seed=6, intervals=intervals, generations=generations)
 
 
+def pod_files(records: int, work: Path) -> tuple[Path, Path]:
+    """A run manifest and its JSON-lines interval file of `records` records."""
+    intervals = INTERVALS.get(records, 200)
+    runs, rest = divmod(records, POD_MACHINES * intervals)
+    if rest or not runs:
+        raise SystemExit(f"{records} records do not split into {POD_MACHINES}-machine runs x {intervals} intervals")
+    rng = random.Random(6)
+    t0 = datetime(2024, 10, 1, tzinfo=timezone.utc)
+    stamps = [(t0 + timedelta(minutes=5 * i)).strftime("%Y-%m-%dT%H:%M:%SZ") for i in range(intervals)]
+    manifest, intervals_path = work / f"runs-{records}.json", work / f"intervals-{records}.jsonl"
+    listed = []
+    with intervals_path.open("w", encoding="utf-8") as fh:
+        for r in range(runs):
+            run_id, pid = f"run-{r:04d}", list(PLATFORMS)[r % len(PLATFORMS)]
+            machines = [f"{run_id}-m{m:02d}" for m in range(POD_MACHINES)]
+            listed.append({"run_id": run_id, "platform_id": pid, "machines": machines, "step_time_s": 1.5})
+            for stamp in stamps:
+                for machine in machines:
+                    record = {
+                        "duty_cycle": round(rng.uniform(0.82, 1.0), 4),
+                        "interval_start": stamp,
+                        "machine_id": machine,
+                        "power_w": round(rng.uniform(900.0, 1100.0), 3),
+                        "run_id": run_id,
+                    }
+                    fh.write(json.dumps(record) + "\n")
+    manifest.write_text(json.dumps({"runs": listed}), encoding="utf-8")
+    return manifest, intervals_path
+
+
 def timed(repeat: int, call) -> tuple[float, object]:
     times, result = [], None
     for _ in range(repeat):
@@ -63,7 +99,7 @@ def timed(repeat: int, call) -> tuple[float, object]:
 
 
 def sweep(rows: int, repeat: int, work: Path) -> dict:
-    from fleetcarbon import config, report, synth, telemetry
+    from fleetcarbon import config, report, synth, telemetry, workload
 
     csv_path, manifest = work / f"fleet-{rows}.csv", work / f"fleet-{rows}.json"
     scenario = fleet(rows)
@@ -88,12 +124,18 @@ def sweep(rows: int, repeat: int, work: Path) -> dict:
     )
     csv_path.unlink()
     manifest.unlink()
+
+    runs_path, intervals_path = pod_files(rows, work)
+    read_runs_s, _ = timed(repeat, lambda: workload.read_runs(runs_path, intervals_path))
+    runs_path.unlink()
+    intervals_path.unlink()
     return {
         "rows": rows,
         "synth": {"s": synth_s, "rows_per_s": rows / synth_s},
         "ingest": {"s": ingest_s, "rows_per_s": rows / ingest_s, "tracemalloc_peak_mb": peak / 2**20},
         "fold_platforms": {"s": fold_s, "rows_per_s": rows / fold_s},
         "weighting_table": {"s": weight_s, "rows_per_s": rows / weight_s},
+        "read_runs": {"s": read_runs_s, "records_per_s": rows / read_runs_s},
     }
 
 
