@@ -158,7 +158,7 @@ def cmd_weight(config, args) -> list[reportmod.Table]:
     cohort = args.cohort or sorted(platforms)
     if unknown := [pid for pid in cohort if pid not in platforms]:
         raise ConfigError(f"cohort platforms not in catalog: {', '.join(map(repr, unknown))}")
-    baseline = args.baseline or cohort[0]
+    baseline = args.baseline or next(iter(cohort), "")  # an empty cohort has no samples: exit 4
     factor = factors.factor_for(config.standard)
     table, warnings = reportmod.weighting_table(dataset, cohort, baseline, factor, pue=config.pue)
     for warning in warnings:

@@ -364,8 +364,8 @@ def scenario_table(
             pid: base.embodied_cci + operational_cci(base.energy_kwh_per_exaflop, base_factor)
             for pid, base in reports.items()
         }
-        ref = baseline_platform or next(iter(base_totals))
-        if ref not in base_totals:
+        ref = baseline_platform or next(iter(base_totals), None)  # None: no platforms, no rows
+        if ref is not None and ref not in base_totals:
             raise ComputationError(f"baseline platform {ref!r} not in catalog")
         for pid, base in reports.items():
             scen_embodied = base.embodied_cci * (1.0 - reduction)

@@ -199,8 +199,7 @@ class FleetDataset:
 class FleetWindow:
     """Per-platform aggregate over a set of machine-intervals.
 
-    Totals are kept as raw sums so that windows over disjoint sample sets
-    combine associatively; derived quantities are properties.
+    Totals are kept as raw sums; derived quantities are properties.
     """
 
     platform_id: str
@@ -209,28 +208,12 @@ class FleetWindow:
     total_flops: int
 
     @property
-    def total_energy_kwh(self) -> float:
-        # one sample = one machine running for 300 s = 1/12 h
-        return self.power_sum_w * (INTERVAL_SECONDS / 3600.0) / 1000.0
-
-    @property
     def mean_machine_power_w(self) -> float:
         return self.power_sum_w / self.sample_count
 
     @property
     def machine_seconds(self) -> float:
         return self.sample_count * float(INTERVAL_SECONDS)
-
-    def combine(self, other: "FleetWindow") -> "FleetWindow":
-        """Merge the aggregate of a disjoint sample set for the same platform."""
-        if other.platform_id != self.platform_id:
-            raise ValueError("cannot combine windows of different platforms")
-        return FleetWindow(
-            platform_id=self.platform_id,
-            sample_count=self.sample_count + other.sample_count,
-            power_sum_w=self.power_sum_w + other.power_sum_w,
-            total_flops=self.total_flops + other.total_flops,
-        )
 
 
 def parse_rfc3339(text: str) -> datetime:

@@ -82,41 +82,33 @@ class StepEmissions:
         return self.operational_g + self.embodied_g
 
 
-def on_duty_power(run: WorkloadRun, threshold: float = DEFAULT_DUTY_THRESHOLD) -> OnDutyPower:
+def on_duty_power(run: WorkloadRun) -> OnDutyPower:
     """Mean power across machines and intervals where the whole pod is busy.
 
     An interval counts only if every machine assigned to the run reports a
-    duty cycle at or above the threshold; one straggler excludes the
-    interval for all machines.
+    duty cycle at or above `DEFAULT_DUTY_THRESHOLD`; one straggler excludes
+    the interval for all machines.
     """
     if not run.intervals:
         raise ComputationError(f"run {run.run_id}: no interval samples")
     included: list[float] = []
     excluded = 0
     for interval in run.intervals:
-        # an absent machine reads as NaN, so it is off duty at every threshold
-        on_duty = all(interval.duty_cycle.get(machine, math.nan) >= threshold for machine in run.machines)
+        # an absent machine reads as NaN, so it is never on duty
+        on_duty = all(
+            interval.duty_cycle.get(machine, math.nan) >= DEFAULT_DUTY_THRESHOLD for machine in run.machines
+        )
         if not on_duty:
             excluded += 1
             continue
         included.extend(interval.power_w[machine] for machine in run.machines)
     if not included:
-        raise ComputationError(f"run {run.run_id}: no on-duty intervals at threshold {threshold}")
+        raise ComputationError(f"run {run.run_id}: no on-duty intervals at threshold {DEFAULT_DUTY_THRESHOLD}")
     return OnDutyPower(
         power_w=math.fsum(included) / len(included),
         included_intervals=len(run.intervals) - excluded,
         excluded_intervals=excluded,
     )
-
-
-def embodied_rate_g_per_s(inventory: MachineInventory, spec: PlatformSpec) -> float:
-    """Manufacturing + transport per machine, in grams per service second.
-
-    Construction allocations are excluded: a pod borrows the building for
-    the step, it does not consume it.
-    """
-    mt_kg = machine_manufacturing(inventory) + machine_transport(inventory)
-    return mt_kg * 1000.0 / spec.lifetime_seconds
 
 
 def emissions_per_step(
@@ -129,11 +121,15 @@ def emissions_per_step(
     """Operational plus embodied grams per machine-step.
 
     Pass pue=1.0 (the default) to account at the machine meter; a real PUE
-    folds cooling overhead into the per-step figure.
+    folds cooling overhead into the per-step figure. The embodied part
+    spreads manufacturing plus transport per machine over its service
+    seconds. Construction allocations are excluded: a pod borrows the
+    building for the step, it does not consume it.
     """
     duty = on_duty_power(run)
     operational = duty.power_w * run.step_time_s * pue * factor_g_per_kwh / J_PER_KWH
-    embodied = embodied_rate_g_per_s(inventory, spec) * run.step_time_s
+    mt_kg = machine_manufacturing(inventory) + machine_transport(inventory)
+    embodied = mt_kg * 1000.0 / spec.lifetime_seconds * run.step_time_s
     return StepEmissions(operational_g=operational, embodied_g=embodied, on_duty=duty)
 
 

@@ -1,16 +1,6 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from fleetcarbon.cci import (
-    CciReport,
-    build_report,
-    embodied_cci,
-    energy_per_exaflop,
-    estimate_workload,
-    lifetime_exaflops,
-    operational_cci,
-)
+from fleetcarbon.cci import CciReport, build_report, operational_cci
 from fleetcarbon.errors import ComputationError
 from fleetcarbon.lca import EmbodiedBreakdown, per_chip_embodied
 from fleetcarbon.report import fold_platforms
@@ -32,14 +22,27 @@ def spec(chips=8, lifetime=6.0):
     )
 
 
+def breakdown(tpu_mt=400.0):
+    return EmbodiedBreakdown(cpu_mt=100.0, tpu_mt=tpu_mt, dc_construction=150.0, eol=0.0, scope1=40.0)
+
+
+def report(w=None, s=None, b=None, pue=1.0):
+    return build_report(w or window(), s or spec(), b or breakdown(), 135.0, pue)
+
+
+@pytest.fixture(scope="module")
+def demo_reports(fleet_dataset, inventories, factor_config, run_config):
+    return fold_platforms(fleet_dataset, inventories, factor_config, run_config.standard, run_config.pue)
+
+
 class TestEnergyPerExaflop:
-    def test_bundled_fleet_reproduces_calibration(self, fleet_dataset, platforms):
+    def test_bundled_fleet_reproduces_calibration(self, demo_reports):
         # the fixture fleet is tuned to these intensities; the pipeline must
-        # get them back through ingest -> aggregate -> energy_per_exaflop
+        # get them back through ingest -> aggregate -> build_report
         expected = {"v4i": 2.53, "v5e": 2.16, "v6e": 0.86, "v4": 1.93, "v5p": 1.65}
         for pid, value in expected.items():
-            w = aggregate(fleet_dataset, pid)
-            assert energy_per_exaflop(w, pue=1.10) == pytest.approx(value, rel=1e-9)
+            assert demo_reports[pid].pue == 1.10
+            assert demo_reports[pid].energy_kwh_per_exaflop == pytest.approx(value, rel=1e-9)
 
     @pytest.mark.parametrize("standard", ["market", "location", "hourly247"])
     def test_bundled_total_cci_ratio_of_oldest_to_newest(
@@ -52,18 +55,16 @@ class TestEnergyPerExaflop:
 
     def test_unit_identity(self):
         w = window(power_sum=12000.0, samples=1, flops=10**18)  # exactly 1 kWh
-        assert energy_per_exaflop(w, pue=1.0) == pytest.approx(1.0, rel=1e-12)
+        assert report(w).energy_kwh_per_exaflop == pytest.approx(1.0, rel=1e-12)
 
     def test_doubling_flops_halves_intensity(self):
-        w1 = window(flops=10**18)
-        w2 = window(flops=2 * 10**18)
-        assert energy_per_exaflop(w2, 1.0) == pytest.approx(
-            energy_per_exaflop(w1, 1.0) / 2, rel=1e-12
-        )
+        one = report(window(flops=10**18)).energy_kwh_per_exaflop
+        two = report(window(flops=2 * 10**18)).energy_kwh_per_exaflop
+        assert two == pytest.approx(one / 2, rel=1e-12)
 
     def test_zero_flops_is_error(self):
-        with pytest.raises(ComputationError, match="no utilized compute"):
-            energy_per_exaflop(window(flops=0), pue=1.0)
+        with pytest.raises(ComputationError, match="no utilized compute in window for 'p1'"):
+            report(window(flops=0))
 
 
 class TestOperationalCci:
@@ -82,85 +83,52 @@ class TestOperationalCci:
 
 
 class TestEmbodiedCci:
-    def test_oldest_platform_back_derivation(self):
-        # 386 kg over the lifetime work back-derived two independent ways
-        lifetime_ef_embodied = 386000 / 114  # 3386.0
-        lifetime_ef_energy = (1184 / 8 * 52596 * 1.10 / 1000) / 2.53  # 3384.4
-        assert lifetime_ef_embodied == pytest.approx(lifetime_ef_energy, rel=0.002)
-        assert embodied_cci(386000, lifetime_ef_energy) == pytest.approx(114, rel=0.02)
+    def test_oldest_platform_back_derivation(self, demo_reports):
+        # the paper's 386 kg per chip over 3384.4 lifetime ExaFLOPs: about 114 g/ExaFLOP
+        v4i = demo_reports["v4i"]
+        assert v4i.breakdown.total == 386.0
+        assert v4i.embodied_cci == pytest.approx(114.05, rel=1e-4)
+        assert v4i.embodied_cci == v4i.breakdown.total * 1000.0 / v4i.lifetime_exaflops_per_chip
 
-    def test_newest_platform(self):
-        lifetime_ef = (2173 / 8 * 52596 * 1.10 / 1000) / 0.86
-        assert embodied_cci(692000, lifetime_ef) == pytest.approx(38, rel=0.02)
+    def test_newest_platform(self, demo_reports):
+        assert demo_reports["v6e"].embodied_cci == pytest.approx(38, rel=0.02)
 
     def test_zero_embodied(self):
-        assert embodied_cci(0, 100.0) == 0
+        zero = EmbodiedBreakdown(cpu_mt=0.0, tpu_mt=0.0, dc_construction=0.0, eol=0.0, scope1=0.0)
+        assert report(b=zero).embodied_cci == 0
 
     def test_zero_lifetime_compute_is_error(self):
-        with pytest.raises(ComputationError, match="zero lifetime"):
-            embodied_cci(1000, 0)
+        # one FLOP over 10^12 machine-intervals in a lifetime this short: the lifetime ExaFLOPs underflow to 0
+        with pytest.raises(ComputationError, match="zero lifetime compute; embodied intensity undefined"):
+            report(window(samples=10**12, flops=1), spec(lifetime=1e-300))
 
 
 class TestLifetimeExaflops:
     def test_rate_extrapolation_identity(self):
         # 1e18 FLOPs per interval per chip over 6 years: 52596 h * 12 intervals
         chips = 8
-        w = window(samples=1, flops=chips * 10**18)
-        assert lifetime_exaflops(w, spec(chips=chips)) == pytest.approx(
-            52596 * 12, rel=1e-12
-        )
+        rep = report(window(samples=1, flops=chips * 10**18), spec(chips=chips))
+        assert rep.lifetime_exaflops_per_chip == pytest.approx(52596 * 12, rel=1e-12)
 
-    def test_bundled_oldest_platform(self, fleet_dataset, platforms):
-        w = aggregate(fleet_dataset, "v4i")
-        lef = lifetime_exaflops(w, platforms["v4i"])
-        assert lef == pytest.approx(3386, rel=0.002)
-
-    def test_zero_flops_window(self):
-        assert lifetime_exaflops(window(flops=0), spec()) == 0
+    def test_bundled_oldest_platform(self, demo_reports):
+        assert demo_reports["v4i"].lifetime_exaflops_per_chip == pytest.approx(3384.4, rel=1e-4)
 
 
 class TestReportAndEstimates:
-    def report(self, embodied=79.0, operational=263.0):
-        return CciReport(
+    def test_total_is_exact_component_sum(self):
+        rep = CciReport(
             spec=spec(),
             window=window(),
-            breakdown=EmbodiedBreakdown(
-                cpu_mt=100.0, tpu_mt=400.0, dc_construction=150.0, eol=0.0, scope1=40.0
-            ),
+            breakdown=breakdown(),
             factor_g_per_kwh=136.0,
             pue=1.1,
             energy_kwh_per_exaflop=1.93,
-            embodied_cci=embodied,
-            operational_cci=operational,
+            embodied_cci=79.0,
+            operational_cci=263.0,
             lifetime_exaflops_per_chip=8746.0,
         )
-
-    def test_total_is_exact_component_sum(self):
-        rep = self.report()
         assert rep.total_cci == rep.embodied_cci + rep.operational_cci
         assert rep.total_cci == 342.0
-
-    def test_three_hundred_tonne_scale_estimate(self):
-        # 3.14e23 FLOPs on the 342 g/EF platform: ~107 t total, ~25 + ~82
-        est = estimate_workload(3.14e23, self.report())
-        assert est.total_g / 1e6 == pytest.approx(107, rel=0.01)
-        assert est.embodied_g / 1e6 == pytest.approx(25, rel=0.04)
-        assert est.operational_g / 1e6 == pytest.approx(82, rel=0.04)
-
-    def test_successor_platform_estimate(self):
-        est = estimate_workload(3.14e23, self.report(embodied=58.0, operational=225.0))
-        assert est.total_g / 1e6 == pytest.approx(89, rel=0.01)
-
-    def test_zero_flops(self):
-        est = estimate_workload(0, self.report())
-        assert est.total_g == 0
-
-    @given(st.floats(0, 1e26), st.floats(0.1, 10))
-    def test_linear_in_flops(self, flops, k):
-        rep = self.report()
-        one = estimate_workload(flops, rep)
-        scaled = estimate_workload(k * flops, rep)
-        assert scaled.total_g == pytest.approx(k * one.total_g, rel=1e-9, abs=1e-9)
 
     def test_standard_change_moves_only_operational(
         self, fleet_dataset, platforms, inventories

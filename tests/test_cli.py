@@ -123,6 +123,15 @@ DEEP = b"[" * 100_000 + b"]" * 100_000  # far beyond the decoder's recursion lim
 CATALOG_V4I = '{{"v4i": {{"chips_per_machine": 8, "trays_per_machine": 3, {}}}}}'
 
 
+CONFIG_COMMANDS = ("ingest", "report", "cci", "lca", "workload", "scenario", "weight")
+# the exit code of each of CONFIG_COMMANDS when the config names `{}` as this document
+EMPTY_DOCUMENT_EXITS = {
+    "platforms": (0, 0, 0, 0, EXIT_CONFIG, 0, EXIT_COMPUTE),
+    "inventories": (0, EXIT_CONFIG, EXIT_CONFIG, EXIT_CONFIG, EXIT_CONFIG, EXIT_CONFIG, 0),
+    "factors": (0, EXIT_CONFIG, EXIT_CONFIG, 0, 0, EXIT_CONFIG, EXIT_CONFIG),
+}
+
+
 def read_csv_table(path):
     with path.open(newline="") as fh:
         return list(csv.DictReader(fh))
@@ -412,6 +421,21 @@ class TestExitCodes:
         assert "platform 'v4'" in proc.stderr
         assert "not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    @pytest.mark.parametrize("key", sorted(EMPTY_DOCUMENT_EXITS))
+    def test_empty_document_exits_without_traceback(self, tmp_path, capsys, key, command):
+        # in process, an uncaught error would propagate out of main and fail the test
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, **{key: str(empty)})
+        code, _, err = run_cli(capsys, command, "--config", str(cfg_path), "-o", str(out))
+        assert code == EMPTY_DOCUMENT_EXITS[key][CONFIG_COMMANDS.index(command)], err
+        if (key, command) == ("platforms", "scenario"):
+            assert (out / "scenarios.csv").read_text().count("\n") == 1  # the header alone
+        if (key, command) == ("platforms", "weight"):
+            assert "no complete samples for cohort []" in err
 
     @pytest.mark.parametrize("command", ["cci", "report", "scenario"])
     def test_flops_total_beyond_float_range_is_compute_error(self, tmp_path, command):

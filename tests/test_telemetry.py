@@ -622,20 +622,23 @@ class TestAggregate:
         # 12 machine-intervals x 1184 W = one machine-hour: 1.184 kWh
         ds = dataset([record(power=(300, 442, 442), minute=5 * i) for i in range(12)])
         w = aggregate(ds, "p1")
-        assert w.total_energy_kwh == pytest.approx(1.184, rel=1e-12)
-        assert w.mean_machine_power_w == pytest.approx(1184.0)
+        assert w.power_sum_w == 12 * 1184.0
+        assert w.machine_seconds == 3600.0
+        assert w.mean_machine_power_w == 1184.0
 
     def test_single_zero_sample(self):
         w = aggregate(dataset([record(power=(0.0,), flops=0)], trays=1), "p1")
-        assert w.total_energy_kwh == 0.0
+        assert w.power_sum_w == 0.0
         assert w.total_flops == 0
 
     def test_synthetic_month_constant_power_closed_form(self):
-        # 730.5 hours at constant 2173 W: energy = 2173 * 730.5 / 1000 kWh
+        # 730.5 hours at constant 2173 W
         intervals = 8766  # 730.5 h of 5-minute intervals
         ds = dataset([record(power=(2173,), minute=5 * i) for i in range(intervals)], trays=1)
         w = aggregate(ds, "p1")
-        assert w.total_energy_kwh == pytest.approx(2173 * 730.5 / 1000.0, rel=1e-9)
+        assert w.power_sum_w == 2173.0 * intervals
+        assert w.machine_seconds == 730.5 * 3600
+        assert w.mean_machine_power_w == 2173.0
 
     def test_empty_window_is_error(self):
         ds = ingest([record(duty=None)], {"p1": spec(), "p2": spec(pid="p2")})
@@ -647,20 +650,28 @@ class TestAggregate:
         with pytest.raises(ComputationError, match="not in catalog"):
             aggregate(dataset([record()]), "p9")
 
-    def test_energy_additivity_over_partition_exact(self):
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**21)), min_size=2, max_size=40),
+        split=st.integers(0, 2**32),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    def test_energy_additivity_over_partition_exact(self, rows, split, seed):
         # integer watt readings keep the power sums exact, so splitting the
-        # rows into two ingests cannot change the total energy at all
+        # rows into two ingests cannot change any total, whatever the row order
         records = [
-            record(power=(simple,), minute=5 * i, machine=f"m{i}")
-            for i, simple in enumerate([173, 811, 999, 1401, 57, 2173, 640, 88])
+            record(power=(watts,), flops=flops, minute=5 * i, machine=f"m{i}")
+            for i, (watts, flops) in enumerate(rows)
         ]
         whole = aggregate(dataset(records, trays=1), "p1")
-        left = aggregate(dataset(records[:4], trays=1), "p1")
-        right = aggregate(dataset(records[4:], trays=1), "p1")
-        combined = left.combine(right)
-        assert combined.total_energy_kwh == whole.total_energy_kwh
-        assert combined.total_flops == whole.total_flops
-        assert combined.sample_count == whole.sample_count
+        random.Random(seed).shuffle(records)
+        assert aggregate(dataset(records, trays=1), "p1") == whole
+        split = 1 + split % (len(records) - 1)  # both parts non-empty
+        left = aggregate(dataset(records[:split], trays=1), "p1")
+        right = aggregate(dataset(records[split:], trays=1), "p1")
+        assert left.sample_count + right.sample_count == whole.sample_count
+        assert left.total_flops + right.total_flops == whole.total_flops
+        assert left.power_sum_w + right.power_sum_w == whole.power_sum_w
 
     def test_incomplete_samples_skipped_as_if_filtered(self):
         complete = record(power=(300, 442, 442), minute=0)
@@ -671,12 +682,6 @@ class TestAggregate:
         ]
         assert aggregate(dataset([complete] + incomplete), "p1") == aggregate(dataset([complete]), "p1")
         assert aggregate(dataset([complete] + incomplete), "p1").sample_count == 1
-
-    def test_combination_order_independent(self):
-        parts = [aggregate(dataset([record(power=(100 + i,), minute=5 * i)], trays=1), "p1") for i in range(4)]
-        a = parts[0].combine(parts[1]).combine(parts[2]).combine(parts[3])
-        b = parts[3].combine(parts[2]).combine(parts[1]).combine(parts[0])
-        assert a.total_energy_kwh == b.total_energy_kwh
 
     @given(
         rows=st.lists(
@@ -765,11 +770,11 @@ class TestLifetimeEnergy:
             PlatformSpec(platform_id="p1", chips_per_machine=0, trays_per_machine=1)
 
     def test_constant_power_kwh_matches_product(self):
-        # for constant-power data kWh must equal power * hours / 1000 tightly
+        # for constant-power data lifetime kWh must equal power * lifetime hours / 1000 tightly
         ds = dataset([record(power=(777.0,), minute=5 * i) for i in range(48)], trays=1)
         w = aggregate(ds, "p1")
-        hours = 48 / 12
-        assert w.total_energy_kwh == pytest.approx(777.0 * hours / 1000.0, rel=1e-9)
+        one_chip = PlatformSpec(platform_id="p1", chips_per_machine=1, trays_per_machine=1, lifetime_years=1)
+        assert lifetime_energy_per_chip(w, one_chip, pue=1.0) == pytest.approx(777.0 * 8766 / 1000.0, rel=1e-12)
 
 
 def test_sample_invariants_enforced():

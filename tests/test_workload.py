@@ -12,7 +12,6 @@ from fleetcarbon.workload import (
     OnDutyPower,
     RunInterval,
     WorkloadRun,
-    embodied_rate_g_per_s,
     emissions_per_step,
     on_duty_power,
     read_runs,
@@ -104,26 +103,6 @@ class TestOnDutyPower:
         intervals = [interval({"m0": 1000}, {"m0": 0.9})]  # m1 absent
         with pytest.raises(ComputationError, match="no on-duty intervals"):
             on_duty_power(run(intervals, machines=("m0", "m1")))
-
-    def test_missing_machine_is_off_duty_at_threshold_zero(self):
-        intervals = [interval({"a": 1000}, {"a": 0.9})]  # b absent
-        with pytest.raises(ComputationError, match="no on-duty intervals"):
-            on_duty_power(run(intervals, machines=("a", "b")), threshold=0.0)
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_threshold_monotonicity(self, t_low, t_high):
-        t_low, t_high = sorted((t_low, t_high))
-        duties = [0.1, 0.35, 0.5, 0.72, 0.81, 0.93, 1.0]
-        intervals = [interval({"m0": 1000.0}, {"m0": d}) for d in duties]
-        r = run(intervals, machines=("m0",))
-
-        def included(threshold):
-            try:
-                return on_duty_power(r, threshold=threshold).included_intervals
-            except ComputationError:
-                return 0
-
-        assert included(t_high) <= included(t_low)
 
 
 POD = tuple(f"m{i:02d}" for i in range(12))
