@@ -683,6 +683,15 @@ class TestAggregate:
         assert aggregate(dataset([complete] + incomplete), "p1") == aggregate(dataset([complete]), "p1")
         assert aggregate(dataset([complete] + incomplete), "p1").sample_count == 1
 
+    def test_combination_order_independent(self):
+        rows = [record(power=(100 + i,), minute=5 * i) for i in range(4)]
+        parts = [aggregate(dataset([row], trays=1), "p1") for row in rows]
+        forward = aggregate(dataset(rows, trays=1), "p1")
+        backward = aggregate(dataset(rows[::-1], trays=1), "p1")
+        assert forward == backward
+        assert forward.power_sum_w == sum(p.power_sum_w for p in reversed(parts)) == 406.0
+        assert forward.machine_seconds == sum(p.machine_seconds for p in parts)
+
     @given(
         rows=st.lists(
             st.tuples(
