@@ -51,8 +51,6 @@ def kwh_per_exaflop(power_w: float, flops_per_s: float, pue: float) -> float:
 
 def operational_cci(energy_kwh_per_exaflop: float, factor_g_per_kwh: float) -> float:
     """Grams CO2e for a quantity of energy (per ExaFLOP, or any kWh) at a grid factor."""
-    if energy_kwh_per_exaflop < 0 or factor_g_per_kwh < 0:
-        raise ValueError("inputs must be non-negative")
     return energy_kwh_per_exaflop * factor_g_per_kwh
 
 

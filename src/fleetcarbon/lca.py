@@ -157,14 +157,18 @@ def machine_manufacturing(inv: MachineInventory, tray: str | None = None) -> flo
     """Manufacturing kgCO2e per machine: tray entries times tray count; it must be finite."""
     entries = (e for e in inv.components if tray is None or e.tray == tray)
     return finite_sum(
-        inv.platform_id, "manufacturing total", (e.kg_co2e * tray_multiplicity(inv, e.tray) for e in entries)
+        f"platform {inv.platform_id!r}",
+        "manufacturing total",
+        (e.kg_co2e * tray_multiplicity(inv, e.tray) for e in entries),
     )
 
 
 def machine_transport(inv: MachineInventory, tray: str | None = None) -> float:
     """Transport kgCO2e per machine over all shipping legs; it must be finite."""
     legs = (leg for leg in inv.transport_legs if tray is None or leg.tray == tray)
-    return finite_sum(inv.platform_id, "transport total", (leg.emissions_kg() for leg in legs))
+    return finite_sum(
+        f"platform {inv.platform_id!r}", "transport total", (leg.emissions_kg() for leg in legs)
+    )
 
 
 def per_chip_embodied(inv: MachineInventory, spec: PlatformSpec) -> EmbodiedBreakdown:

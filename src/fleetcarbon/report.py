@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .cci import CciReport, build_report, operational_cci
+from .cci import EXA, CciReport, build_report, operational_cci
 from .config import FactorConfig, RunPolicy
 from .errors import ComputationError, ConfigError
 from .factors import scenario_manufacturing_reduction
@@ -51,7 +51,7 @@ from .telemetry import (
     lifetime_energy_per_chip,
 )
 from .weighting import balanced_comparison
-from .workload import WorkloadRun, emissions_per_step, workload_cci
+from .workload import WorkloadRun, emissions_per_step
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def platform_table(reports: dict[str, CciReport], standard: str) -> Table:
                 _round_kg(breakdown.dc_construction),
                 _round_kg(breakdown.cpu_mt),
                 _round_kg(breakdown.tpu_mt),
-                _round_kg(energy_chip * rep.factor_g_per_kwh / 1000.0),
+                _round_kg(operational_cci(energy_chip, rep.factor_g_per_kwh) / 1000.0),
                 rep.lifetime_exaflops_per_chip,
                 rep.embodied_cci,
                 rep.operational_cci,
@@ -249,11 +249,10 @@ def workload_table(
         step = emissions_per_step(
             run, factor_g_per_kwh, inventory_for(spec, inventories), spec, pue=pue
         )
-        cci = (
-            workload_cci(step.total_g, run.flops_per_step)
-            if run.flops_per_step
-            else None
-        )
+        cci = None  # blank when the manifest gives no FLOPs per step
+        if run.flops_per_step:
+            exaflops = run.flops_per_step / EXA  # 0 for a count too small: Table refuses the inf
+            cci = step.total_g / exaflops if exaflops else math.inf
         rows.append(
             (
                 run.run_id,
@@ -369,8 +368,8 @@ def scenario_table(
             raise ComputationError(f"baseline platform {ref!r} not in catalog")
         for pid, base in reports.items():
             scen_embodied = base.embodied_cci * (1.0 - reduction)
-            scen_operational = (
-                base.energy_kwh_per_exaflop * scenario.operations_factor_g_per_kwh
+            scen_operational = operational_cci(
+                base.energy_kwh_per_exaflop, scenario.operations_factor_g_per_kwh
             )
             scen_total = scen_embodied + scen_operational
             if scen_total == 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import ComputationError, IngestError
 
@@ -111,8 +111,7 @@ class BucketScheme:
             raise ValueError(f"bucket count {self.buckets} must be >= 1 and held exactly by a float")
 
     def bucket_of(self, duty_cycle: float) -> int:
-        if not 0.0 <= duty_cycle <= 1.0:
-            raise ValueError(f"duty_cycle {duty_cycle} outside [0, 1]")
+        """The bucket of a duty cycle in [0, 1]; callers range-check it first."""
         return math.ceil(duty_cycle * self.buckets) - 1 if duty_cycle else 0
 
 
@@ -231,15 +230,15 @@ def parse_rfc3339(text: str) -> datetime:
 
 
 def _numbers(raw_power, raw_duty, raw_flops):
-    """A row's tray readings, duty cycle and FLOPs, each () or None when missing.
+    """A row's tray readings, their sum, its duty cycle and FLOPs; missing ones read as (), 0.0 or None.
 
     Reads text or JSON values: tray readings are text, whose blank readings
     are skipped, or a list; a boolean is not a number, a fractional FLOP
-    count rounds to the nearest, and the tray sum and FLOP count must lie
-    within float range. A ValueError names the first field, in column
-    order, that does not parse.
+    count rounds to the nearest, and the exact tray sum and the FLOP count
+    must lie within float range. A ValueError names the first field, in
+    column order, that does not parse.
     """
-    trays, duty, flops = (), None, None
+    trays, power, duty, flops = (), 0.0, None, None
     field, raw = "tray_power_w", raw_power
     try:
         if raw_power is not None and raw_power != "":
@@ -252,7 +251,8 @@ def _numbers(raw_power, raw_duty, raw_flops):
             if bool in map(type, readings):  # float(True) would read as 1.0
                 raise TypeError
             trays = tuple(map(float, readings))
-            if not math.isfinite(sum(trays)):  # NaN, inf, or a sum beyond float range
+            power = math.fsum(trays)  # OverflowError when a partial sum leaves float range
+            if not math.isfinite(power):  # NaN or inf among the readings
                 raise ValueError
         field, raw = "duty_cycle", raw_duty
         if raw_duty is not None and raw_duty != "":
@@ -275,22 +275,7 @@ def _numbers(raw_power, raw_duty, raw_flops):
                 raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"bad number: {field} {raw!r}") from None
-    return trays, duty, flops
-
-
-def machine_power(tray_power_w: Sequence[float], spec: PlatformSpec) -> float:
-    """Whole-machine power in watts: the sum over tray PSU readings.
-
-    When the catalog declares that readings exclude rectifier losses, the
-    configured overhead fraction is added on top; by default readings are
-    taken at the PSU and already include it.
-    """
-    if not tray_power_w:
-        raise ComputationError(f"no power data for platform {spec.platform_id!r}")
-    total = math.fsum(tray_power_w)
-    if not spec.power_readings_include_rectifier:
-        total *= 1.0 + spec.rectifier_overhead
-    return total
+    return trays, power, duty, flops
 
 
 def _epoch(raw_ts) -> int:
@@ -387,16 +372,22 @@ def ingest(
     fails there, by `_numbers`. Every row failing a check is recorded in
     the rejection log with its 1-based row number, a repeated key after
     the first. Complete rows are folded into cells by platform and `scheme`
-    bucket; an empty input yields an empty dataset.
+    bucket, each with its machine power: the exact tray sum, times
+    1 + rectifier_overhead when the platform's readings exclude rectifier
+    losses (by default readings are taken at the PSU and include them). An
+    empty input yields an empty dataset.
     """
     accepted: dict[str, int] = {}
     exclusions: dict[str, int] = {}
     rejections: list[Rejection] = []
     epochs: dict[str, int] = {}  # raw timestamp text -> snapped epoch seconds
     seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
-    bucket_of, inf = scheme.bucket_of, math.inf
-    # platform_id -> its spec and its cells by duty bucket, made as rows land
-    platforms = {pid: (spec, {}) for pid, spec in catalog.items()}
+    bucket_of, fsum, inf = scheme.bucket_of, math.fsum, math.inf
+    # platform_id -> its spec, the factor from tray sum to machine power, and its cells by duty bucket
+    platforms = {
+        pid: (spec, 1.0 if spec.power_readings_include_rectifier else 1.0 + spec.rectifier_overhead, {})
+        for pid, spec in catalog.items()
+    }
     decode, records = _records(source)
     for row_no, record in enumerate(records, start=1):
         try:
@@ -405,7 +396,7 @@ def ingest(
             platform = platforms.get(platform_id)
             if platform is None:
                 raise ValueError(f"unknown platform_id {platform_id!r}")
-            spec, bucket_cells = platform
+            spec, scale, bucket_cells = platform
             epoch = epochs.get(raw_ts) if type(raw_ts) is str else None
             if epoch is None:
                 if raw_ts is None or raw_ts == "":
@@ -418,13 +409,14 @@ def ingest(
             # fails, goes through _numbers, which names the field at fault.
             try:
                 trays = tuple(map(float, raw_power.split(";")))
+                power = fsum(trays)
                 duty, flops = float(raw_duty), int(raw_flops)
-                parsed = type(raw_duty) is type(raw_flops) is str and -inf < sum(trays) < inf
+                parsed = type(raw_duty) is type(raw_flops) is str and -inf < power < inf
                 parsed = parsed and flops <= _FLOPS_MAX
             except (AttributeError, TypeError, ValueError, OverflowError):
                 parsed = False
             if not parsed:
-                trays, duty, flops = _numbers(raw_power, raw_duty, raw_flops)
+                trays, power, duty, flops = _numbers(raw_power, raw_duty, raw_flops)
             if duty is not None and not 0.0 <= duty <= 1.0:
                 raise ValueError(f"range violation: duty_cycle {duty} outside [0, 1]")
             if flops is not None and flops < 0:
@@ -461,8 +453,8 @@ def ingest(
         cell = bucket_cells.get(bucket)
         if cell is None:
             cell = bucket_cells[bucket] = Cell()
-        cell.add(machine_power(trays, spec), duty, flops)
-    cells = {(pid, b): c for pid, (_, by_bucket) in platforms.items() for b, c in sorted(by_bucket.items())}
+        cell.add(power * scale, duty, flops)
+    cells = {(pid, b): c for pid, (_, _, by_bucket) in platforms.items() for b, c in sorted(by_bucket.items())}
     for cell in cells.values():  # readers then sum a few parts per cell, not a buffer
         _compact(cell.power)
         _compact(cell.duty)
@@ -485,19 +477,20 @@ def exclude_incomplete(dataset: FleetDataset) -> FleetDataset:
     return dataset
 
 
-def finite_sum(platform_id: str, what: str, values: Iterable[float]) -> float:
-    """The correctly rounded sum of a platform's `values`, which must be finite.
+def finite_sum(owner: str, what: str, values: Iterable[float]) -> float:
+    """The correctly rounded sum of `values`, which must be finite.
 
-    Rows whose powers are each finite can still sum beyond float range.
-    A platform's power total and each balanced mean of a generation go
-    through this one check, which names the platform.
+    Values that are each finite can still sum beyond float range. A
+    platform's power total, embodied totals and each balanced mean of a
+    generation (owner `platform 'id'`), and a run's on-duty power (owner
+    `run id`) go through this one check, whose message names the owner.
     """
     try:
         total = math.fsum(values)
     except (OverflowError, ValueError):  # the exact sum overflows, or inf - inf among partials
         total = math.inf
     if not math.isfinite(total):
-        raise ComputationError(f"platform {platform_id!r}: {what} is not finite")
+        raise ComputationError(f"{owner}: {what} is not finite")
     return total
 
 
@@ -509,8 +502,6 @@ def aggregate(dataset: FleetDataset, platform_id: str) -> FleetWindow:
     deployment-count weighted mean would require a machine census this data
     does not carry.
     """
-    if platform_id not in dataset.catalog:
-        raise ComputationError(f"platform {platform_id!r} not in catalog")
     cells = [cell for (pid, _), cell in dataset.samples.items() if pid == platform_id]
     if not cells:
         raise ComputationError(f"empty window for platform {platform_id!r}")
@@ -521,7 +512,7 @@ def aggregate(dataset: FleetDataset, platform_id: str) -> FleetWindow:
         platform_id=platform_id,
         sample_count=sum(cell.count for cell in cells),
         power_sum_w=finite_sum(
-            platform_id, "total machine power", (p for cell in cells for p in cell.power)
+            f"platform {platform_id!r}", "total machine power", (p for cell in cells for p in cell.power)
         ),
         total_flops=total_flops,
     )
@@ -533,8 +524,6 @@ def lifetime_energy_per_chip(window: FleetWindow, spec: PlatformSpec, pue: float
     Mean machine power is extrapolated over the platform lifetime and
     multiplied by the data-center PUE, then normalized per chip.
     """
-    if pue < 1.0:
-        raise ValueError(f"pue {pue} must be >= 1")
     per_chip_w = window.mean_machine_power_w / spec.chips_per_machine
     return per_chip_w * spec.lifetime_hours * pue / 1000.0
 

@@ -179,7 +179,7 @@ def balanced_comparison(
         mass = sum(size for size, _ in strata)
         metrics = {
             name: finite_sum(
-                gen, f"balanced mean {name}", (size * mean(cell) for size, cell in strata)
+                f"platform {gen!r}", f"balanced mean {name}", (size * mean(cell) for size, cell in strata)
             )
             / mass
             for name, mean in _CELL_MEANS

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .cci import EXA, J_PER_KWH
+from .cci import J_PER_KWH
 from .config import _reject, finite_number, read_document, read_model
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
-from .telemetry import PlatformSpec, parse_rfc3339
+from .telemetry import PlatformSpec, finite_sum, parse_rfc3339
 
 DEFAULT_DUTY_THRESHOLD = 0.8
 
@@ -105,7 +105,7 @@ def on_duty_power(run: WorkloadRun) -> OnDutyPower:
     if not included:
         raise ComputationError(f"run {run.run_id}: no on-duty intervals at threshold {DEFAULT_DUTY_THRESHOLD}")
     return OnDutyPower(
-        power_w=math.fsum(included) / len(included),
+        power_w=finite_sum(f"run {run.run_id}", "on-duty power total", included) / len(included),
         included_intervals=len(run.intervals) - excluded,
         excluded_intervals=excluded,
     )
@@ -131,13 +131,6 @@ def emissions_per_step(
     mt_kg = machine_manufacturing(inventory) + machine_transport(inventory)
     embodied = mt_kg * 1000.0 / spec.lifetime_seconds * run.step_time_s
     return StepEmissions(operational_g=operational, embodied_g=embodied, on_duty=duty)
-
-
-def workload_cci(step_total_g: float, flops_per_step: float) -> float:
-    """Carbon intensity of the workload itself, g per 10^18 FLOPs."""
-    if flops_per_step <= 0:
-        raise ValueError("flops_per_step must be > 0")
-    return step_total_g / (flops_per_step / EXA)
 
 
 def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[WorkloadRun, ...]:

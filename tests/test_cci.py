@@ -77,10 +77,6 @@ class TestOperationalCci:
     def test_high_cfe_reference(self):
         assert operational_cci(0.86, 31) == pytest.approx(27, rel=0.04)
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            operational_cci(-1, 100)
-
 
 class TestEmbodiedCci:
     def test_oldest_platform_back_derivation(self, demo_reports):

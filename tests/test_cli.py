@@ -117,6 +117,34 @@ def appended_interval(**raw):
     return lines + json.dumps(dict(json.loads(lines.split(b"\n", 1)[0]), **raw)).encode() + b"\n"
 
 
+# each left-to-right partial sum rounds to float max, but the exact sum is beyond it
+TRAY_SUM_OVERFLOW = "1.7976931348623157e308;9e291;9e291"
+
+
+def tray_sum_overflow(tmp_path):
+    """The bundled telemetry plus one v4i row whose tray sum is beyond float range."""
+    telemetry = tmp_path / "telemetry.csv"
+    bundled = (bundled_config_path().parent / "fleet_telemetry.csv").read_text()
+    telemetry.write_text(bundled + f"v4i-m900,v4i,2024-10-01T00:00:00Z,{TRAY_SUM_OVERFLOW},0.55,1000\n")
+    return {"telemetry": str(telemetry)}
+
+
+def tiny_flops_per_step(tmp_path):
+    """The bundled manifest with 5e-324 FLOPs per step for its first run: its ExaFLOPs underflow to 0."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(bundled_manifest(flops_per_step=5e-324))
+    return {"run_manifest": str(manifest)}
+
+
+def huge_on_duty_power(tmp_path):
+    """The bundled intervals with 1e308 W on every record of the first run: finite each, not in sum."""
+    intervals = tmp_path / "intervals.jsonl"
+    records = map(json.loads, (bundled_config_path().parent / "workload_runs.jsonl").read_text().splitlines())
+    records = (dict(r, power_w=1e308) if r["run_id"] == "rlhf-v5e-r1" else r for r in records)
+    intervals.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return {"run_intervals": str(intervals)}
+
+
 # a record for a machine its run does not list; on_duty_power would never read it
 UNLISTED_MACHINE_INTERVALS = appended_interval(machine_id="not-in-pod", power_w=99999)
 DEEP = b"[" * 100_000 + b"]" * 100_000  # far beyond the decoder's recursion limit
@@ -459,6 +487,35 @@ class TestExitCodes:
         assert proc.returncode == EXIT_COMPUTE, proc.stderr
         assert "platform 'v4': total machine power is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, inputs, expected, message",
+        [
+            ("ingest", tray_sum_overflow, 0, None),
+            (
+                "workload",
+                tiny_flops_per_step,
+                EXIT_COMPUTE,
+                "table 'workloads': cci_g_per_exaflop of 'rlhf-v5e-r1'",
+            ),
+            ("workload", huge_on_duty_power, EXIT_COMPUTE, "run rlhf-v5e-r1: on-duty power total"),
+        ],
+        ids=["tray-sum", "flops-per-step-underflow", "on-duty-power-sum"],
+    )
+    def test_sum_beyond_float_range_exits_without_traceback(
+        self, tmp_path, capsys, command, inputs, expected, message
+    ):
+        # in process, an OverflowError or ZeroDivisionError would propagate out of main and fail the test
+        cfg_path, out = write_config(tmp_path, **inputs(tmp_path)), tmp_path / "out"
+        code, _, err = run_cli(capsys, command, "--config", str(cfg_path), "-o", str(out))
+        assert code == expected, err
+        assert "Traceback" not in err and "OverflowError" not in err and "ZeroDivisionError" not in err
+        if message is not None:
+            assert err.splitlines() == [NOT_FINITE.format(message)]
+        if command == "ingest":  # the row is rejected, and the tables are the demo's
+            log = (out / "rejections.csv").read_text().splitlines()
+            assert log[1:] == [f"244,bad number: tray_power_w '{TRAY_SUM_OVERFLOW}'"]
+            assert run_cli(capsys, "cci", "--config", str(cfg_path)) == run_cli(capsys, "cci")
 
     def test_bucket_count_of_1e308_runs(self, tmp_path, capsys):
         # ingest makes a cell only for a bucket some row fills, so a vast scheme costs nothing

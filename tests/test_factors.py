@@ -98,7 +98,7 @@ class TestScenarioReduction:
             scenario_manufacturing_reduction(scenario(baseline=0.0))
 
     def test_negative_operations_factor_is_config_error(self, tmp_path):
-        # cci.operational_cci refuses a negative factor, so the config must too
+        # the factors file is the only check: cci.operational_cci prices whatever factor it is given
         cfg = {
             "operations_factor_g_per_kwh": -1.0,
             "manufacturing_electricity_share": 0.5,

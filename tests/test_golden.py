@@ -10,6 +10,7 @@ import io
 import json
 import math
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -89,6 +90,21 @@ def test_cli_output_matches_golden(command, fmt, tmp_path):
 def test_synth_files_match_golden_digests(tmp_path):
     want = json.loads((make_golden.GOLDEN / make_golden.SYNTH_DIGESTS).read_text())
     assert make_golden.synth_digests(tmp_path / "synth") == want
+
+
+def test_failing_case_leaves_the_goldens_untouched(tmp_path, monkeypatch):
+    def files():
+        return {p.relative_to(golden): p.read_bytes() for p in golden.rglob("*") if p.is_file()}
+
+    golden = tmp_path / "golden"
+    shutil.copytree(make_golden.GOLDEN, golden)
+    before = files()
+    monkeypatch.setattr(make_golden, "GOLDEN", golden)
+    monkeypatch.setattr(make_golden, "COMMANDS", ("cci", "no-such-command"))
+    with pytest.raises(SystemExit):  # argparse refuses the command
+        make_golden.main()
+    assert files() == before
+    assert list(tmp_path.iterdir()) == [golden]  # no staging directory is left behind
 
 
 class TestComparison:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fleetcarbon.config import RunPolicy
 from fleetcarbon.errors import ComputationError, IngestError
 from fleetcarbon.lca import machine_manufacturing, machine_transport
+from fleetcarbon.report import workload_table
 from fleetcarbon.workload import (
     OnDutyPower,
     RunInterval,
@@ -15,7 +16,6 @@ from fleetcarbon.workload import (
     emissions_per_step,
     on_duty_power,
     read_runs,
-    workload_cci,
 )
 
 LIFETIME_S = 6 * 8766 * 3600  # 189_345_600
@@ -219,17 +219,28 @@ class TestEmissionsPerStep:
 
 
 class TestWorkloadCci:
-    def test_round_trip_identity(self):
-        # choosing flops so that 0.044 g maps to 309.9 g/EF returns 309.9
-        flops = 0.044 / 309.9 * 1e18
-        assert workload_cci(0.044, flops) == pytest.approx(309.9, rel=1e-12)
+    @staticmethod
+    def row(platforms, inventories, flops):
+        """The workload table's row for one constant v5e run with `flops` FLOPs per step."""
+        table = workload_table((constant_run(flops=flops),), platforms, inventories, 135.0, 1.0, RunPolicy())
+        return dict(zip(table.columns, table.rows[0]))
 
-    def test_doubling_flops_halves_cci(self):
-        assert workload_cci(1.0, 2e14) == workload_cci(1.0, 1e14) / 2
+    def test_round_trip_identity(self, platforms, inventories):
+        # choosing flops so that the run's grams per step map to 309.9 g/EF returns 309.9
+        grams = self.row(platforms, inventories, 1e14)["total_g_per_step"]
+        flops = grams / 309.9 * 1e18
+        assert self.row(platforms, inventories, flops)["cci_g_per_exaflop"] == pytest.approx(309.9, rel=1e-12)
 
-    def test_invalid_flops(self):
-        with pytest.raises(ValueError):
-            workload_cci(1.0, 0)
+    def test_doubling_flops_halves_cci(self, platforms, inventories):
+        one, two = (self.row(platforms, inventories, f)["cci_g_per_exaflop"] for f in (1e14, 2e14))
+        assert two == one / 2
+
+    def test_invalid_flops(self, platforms, inventories):
+        for flops in (None, 0.0):  # no FLOPs per step: the CCI is left blank
+            assert self.row(platforms, inventories, flops)["cci_g_per_exaflop"] is None
+        for flops in (1e-300, 5e-324):  # 5e-324 / 1e18 underflows to 0; both intensities are infinite
+            with pytest.raises(ComputationError, match="cci_g_per_exaflop of 'r1' is not finite"):
+                self.row(platforms, inventories, flops)
 
 
 class TestRunPolicy:

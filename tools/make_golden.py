@@ -5,9 +5,11 @@ Each case runs `fleetcarbon.cli.main` in process on the bundled demo
 configuration and keeps every file the command writes, its stdout and its
 stderr, with the output directory replaced by OUT_PLACEHOLDER. `synth`
 output is large, so only the sha256 of its two files at the default seed
-is kept. tests/test_golden.py reruns the same cases and compares.
+is kept. tests/test_golden.py reruns the same cases and compares. The
+snapshot is written to a staging directory and replaces tests/golden/ only
+once every case has succeeded, so a failing case leaves it as it was.
 
-Usage: PYTHONPATH=src python3 tools/make_golden.py
+Usage: python3 tools/make_golden.py
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = ("ingest", "report", "cci", "lca", "workload", "scenario", "weight")
 FORMATS = ("csv", "json")
 OUT_PLACEHOLDER = "<OUT>"
@@ -64,18 +68,21 @@ def synth_digests(out_dir: Path) -> dict[str, str]:
 
 
 def main() -> int:
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    with tempfile.TemporaryDirectory() as tmp:
+    # staged beside GOLDEN, so the final rename stays on one file system
+    with tempfile.TemporaryDirectory(dir=GOLDEN.parent) as tmp:
+        staged, work = Path(tmp) / "golden", Path(tmp) / "work"
         for command in COMMANDS:
             for fmt in FORMATS:
                 name = case_name(command, fmt)
-                case_dir = GOLDEN / name
+                case_dir = staged / name
                 case_dir.mkdir(parents=True)
-                for file_name, text in run_case(command, fmt, Path(tmp) / name).items():
+                for file_name, text in run_case(command, fmt, work / name).items():
                     (case_dir / file_name).write_text(text, encoding="utf-8")
-        digests = synth_digests(Path(tmp) / "synth")
-    (GOLDEN / SYNTH_DIGESTS).write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        digests = synth_digests(work / "synth")
+        (staged / SYNTH_DIGESTS).write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        if GOLDEN.exists():
+            shutil.rmtree(GOLDEN)
+        staged.rename(GOLDEN)
     print(f"wrote {GOLDEN}")
     return 0
 
