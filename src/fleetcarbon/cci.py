@@ -15,7 +15,7 @@ that energy at a grid factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ComputationError
 from .lca import EmbodiedBreakdown
@@ -25,8 +25,7 @@ EXA = 1e18  # FLOPs per ExaFLOP
 J_PER_KWH = 3.6e6
 
 
-@dataclass(frozen=True)
-class CciReport:
+class CciReport(NamedTuple):
     """Carbon intensity of one platform, with the five inputs `build_report` derived it from."""
 
     spec: PlatformSpec

@@ -28,7 +28,6 @@ from . import config as cfgmod
 from . import report as reportmod
 from .errors import ComputationError, ConfigError, IngestError
 from .telemetry import BucketScheme, ingest, write_rejection_log
-from .workload import read_runs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,6 +129,8 @@ def cmd_lca(config, args) -> list[reportmod.Table]:
 
 
 def cmd_workload(config, args) -> list[reportmod.Table]:
+    from .workload import read_runs  # the one subcommand that reads pod runs; the others never import it
+
     if config.run_manifest is None or config.run_intervals is None:
         raise ConfigError("config has no run_manifest/run_intervals for workload reporting")
     platforms = cfgmod.load_platforms(config.platforms)

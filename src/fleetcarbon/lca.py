@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ComputationError, ConfigError
 from .telemetry import PlatformSpec, finite_sum
@@ -110,8 +110,7 @@ class MachineInventory:
                 raise ValueError(f"{self.platform_id}: {name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class EmbodiedBreakdown:
+class EmbodiedBreakdown(NamedTuple):
     """Per-chip embodied emissions, kgCO2e, by source."""
 
     cpu_mt: float  # host tray manufacturing + transport
@@ -125,8 +124,7 @@ class EmbodiedBreakdown:
         return self.cpu_mt + self.tpu_mt + self.dc_construction + self.eol + self.scope1
 
 
-@dataclass(frozen=True)
-class InventoryViews:
+class InventoryViews(NamedTuple):
     """Yearly embodied-emission series under two accounting conventions."""
 
     years: tuple[int, ...]
@@ -197,6 +195,8 @@ def per_chip_embodied(inv: MachineInventory, spec: PlatformSpec) -> EmbodiedBrea
 
 def _even_series(total: float, n: int) -> tuple[float, ...]:
     """n near-equal slices whose float sum is exactly `total`."""
+    from fractions import Fraction  # imports decimal; only `lca` runs this
+
     if n == 1:
         return (total,)
     per_year = total / n

@@ -30,6 +30,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .cci import EXA, CciReport, build_report, operational_cci
 from .config import FactorConfig, RunPolicy
@@ -50,8 +51,9 @@ from .telemetry import (
     aggregate,
     lifetime_energy_per_chip,
 )
-from .weighting import balanced_comparison
-from .workload import WorkloadRun, emissions_per_step
+
+if TYPE_CHECKING:
+    from .workload import WorkloadRun
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,8 @@ def workload_table(
     policy: RunPolicy,
 ) -> Table:
     """Per-run step emissions mirror: power, CCI, per-step grams."""
+    from .workload import emissions_per_step  # only `workload` runs it: other commands skip the import
+
     rows = []
     for run in sorted(runs, key=lambda r: r.run_id):
         verdict = policy.verdict(run)
@@ -298,6 +302,8 @@ def weighting_table(
 ) -> tuple[Table, tuple[str, ...]]:
     """Balanced cross-generation comparison for one cohort of platforms,
     stratified by the duty buckets the dataset was ingested under."""
+    from .weighting import balanced_comparison  # only `weight` runs it: other commands skip the import
+
     cells = dataset_observations(dataset, cohort_platforms)
     if not cells:
         raise ComputationError(f"no complete samples for cohort {cohort_platforms}")

@@ -26,9 +26,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ComputationError, IngestError
 
@@ -160,8 +161,7 @@ class Cell:
             _compact(self.duty)
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """One malformed input row: 1-based data row number plus the reason."""
 
     row: int
@@ -194,8 +194,7 @@ class FleetDataset:
         return tuple(sorted(self.accepted))
 
 
-@dataclass(frozen=True)
-class FleetWindow:
+class FleetWindow(NamedTuple):
     """Per-platform aggregate over a set of machine-intervals.
 
     Totals are kept as raw sums; derived quantities are properties.
@@ -292,12 +291,17 @@ def _epoch(raw_ts) -> int:
     return nearest
 
 
-def _csv_rows(fh) -> Iterator[tuple]:
+def _csv_rows(fh) -> Iterator:
     """Each CSV data row's TELEMETRY_COLUMNS fields, as csv.DictReader would give them.
 
     Columns are found by header name (the last of a repeated name wins);
     a column the header lacks, or a short row, reads as None, and blank
-    lines are skipped.
+    lines are skipped. csv.reader reads the header. A data line after it
+    that holds no quote and no NUL, and is no longer than the csv field size
+    limit, is read as csv.reader would read it: its text without the line
+    end, split on commas. The first line that breaks one of these rules,
+    and every line after it, go to csv.reader. Under a header of exactly
+    TELEMETRY_COLUMNS, a row of that many fields is yielded as it is.
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -309,14 +313,28 @@ def _csv_rows(fh) -> Iterator[tuple]:
     missing = width in columns
     need = max(columns) + 1
     pick = itemgetter(*columns)
-    for row in reader:
-        if not row:
-            continue
+    size = len(TELEMETRY_COLUMNS) if header == list(TELEMETRY_COLUMNS) else -1  # rows of this size need no pick
+
+    def shaped(row: list) -> tuple:
         if missing:
             del row[width:]  # fields beyond the header belong to no column
         if len(row) < need:
             row.extend([None] * (need - len(row)))
-        yield pick(row)
+        return pick(row)
+
+    limit = csv.field_size_limit()
+    rest = ()
+    for line in fh:
+        text = line.rstrip("\r\n")
+        if '"' in text or "\0" in text or len(text) > limit:
+            rest = csv.reader(chain((line,), fh))
+            break
+        if text:
+            row = text.split(",")
+            yield row if len(row) == size else shaped(row)
+    for row in rest:
+        if row:
+            yield row if len(row) == size else shaped(row)
 
 
 def _record_fields(record) -> tuple:
@@ -337,8 +355,9 @@ def _json_fields(line: str) -> tuple:
 
 def _records(source) -> tuple[Callable[..., tuple], Iterable]:
     """A function decoding a record into TELEMETRY_COLUMNS fields, and the records:
-    CSV field tuples (which `tuple` returns unchanged), non-blank JSON lines, or a
-    caller's items. Reading a file raises IngestError; decoding, a ValueError."""
+    CSV field lists or tuples (which `tuple` turns into tuples), non-blank JSON
+    lines, or a caller's items. A file is read as UTF-8, past a leading byte-order
+    mark. Reading a file raises IngestError; decoding, a ValueError."""
     if not isinstance(source, (str, Path)):
         return _record_fields, source
     path = Path(source)
@@ -346,7 +365,7 @@ def _records(source) -> tuple[Callable[..., tuple], Iterable]:
 
     def records() -> Iterator:
         try:
-            with path.open("r", encoding="utf-8", newline="") as fh:
+            with path.open("r", encoding="utf-8-sig", newline="") as fh:
                 yield from (line for line in fh if line.strip()) if json_lines else _csv_rows(fh)
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise IngestError(f"cannot read telemetry {path}: {exc}") from None
@@ -360,14 +379,22 @@ def ingest(
     """Validate a telemetry stream against a platform catalog into a ledger.
 
     `source` may be a path (CSV by default, JSON lines for .jsonl, .ndjson
-    or .json) or an iterable of record dicts; wrap an open CSV text file in
-    `csv.DictReader` to pass it as the latter. Every row goes through the
+    or .json; UTF-8, with or without a byte-order mark) or an iterable of
+    record dicts; wrap an open CSV text file in `csv.DictReader` to pass it
+    as the latter. A CSV file's header goes through csv.reader; each line
+    after it is split on commas while it holds no quote and no NUL and is
+    no longer than csv's field size limit, and from the first line that
+    breaks a rule on, csv.reader reads the rest, so every row reads as
+    csv.reader would read it (see `_csv_rows`). Every row goes through the
     same checks, in a fixed order, and the first failure is the reason:
     decoding (a JSON line that is not an object, a record that is not a
     dict), platform, timestamp, the three numbers' syntax in column order
     (a boolean is not a number), their ranges (duty cycle, FLOPs, the first
-    negative tray reading), the tray count, then the key: a blank or absent
-    machine_id, then a repeated (machine, interval). A complete text row's
+    negative tray reading), the tray count, then the key: a machine_id that
+    is neither text nor a number (a JSON array, object or boolean), a blank
+    or absent one, then a repeated (machine, interval). A raw platform_id or
+    machine_id text is looked up as it stands, and stripped only when that
+    misses; a JSON number is read as its text. A complete text row's
     numbers are parsed by `float` and `int`; any other row's, or one that
     fails there, by `_numbers`. Every row failing a check is recorded in
     the rejection log with its 1-based row number, a repeated key after
@@ -377,26 +404,34 @@ def ingest(
     losses (by default readings are taken at the PSU and include them). An
     empty input yields an empty dataset.
     """
-    accepted: dict[str, int] = {}
+    accepted: dict[str, int] = {}  # incomplete rows as they come; the cells' counts at the end
     exclusions: dict[str, int] = {}
     rejections: list[Rejection] = []
     epochs: dict[str, int] = {}  # raw timestamp text -> snapped epoch seconds
     seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
     bucket_of, fsum, inf = scheme.bucket_of, math.fsum, math.inf
-    # platform_id -> its spec, the factor from tray sum to machine power, and its cells by duty bucket
+    # platform_id -> its tray count, the factor from tray sum to machine power, and its cells by duty bucket
     platforms = {
-        pid: (spec, 1.0 if spec.power_readings_include_rectifier else 1.0 + spec.rectifier_overhead, {})
+        pid: (
+            spec.trays_per_machine,
+            1.0 if spec.power_readings_include_rectifier else 1.0 + spec.rectifier_overhead,
+            {},
+        )
         for pid, spec in catalog.items()
     }
+    # the ids a raw platform_id text can name as it stands: stripping it would not change it
+    verbatim = {pid: platform for pid, platform in platforms.items() if pid == pid.strip()}
     decode, records = _records(source)
     for row_no, record in enumerate(records, start=1):
         try:
             machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops = decode(record)
-            platform_id = "" if platform_id is None else str(platform_id).strip()
-            platform = platforms.get(platform_id)
+            platform = verbatim.get(platform_id) if type(platform_id) is str else None
             if platform is None:
-                raise ValueError(f"unknown platform_id {platform_id!r}")
-            spec, scale, bucket_cells = platform
+                platform_id = "" if platform_id is None else str(platform_id).strip()
+                platform = platforms.get(platform_id)
+                if platform is None:
+                    raise ValueError(f"unknown platform_id {platform_id!r}")
+            tray_count, scale, bucket_cells = platform
             epoch = epochs.get(raw_ts) if type(raw_ts) is str else None
             if epoch is None:
                 if raw_ts is None or raw_ts == "":
@@ -406,36 +441,44 @@ def ingest(
                 epoch = epochs[str(raw_ts)] = _epoch(raw_ts)
 
             # Most rows are complete text and parse here; any other row, or one this parse
-            # fails, goes through _numbers, which names the field at fault.
-            try:
-                trays = tuple(map(float, raw_power.split(";")))
-                power = fsum(trays)
-                duty, flops = float(raw_duty), int(raw_flops)
-                parsed = type(raw_duty) is type(raw_flops) is str and -inf < power < inf
-                parsed = parsed and flops <= _FLOPS_MAX
-            except (AttributeError, TypeError, ValueError, OverflowError):
-                parsed = False
+            # fails, goes through _numbers, which names the field at fault. A blank or
+            # missing field would fail it, so such a row skips it without raising.
+            parsed = False
+            if raw_power and raw_duty and raw_flops:
+                try:
+                    trays = tuple(map(float, raw_power.split(";")))
+                    power = fsum(trays)
+                    duty, flops = float(raw_duty), int(raw_flops)
+                    parsed = type(raw_duty) is type(raw_flops) is str and -inf < power < inf
+                    parsed = parsed and flops <= _FLOPS_MAX
+                except (AttributeError, TypeError, ValueError, OverflowError):
+                    pass
             if not parsed:
                 trays, power, duty, flops = _numbers(raw_power, raw_duty, raw_flops)
             if duty is not None and not 0.0 <= duty <= 1.0:
                 raise ValueError(f"range violation: duty_cycle {duty} outside [0, 1]")
             if flops is not None and flops < 0:
                 raise ValueError(f"range violation: flops {flops} is negative")
-            for w in trays:
-                if w < 0:
-                    raise ValueError(f"range violation: tray power {w} is negative")
-            if trays and len(trays) != spec.trays_per_machine:
+            if trays and min(trays) < 0:
+                negative = next(w for w in trays if w < 0)
+                raise ValueError(f"range violation: tray power {negative} is negative")
+            if trays and len(trays) != tray_count:
                 raise ValueError(
-                    f"tray count: {len(trays)} readings, platform {platform_id!r} "
-                    f"has {spec.trays_per_machine} trays"
+                    f"tray count: {len(trays)} readings, platform {platform_id!r} has {tray_count} trays"
                 )
 
-            machine_id = "" if machine_id is None else str(machine_id).strip()
-            times = seen.get(machine_id)
-            if times is None:  # a blank id is never stored, so every such row is checked here
-                if not machine_id:
-                    raise ValueError("missing machine_id")
-                times = seen[machine_id] = set()
+            times = seen.get(machine_id) if type(machine_id) is str else None
+            if times is None:  # not a stored id as it stands: normalise it and look again
+                if machine_id is None:
+                    machine_id = ""
+                elif isinstance(machine_id, bool) or not isinstance(machine_id, (str, int, float)):
+                    raise ValueError(f"bad machine_id {machine_id!r}")
+                machine_id = str(machine_id).strip()
+                times = seen.get(machine_id)
+                if times is None:  # a blank id is never stored, so every such row is checked here
+                    if not machine_id:
+                        raise ValueError("missing machine_id")
+                    times = seen[machine_id] = set()
             if epoch in times:
                 at = datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
                 raise ValueError(f"duplicate row for machine {machine_id!r} at {at}")
@@ -444,8 +487,8 @@ def ingest(
             rejections.append(Rejection(row=row_no, reason=str(exc)))
             continue
 
-        accepted[platform_id] = accepted.get(platform_id, 0) + 1
         if not trays or duty is None or flops is None:
+            accepted[platform_id] = accepted.get(platform_id, 0) + 1
             reason = REASON_MISSING_UTILIZATION if trays else REASON_MISSING_POWER
             exclusions[reason] = exclusions.get(reason, 0) + 1
             continue
@@ -455,7 +498,8 @@ def ingest(
             cell = bucket_cells[bucket] = Cell()
         cell.add(power * scale, duty, flops)
     cells = {(pid, b): c for pid, (_, _, by_bucket) in platforms.items() for b, c in sorted(by_bucket.items())}
-    for cell in cells.values():  # readers then sum a few parts per cell, not a buffer
+    for (pid, _), cell in cells.items():  # readers then sum a few parts per cell, not a buffer
+        accepted[pid] = accepted.get(pid, 0) + cell.count
         _compact(cell.power)
         _compact(cell.duty)
     return FleetDataset(

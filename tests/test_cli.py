@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -1066,6 +1067,23 @@ class TestIngestCommand:
             ("1", f"bad timestamp {first[2]!r}: no time zone")
         ]
 
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, suffix):
+        """Telemetry that starts with a UTF-8 byte-order mark reads as the same file without it."""
+        with open(demo_config()["telemetry"], encoding="utf-8", newline="") as fh:
+            text = fh.read() if suffix == ".csv" else "".join(json.dumps(row) + "\n" for row in csv.DictReader(fh))
+        results = []
+        for name, data in (("plain", text.encode()), ("marked", codecs.BOM_UTF8 + text.encode())):
+            telemetry, out = tmp_path / f"{name}{suffix}", tmp_path / name
+            telemetry.write_bytes(data)
+            code, summary, _ = run_cli(capsys, "ingest", "-o", str(out), "--telemetry", str(telemetry))
+            summary = json.loads(summary)
+            del summary["rejection_log"]
+            cci = run_cli(capsys, "cci", "--telemetry", str(telemetry))
+            results.append((code, summary, (out / "rejections.csv").read_text(), cci))
+        assert results[0] == results[1]
+        assert results[0][1]["rows_accepted"] == 243 and results[0][3][0] == 0
+
     def test_malformed_json_line_logged_not_raised(self, tmp_path, capsys):
         good = (
             '{"machine_id": "%s", "platform_id": "v4i", "interval_start": '
@@ -1210,12 +1228,14 @@ class TestNonFiniteResults:
 
 class TestSynthCommand:
     def test_only_synth_imports_the_generator(self):
+        """Importing the CLI leaves out the modules that only synth, weight, workload or lca run."""
         src = str(Path(fleetcarbon.__file__).resolve().parent.parent)
-        probe = "import sys, fleetcarbon.cli; print('fleetcarbon.synth' in sys.modules)"
+        modules = ("fleetcarbon.synth", "fleetcarbon.weighting", "fleetcarbon.workload", "fractions")
+        probe = f"import sys, fleetcarbon.cli; print([m for m in {modules!r} if m in sys.modules])"
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
         )
-        assert result.stdout == "False\n"
+        assert result.stdout == "[]\n"
 
     @pytest.mark.parametrize(
         "content",

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from datetime import datetime, timedelta, timezone
@@ -21,6 +22,7 @@ from fleetcarbon.telemetry import (
     TELEMETRY_COLUMNS,
     BucketScheme,
     PlatformSpec,
+    _csv_rows,
     aggregate,
     exclude_incomplete,
     ingest,
@@ -203,6 +205,24 @@ class TestIngest:
         assert [r.reason for r in ds.rejections] == ["missing machine_id"] * 4 + [
             "range violation: duty_cycle 2.0 outside [0, 1]"
         ]
+
+    @pytest.mark.parametrize("suffix", ["", ".jsonl"], ids=["dicts", "json-lines"])
+    def test_container_or_boolean_machine_id_is_rejected_not_keyed_by_its_repr(self, tmp_path, suffix):
+        """A later row named by the text of such a value is no duplicate of it."""
+        rows = []
+        for minute, (value, text) in enumerate([(["x"], "['x']"), ({"id": "m1"}, "{'id': 'm1'}"), (True, "True")]):
+            rows += [record(machine=value, minute=5 * minute), record(machine=text, minute=5 * minute)]
+        source = rows
+        if suffix:
+            source = tmp_path / f"t{suffix}"
+            source.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        ds = ingest(source, {"p1": spec()})
+        assert [(r.row, r.reason) for r in ds.rejections] == [
+            (1, "bad machine_id ['x']"),
+            (3, "bad machine_id {'id': 'm1'}"),
+            (5, "bad machine_id True"),
+        ]
+        assert len(ds) == 3
 
     @pytest.mark.parametrize("pid", [0, False], ids=["zero", "false"])
     def test_platform_id_given_as_a_json_value_keys_as_its_text(self, pid, platforms):
@@ -450,6 +470,101 @@ def test_csv_json_lines_and_dicts_get_the_same_verdicts(tmp_path, header):
     assert len(from_csv[0]) + from_csv[1] == len(rows)
 
 
+def reference_csv_rows(fh):
+    """Each data row's TELEMETRY_COLUMNS fields as csv.reader reads them: the reading `_csv_rows` must give."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        return
+    width = len(header)
+    index = {name: i for i, name in enumerate(header)}
+    columns = [index.get(name, width) for name in TELEMETRY_COLUMNS]
+    missing = width in columns
+    need = max(columns) + 1
+    pick = operator.itemgetter(*columns)
+    for row in reader:
+        if not row:
+            continue
+        if missing:
+            del row[width:]
+        if len(row) < need:
+            row.extend([None] * (need - len(row)))
+        yield pick(row)
+
+
+# plain fields: no quote, comma or line end (a NUL still sends its line to csv)
+PLAIN_FIELDS = st.one_of(
+    st.sampled_from(
+        ["m0", "m1", "p1", "p9", "2024-10-01T00:00:00Z", "2024-10-01T00:05:00Z", "300;442;442", "300;442", "0.5",
+         "1000", "", " "]
+    ),
+    st.text(alphabet=" ;.-m01\x00", max_size=6),
+)
+RAW_FIELDS = st.text(alphabet=',"\r\n\x00 ;.m01', max_size=6)  # any of csv's special characters, quoted or not
+QUOTED_FIELDS = RAW_FIELDS.map(lambda text: '"' + text.replace('"', '""') + '"')
+
+
+@st.composite
+def telemetry_csv_texts(draw):
+    """A header (canonical, or with names missing, repeated or unknown), then plain, blank, whitespace-only,
+    quoted and raw lines of any length, each with its own line end; the last line end may be missing."""
+    header = list(TELEMETRY_COLUMNS)
+    if draw(st.booleans()):
+        header = draw(st.lists(st.sampled_from(TELEMETRY_COLUMNS + ("extra", "")), max_size=8))
+    lines = [",".join(header)]
+    for kind in draw(st.lists(st.sampled_from(["plain"] * 4 + ["blank", "space", "quoted", "raw"]), max_size=12)):
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            fields = draw(st.lists(PLAIN_FIELDS if kind != "raw" else RAW_FIELDS, min_size=1, max_size=9))
+            if kind == "quoted":  # a quoted field, multi-line or not, after any number of plain lines
+                fields.insert(draw(st.integers(0, len(fields))), draw(QUOTED_FIELDS))
+            lines.append(",".join(fields))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def _csv_reading(rows_of, text):
+    """The field tuples `rows_of` reads from `text`, or the csv.Error it raises."""
+    try:
+        return [tuple(row) for row in rows_of(io.StringIO(text, newline=""))]
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
+
+
+@given(text=telemetry_csv_texts(), limit=st.sampled_from([None, 16, 40]))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(text=CSV_HEADER + "m0,p1,2024-10-01T00:00:00Z,300;442;442,0.5,1000\r\n" * 3 + 'm1,"p\n1"\n', limit=None)
+@example(text=CSV_HEADER.replace("\n", "\r") + "m0,p1,2024-10-01T00:00:00Z,300;442;442,0.5,1000\r", limit=None)
+def test_split_lines_read_as_the_csv_module_reads_them(tmp_path_factory, text, limit):
+    """`_csv_rows` gives exactly the csv.reader reading, and ingesting the file gives the ledger of those rows.
+
+    A `limit` lowers the csv field size limit: longer lines go to csv, and a longer field (such as a
+    timestamp, under 16) is csv's error.
+    """
+    path = tmp_path_factory.getbasetemp() / "split.csv"
+    catalog = {"p1": spec()}
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        expected = _csv_reading(reference_csv_rows, text)
+        assert _csv_reading(_csv_rows, text) == expected
+        path.write_text(text, encoding="utf-8", newline="")
+        if isinstance(expected, str):
+            with pytest.raises(IngestError, match="cannot read telemetry"):
+                ingest(path, catalog)
+        else:
+            ds = ingest(path, catalog)
+            reference = ingest([dict(zip(TELEMETRY_COLUMNS, row)) for row in expected], catalog)
+            assert (_summary(ds), ds.accepted) == (_summary(reference), reference.accepted)
+    finally:
+        csv.field_size_limit(default)
+
+
 BAD = object()  # a value that does not parse as its field
 FLOPS_MAX = int(sys.float_info.max)
 # (raw value, what it reads as): tray readings, a duty cycle and a FLOP count; () and None are missing
@@ -486,11 +601,20 @@ FLOPS_JSON = [
 ]
 
 
-def _expected_verdict(tray, duty, flops, trays_per_machine):
+# (raw machine_id, the key it reads as): a JSON number names its machine by its text, None is missing
+MACHINE_JSON = [
+    (7, "7"), (2.5, "2.5"), (" m-pad ", "m-pad"), (None, None),
+    (True, BAD), (False, BAD), (["x"], BAD), ({"id": "m1"}, BAD), ([], BAD),
+]
+COMPLETE = (("300;442;442", (300.0, 442.0, 442.0)), ("0.5", 0.5), ("1000", 1000))
+
+
+def _expected_verdict(tray, duty, flops, machine, trays_per_machine):
     """A grid row's rejection reason, or None, in ingest's documented order.
 
     Syntax in column order, then the ranges (duty cycle, FLOPs, the first
-    negative tray reading), then the tray count.
+    negative tray reading), then the tray count, then the key: a machine_id
+    that is neither text nor a number, then a missing one.
     """
     for name, (raw, value) in zip(("tray_power_w", "duty_cycle", "flops"), (tray, duty, flops)):
         if value is BAD:
@@ -505,22 +629,33 @@ def _expected_verdict(tray, duty, flops, trays_per_machine):
         return f"range violation: tray power {negative[0]} is negative"
     if readings and len(readings) != trays_per_machine:
         return f"tray count: {len(readings)} readings, platform 'p1' has {trays_per_machine} trays"
+    if machine[1] is BAD:
+        return f"bad machine_id {machine[0]!r}"
+    if machine[1] is None:
+        return "missing machine_id"
     return None
 
 
-def _grid_rows(trays, duties, flops):
+def _grid(trays, duties, flops, machines=()):
+    """(tray, duty, flops, machine) entries, each a (raw value, what it reads as) pair: every
+    combination of the numbers under its own machine, then each of `machines` on a complete row."""
+    numbers = itertools.product(trays, duties, flops)
+    return [(*n, (f"m{i}", f"m{i}")) for i, n in enumerate(numbers)] + [(*COMPLETE, m) for m in machines]
+
+
+def _grid_rows(grid):
     return [
-        {"machine_id": f"m{i}", "platform_id": "p1", "interval_start": "2024-10-01T00:00:00Z",
-         "tray_power_w": t, "duty_cycle": d, "flops": f}
-        for i, (t, d, f) in enumerate(itertools.product(trays, duties, flops))
+        {"machine_id": m[0], "platform_id": "p1", "interval_start": "2024-10-01T00:00:00Z",
+         "tray_power_w": t[0], "duty_cycle": d[0], "flops": f[0]}
+        for t, d, f, m in grid
     ]
 
 
-def _expected_ledger(trays, duties, flops):
-    """The rejections, exclusions and per-bucket totals the grid of these values must give."""
+def _expected_ledger(grid):
+    """The rejections, exclusions and per-bucket totals the grid must give."""
     rejections, exclusions, cells = [], {}, {}
-    for row_no, (t, d, f) in enumerate(itertools.product(trays, duties, flops), start=1):
-        reason = _expected_verdict(t, d, f, trays_per_machine=3)
+    for row_no, (t, d, f, m) in enumerate(grid, start=1):
+        reason = _expected_verdict(t, d, f, m, trays_per_machine=3)
         if reason is not None:
             rejections.append((row_no, reason))
         elif not t[1] or d[1] is None or f[1] is None:
@@ -540,10 +675,10 @@ def _expected_ledger(trays, duties, flops):
 def test_every_field_value_gets_the_documented_verdict(tmp_path, kind):
     """Each grid row's reason, or the cell it lands in, matches a reference built from the documented order."""
     if kind in ("csv-text", "text-dicts"):
-        values = (TRAY_TEXT, DUTY_TEXT, FLOPS_TEXT)
+        grid = _grid(TRAY_TEXT, DUTY_TEXT, FLOPS_TEXT)
     else:  # JSON values beside text ones, in one row
-        values = (TRAY_TEXT + TRAY_JSON, DUTY_TEXT + DUTY_JSON, FLOPS_TEXT + FLOPS_JSON)
-    rows = _grid_rows(*([raw for raw, _ in field] for field in values))
+        grid = _grid(TRAY_TEXT + TRAY_JSON, DUTY_TEXT + DUTY_JSON, FLOPS_TEXT + FLOPS_JSON, MACHINE_JSON)
+    rows = _grid_rows(grid)
     source = rows
     if kind == "csv-text":
         source = tmp_path / "t.csv"
@@ -555,7 +690,7 @@ def test_every_field_value_gets_the_documented_verdict(tmp_path, kind):
         source = tmp_path / "t.jsonl"
         source.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     ds = ingest(source, {"p1": spec(trays=3)})
-    rejections, exclusions, cells = _expected_ledger(*values)
+    rejections, exclusions, cells = _expected_ledger(grid)
     assert [(r.row, r.reason) for r in ds.rejections] == rejections
     assert len(ds) + len(rejections) == len(rows)
     assert ds.exclusions == exclusions
