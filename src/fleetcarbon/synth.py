@@ -10,7 +10,9 @@ one-tray machine's only tray carries all of it. The generator writes a
 sidecar manifest holding the ground truth downstream estimators are
 checked against (row counts, each generation's active power, FLOP rate
 and energy per ExaFLOP against the baseline) and the platform catalog
-`config.load_platforms` reads to ingest the telemetry.
+`config.load_platforms` reads to ingest the telemetry. Stamps follow
+`telemetry`'s clock: the start must pass `ingest`'s grid rule, and interval
+k is written, in UTC, as the snapped start plus k * 300 s.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
 from pathlib import Path
 
 from .cci import kwh_per_exaflop
 from .config import read_model
-from .telemetry import INTERVAL_SECONDS, TELEMETRY_COLUMNS, parse_rfc3339
+from .telemetry import _MAX_EPOCH, INTERVAL_SECONDS, TELEMETRY_COLUMNS, _epoch, _stamp
 
 IDLE_POWER_FRACTION = 0.6
 
@@ -84,14 +85,9 @@ class SynthScenario:
         base = self.generations[0].energy_kwh_per_exaflop_at_full_duty()
         if not all(math.isfinite(g.energy_kwh_per_exaflop_at_full_duty() / base) for g in self.generations):
             raise ValueError("a generation's energy per ExaFLOP against the baseline's is beyond float range")
-        # a malformed start, or a last interval past 9999-12-31, raises before write_fleet opens a file
-        room = datetime.max - self.start_time.replace(tzinfo=None)
-        if (self.intervals - 1) * INTERVAL_SECONDS > room.total_seconds():
+        # a start ingest would refuse, or a last interval past 9999-12-31, raises before write_fleet opens a file
+        if _epoch(self.start) + (self.intervals - 1) * INTERVAL_SECONDS > _MAX_EPOCH:
             raise ValueError(f"the last of {self.intervals} intervals from {self.start} is past 9999-12-31")
-
-    @property
-    def start_time(self) -> datetime:
-        return parse_rfc3339(self.start)
 
 
 def machine_power_at(duty: float, active_power_w: float) -> float:
@@ -131,11 +127,8 @@ def _machines(scenario: SynthScenario):
     (generation, machine) derived from the scenario seed, so adding a
     generation never shifts another generation's draws.
     """
-    t0 = scenario.start_time
-    stamps = [
-        (t0 + timedelta(seconds=step * INTERVAL_SECONDS)).strftime("%Y-%m-%dT%H:%M:%SZ")
-        for step in range(scenario.intervals)
-    ]
+    t0 = _epoch(scenario.start)
+    stamps = [_stamp(t0 + step * INTERVAL_SECONDS, "Z") for step in range(scenario.intervals)]
     for gen in scenario.generations:
         for machine_idx in range(gen.machines):
             rng = random.Random(f"{scenario.seed}/{gen.name}/{machine_idx}")

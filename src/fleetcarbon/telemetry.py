@@ -16,6 +16,9 @@ platform's cells into a `FleetWindow`, and the duty-balanced comparison
 takes a cohort's cells as its strata. Because no cell ever rounds its
 sums, `math.fsum` over cells gives a window's totals correctly rounded,
 whatever order the rows arrived in.
+
+The interval clock lives here: `_epoch` reads every interval timestamp (fleet
+rows, pod records, `synth`'s start) by one grid rule, and `_stamp` writes one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -54,10 +58,11 @@ TELEMETRY_COLUMNS = (
     "flops",
 )
 
-# Distinct raw timestamps remembered at once; a fleet repeats each interval's
-# text once per machine, so the cache only fills on pathological input.
+# Distinct raw timestamps `_epoch` remembers at once; a fleet repeats each
+# interval's text once per machine, so the cache only fills on pathological input.
 _SNAP_CACHE_LIMIT = 1 << 16
 _MAX_EPOCH = 253402300799  # 9999-12-31T23:59:59Z, the last second a datetime holds
+_UNIX_EPOCH = datetime(1970, 1, 1)
 
 # FLOP counts beyond float range are rejected: the CCI divides them as floats.
 _FLOPS_MAX = int(sys.float_info.max)
@@ -214,20 +219,6 @@ class FleetWindow(NamedTuple):
         return self.sample_count * float(INTERVAL_SECONDS)
 
 
-def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime; its offset is required."""
-    cleaned = text.strip()
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
-    dt = datetime.fromisoformat(cleaned)
-    if dt.tzinfo is None:
-        raise ValueError("no time zone")
-    try:
-        return dt.astimezone(timezone.utc)
-    except OverflowError:  # an offset pushes the instant outside years 1-9999
-        raise ValueError(f"{text!r} is outside the representable UTC range") from None
-
-
 def _numbers(raw_power, raw_duty, raw_flops):
     """A row's tray readings, their sum, its duty cycle and FLOPs; missing ones read as (), 0.0 or None.
 
@@ -277,18 +268,38 @@ def _numbers(raw_power, raw_duty, raw_flops):
     return trays, power, duty, flops
 
 
-def _epoch(raw_ts) -> int:
-    """Epoch seconds of a raw timestamp snapped to the 300 s grid; a ValueError says why not."""
+@lru_cache(maxsize=_SNAP_CACHE_LIMIT)
+def _epoch(text: str) -> int:
+    """Epoch seconds of an RFC 3339 timestamp snapped to the 300 s grid; a ValueError says why not.
+
+    The grid rule: the stamp gives its offset, and it takes the grid point
+    within GRID_SNAP_TOLERANCE_S of it; a stamp further off is refused.
+    """
+    if not text:
+        raise ValueError("missing interval_start")
+    cleaned = text.strip()
+    if cleaned.endswith(("Z", "z")):
+        cleaned = cleaned[:-1] + "+00:00"
     try:
-        epoch = parse_rfc3339(str(raw_ts)).timestamp()
+        dt = datetime.fromisoformat(cleaned)
+        if dt.tzinfo is None:
+            raise ValueError("no time zone")
+        epoch = dt.astimezone(timezone.utc).timestamp()
     except ValueError as exc:
-        raise ValueError(f"bad timestamp {raw_ts!r}: {exc}") from None
+        raise ValueError(f"bad timestamp {text!r}: {exc}") from None
+    except OverflowError:  # an offset pushes the instant outside years 1-9999
+        raise ValueError(f"bad timestamp {text!r}: {text!r} is outside the representable UTC range") from None
     nearest = round(epoch / INTERVAL_SECONDS) * INTERVAL_SECONDS
     if abs(epoch - nearest) > GRID_SNAP_TOLERANCE_S:
-        raise ValueError(f"timestamp {raw_ts!r} off the 5-minute grid")
+        raise ValueError(f"timestamp {text!r} off the 5-minute grid")
     if nearest > _MAX_EPOCH:
-        raise ValueError(f"bad timestamp {raw_ts!r}: year 10000 is out of range")
+        raise ValueError(f"bad timestamp {text!r}: year 10000 is out of range")
     return nearest
+
+
+def _stamp(epoch: int, zone: str = "+00:00") -> str:
+    """The RFC 3339 text of a UTC epoch second, with `zone` as its offset: the inverse of `_epoch` on the grid."""
+    return (_UNIX_EPOCH + timedelta(seconds=epoch)).isoformat() + zone
 
 
 def _csv_rows(fh) -> Iterator:
@@ -388,15 +399,17 @@ def ingest(
     csv.reader would read it (see `_csv_rows`). Every row goes through the
     same checks, in a fixed order, and the first failure is the reason:
     decoding (a JSON line that is not an object, a record that is not a
-    dict), platform, timestamp, the three numbers' syntax in column order
-    (a boolean is not a number), their ranges (duty cycle, FLOPs, the first
-    negative tray reading), the tray count, then the key: a machine_id that
-    is neither text nor a number (a JSON array, object or boolean), a blank
-    or absent one, then a repeated (machine, interval). A raw platform_id or
-    machine_id text is looked up as it stands, and stripped only when that
-    misses; a JSON number is read as its text. A complete text row's
-    numbers are parsed by `float` and `int`; any other row's, or one that
-    fails there, by `_numbers`. Every row failing a check is recorded in
+    dict), platform, timestamp (the grid rule of `_epoch`: its offset
+    given, within 5 s of the 300 s grid, onto which it snaps), the three
+    numbers' syntax in column order (a boolean is not a number), their
+    ranges (duty cycle, FLOPs, the first negative tray reading), the tray
+    count, then the key: a machine_id that is neither text nor a number (a
+    JSON array, object or boolean), a blank or absent one, then a repeated
+    (machine, interval). A raw platform_id or machine_id text is looked up
+    as it stands, and stripped only when that misses; a JSON number, or a
+    JSON timestamp other than null, is read as its text. A complete text
+    row's numbers are parsed by `float` and `int`; any other row's, or one
+    that fails there, by `_numbers`. Every row failing a check is recorded in
     the rejection log with its 1-based row number, a repeated key after
     the first. Complete rows are folded into cells by platform and `scheme`
     bucket, each with its machine power: the exact tray sum, times
@@ -407,7 +420,6 @@ def ingest(
     accepted: dict[str, int] = {}  # incomplete rows as they come; the cells' counts at the end
     exclusions: dict[str, int] = {}
     rejections: list[Rejection] = []
-    epochs: dict[str, int] = {}  # raw timestamp text -> snapped epoch seconds
     seen: dict[str, set[int]] = {}  # machine_id -> snapped epochs accepted
     bucket_of, fsum, inf = scheme.bucket_of, math.fsum, math.inf
     # platform_id -> its tray count, the factor from tray sum to machine power, and its cells by duty bucket
@@ -432,13 +444,9 @@ def ingest(
                 if platform is None:
                     raise ValueError(f"unknown platform_id {platform_id!r}")
             tray_count, scale, bucket_cells = platform
-            epoch = epochs.get(raw_ts) if type(raw_ts) is str else None
-            if epoch is None:
-                if raw_ts is None or raw_ts == "":
-                    raise ValueError("missing interval_start")
-                if len(epochs) >= _SNAP_CACHE_LIMIT:
-                    epochs.clear()
-                epoch = epochs[str(raw_ts)] = _epoch(raw_ts)
+            if type(raw_ts) is not str:  # a JSON value: null is missing, anything else reads as its text
+                raw_ts = "" if raw_ts is None else str(raw_ts)
+            epoch = _epoch(raw_ts)
 
             # Most rows are complete text and parse here; any other row, or one this parse
             # fails, goes through _numbers, which names the field at fault. A blank or
@@ -480,8 +488,7 @@ def ingest(
                         raise ValueError("missing machine_id")
                     times = seen[machine_id] = set()
             if epoch in times:
-                at = datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
-                raise ValueError(f"duplicate row for machine {machine_id!r} at {at}")
+                raise ValueError(f"duplicate row for machine {machine_id!r} at {_stamp(epoch)}")
             times.add(epoch)
         except ValueError as exc:
             rejections.append(Rejection(row=row_no, reason=str(exc)))

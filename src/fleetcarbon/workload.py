@@ -19,7 +19,7 @@ from .cci import J_PER_KWH
 from .config import _reject, finite_number, read_document, read_model
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
-from .telemetry import PlatformSpec, finite_sum, parse_rfc3339
+from .telemetry import PlatformSpec, _epoch, _stamp, finite_sum
 
 DEFAULT_DUTY_THRESHOLD = 0.8
 
@@ -146,9 +146,10 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     interval_start, power_w and duty_cycle; records for unknown runs are
     ignored so one interval file can back several manifests, but a record
     for a machine its run does not list is an error. Every number must be
-    finite, power non-negative and duty cycle within [0, 1]. A second
-    record for the same run, machine and interval (timestamps compared in
-    UTC) is an error.
+    finite, power non-negative and duty cycle within [0, 1]. interval_start
+    follows the fleet's grid rule (`telemetry._epoch`), so a stamp within
+    5 s of the 300 s grid joins that interval, and one further off is an
+    error, as is a second record for the same run, machine and interval.
     """
 
     def build(manifest: dict) -> tuple[WorkloadRun, ...]:
@@ -156,13 +157,12 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
         return read_model(tuple[WorkloadRun, ...], manifest["runs"], "runs", intervals=())
 
     runs = read_document(manifest_path, "run manifest", build, IngestError)
-    per_run: dict[str, dict[str, RunInterval]] = {}  # run id -> UTC interval start -> readings
+    per_run: dict[str, dict[int, RunInterval]] = {}  # run id -> snapped interval epoch -> readings
     listed: dict[str, frozenset[str]] = {}  # run id -> its machines
     for run in runs:
         if run.run_id in per_run:
             raise IngestError(f"bad run manifest {manifest_path}: run {run.run_id} listed twice")
         per_run[run.run_id], listed[run.run_id] = {}, frozenset(run.machines)
-    utc_keys: dict[str, str] = {}  # interval_start as written -> its UTC isoformat
     try:
         with Path(intervals_path).open("r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -182,15 +182,12 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                     machine = str(rec["machine_id"])
                     if machine not in listed[run_id]:  # on_duty_power would never read it
                         raise ValueError(f"machine {machine!r} is not listed in run {run_id!r}")
-                    stamp = str(rec["interval_start"])
-                    ts = utc_keys.get(stamp)
-                    if ts is None:  # a bad stamp raises here, so it is never cached
-                        ts = utc_keys[stamp] = parse_rfc3339(stamp).isoformat()
-                    interval = per_run[run_id].get(ts)
+                    epoch = _epoch(str(rec["interval_start"]))
+                    interval = per_run[run_id].get(epoch)
                     if interval is None:
-                        interval = per_run[run_id][ts] = RunInterval({}, {})
+                        interval = per_run[run_id][epoch] = RunInterval({}, {})
                     if machine in interval.power_w:
-                        raise ValueError(f"repeated key: run {run_id!r}, machine {machine!r}, interval {ts}")
+                        raise ValueError(f"repeated key: run {run_id!r}, machine {machine!r}, interval {_stamp(epoch)}")
                     power = rec["power_w"]
                     if type(power) is not float:  # ints and text; the decoder checked every float
                         power = finite_number(power)

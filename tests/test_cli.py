@@ -319,6 +319,23 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "cannot load factor sets" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejected_run_keeps_its_row_without_figures(self, tmp_path, capsys, fmt):
+        cfg_path = write_config(tmp_path, incomplete_runs={"accept": [], "reject": ["sft-v5e-r1"]})
+        code, _, err = run_cli(capsys, "workload", "--config", str(cfg_path), "--format", fmt, "-o", str(tmp_path))
+        assert code == 0, err
+        got = (tmp_path / f"workloads.{fmt}").read_text()
+        want = (Path(__file__).parent / "golden" / f"workload.{fmt}" / f"workloads.{fmt}").read_text()
+        i = 2  # rows are sorted by run id, so sft-v5e-r1 is the third
+        if fmt == "csv":
+            got, want = got.splitlines(), want.splitlines()
+            want[1 + i] = "sft-v5e-r1,sft,v5e,rejected" + "," * 8
+        else:
+            got, want = json.loads(got), json.loads(want)
+            blank = dict.fromkeys(want["rows"][i])
+            want["rows"][i] = dict(blank, run_id="sft-v5e-r1", workload="sft", platform="v5e", validation="rejected")
+        assert got == want
+
     @pytest.mark.parametrize(
         "key,content,command,expected",
         [
@@ -922,6 +939,20 @@ class TestMalformedDocuments:
                 EXIT_INGEST,
                 "bad interval record at line 1: True is not a number",
             ),
+            (
+                "run_intervals",
+                bundled_intervals(interval_start='"2024-10-01T00:00:07Z"'),
+                "workload",
+                EXIT_INGEST,
+                "bad interval record at line 1: timestamp '2024-10-01T00:00:07Z' off the 5-minute grid",
+            ),
+            (
+                "scenario",
+                synth_scenario(start="2024-10-01T00:00:07Z"),
+                "synth",
+                EXIT_CONFIG,
+                "timestamp '2024-10-01T00:00:07Z' off the 5-minute grid",
+            ),
         ],
         ids=[
             "catalog-rectifier-flag-text",
@@ -967,6 +998,8 @@ class TestMalformedDocuments:
             "run-machine-listed-twice",
             "run-interval-unlisted-machine",
             "run-interval-power-true",
+            "run-interval-off-grid",
+            "synth-start-off-grid",
         ],
     )
     def test_malformed_document_is_named(self, tmp_path, capsys, key, content, command, expected, named):

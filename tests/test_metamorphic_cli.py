@@ -14,7 +14,9 @@ linear in power (energy and operational carbon per ExaFLOP, balanced
 power) and leave the rest unchanged, rounded columns and sums aside. For
 `workload`, renaming machines one-to-one in the run manifest and the
 interval lines, or shuffling the interval lines, must leave its table
-byte-identical. Writing the same telemetry as JSON lines of text values
+byte-identical, and so must moving every interval stamp by up to 5 s,
+which snaps back onto its interval. The CCI tables must not depend on
+the bucket count. Writing the same telemetry as JSON lines of text values
 instead of CSV, on the demo and on a small `synth` fleet of the bundled
 platforms, must leave every table, the `ingest` summary and its rejection
 log unchanged. Every command runs in process through `cli.main`, and the
@@ -267,7 +269,23 @@ def shuffled_intervals(draw):
     return MANIFEST, lines
 
 
-WORKLOAD_RELATIONS = {"rename-pod-machines": renamed_pods, "shuffle-interval-lines": shuffled_intervals}
+def skewed_stamps(draw):
+    """Every record's interval_start moved by a drawn whole number of seconds in [-5, 5]."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def moved(stamp):  # every demo stamp is UTC, written with Z
+        at = datetime.fromisoformat(stamp.replace("Z", "+00:00")) + timedelta(seconds=rng.randint(-5, 5))
+        return at.isoformat()
+
+    records = (json.loads(line) for line in INTERVAL_LINES)
+    return MANIFEST, [json.dumps({**rec, "interval_start": moved(rec["interval_start"])}) for rec in records]
+
+
+WORKLOAD_RELATIONS = {
+    "rename-pod-machines": renamed_pods,
+    "shuffle-interval-lines": shuffled_intervals,
+    "skew-pod-stamps-within-5-s": skewed_stamps,
+}
 
 
 @pytest.mark.parametrize("relation", WORKLOAD_RELATIONS)
@@ -289,3 +307,15 @@ def test_edit_leaves_the_workload_table_unchanged(relation, tmp_path):
         assert run(["workload", "--config", str(config)], tmp_path / "out") == demo
 
     check()
+
+
+@pytest.mark.parametrize("buckets", [1, 2**20])
+def test_bucket_count_leaves_the_cci_tables_unchanged(buckets, demo, tmp_path):
+    """The demo config's 10 buckets, one bucket, or 2**20 give the same `cci`, `report` and `scenario` bytes:
+    each table sums exact cells, so how the rows are split among buckets cannot show."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**RUN_CONFIG, "buckets": buckets}), encoding="utf-8")
+    for command in ("cci", "report", "scenario"):
+        for fmt in FORMATS:
+            case = f"{command}.{fmt}"
+            assert run([command, "--format", fmt, "--config", str(config)], tmp_path / case) == demo[0][case], case

@@ -125,6 +125,13 @@ BRANCH_SCENARIOS = {
         ),
         "3ecf0018f2a4130c74f6504bf7de2e0360f8090fb970db31400d7d001585cede",
     ),
+    # a year below 1000, whose stamps still carry four digits
+    "year-5-start": (
+        SynthScenario(
+            seed=61, intervals=8, start="0005-01-01T00:00:00Z", generations=(GenerationSpec(name="y5", machines=2),)
+        ),
+        "d8a429982ef8a5a78060d6ab29ab0279665445dd4d9bc55376b1fd18457d8ba2",
+    ),
 }
 
 
@@ -142,6 +149,14 @@ def test_generate_yields_the_rows_write_fleet_writes(tmp_path, name):
     with (tmp_path / "t.csv").open(newline="") as fh:
         written = list(csv.DictReader(fh))
     assert list(generate(scenario)) == written
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_SCENARIOS))
+def test_ingest_accepts_every_row_synth_writes(tmp_path, name):
+    scenario, _ = BRANCH_SCENARIOS[name]
+    manifest = write_fleet(scenario, tmp_path / "t.csv", tmp_path / "m.json")
+    ds = ingest(tmp_path / "t.csv", load_platforms(tmp_path / "m.json"))
+    assert ds.rejections == () and len(ds) == manifest["total_rows"]
 
 
 class TestGroundTruth:
@@ -233,9 +248,10 @@ def test_start_needs_a_time_zone():
     gens = (GenerationSpec(name="g", machines=1),)
     with pytest.raises(ValueError, match="no time zone"):
         SynthScenario(seed=1, start="2024-10-01T00:00:00", generations=gens)
-    assert SynthScenario(seed=1, start="2024-10-01T01:00:00+01:00", generations=gens).start_time == (
-        SynthScenario(seed=1, generations=gens).start_time
-    )
+    shifted = SynthScenario(seed=1, start="2024-10-01T01:00:00+01:00", generations=gens)
+    stamps = [row["interval_start"] for row in generate(shifted)]
+    assert stamps[:2] == ["2024-10-01T00:00:00Z", "2024-10-01T00:05:00Z"]
+    assert list(generate(shifted)) == list(generate(SynthScenario(seed=1, generations=gens)))
 
 
 def test_scenario_from_mapping_round_trip(tmp_path):

@@ -384,7 +384,7 @@ class TestReadRuns:
             ("a", "2024-10-01T00:10:00Z"),
             ("b", "2024-10-01T00:05:00"),
         )
-        with pytest.raises(IngestError, match="line 3: no time zone"):
+        with pytest.raises(IngestError, match="line 3: bad timestamp '2024-10-01T00:05:00': no time zone"):
             read_runs(*files)
 
     def test_instant_repeated_at_another_offset_is_ingest_error(self, tmp_path):
@@ -400,7 +400,7 @@ class TestReadRuns:
         record["interval_start"] = record["interval_start"].rstrip("Z")
         intervals = tmp_path / "intervals.jsonl"
         intervals.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
-        with pytest.raises(IngestError, match="line 1: no time zone"):
+        with pytest.raises(IngestError, match=f"line 1: bad timestamp {record['interval_start']!r}: no time zone"):
             read_runs(run_config.run_manifest, intervals)
 
     @pytest.mark.parametrize(
