@@ -12,13 +12,14 @@ values. Without --config the bundled demo configuration is used. Each
 subcommand but synth takes the loaded config and returns the tables it
 writes; `main` loads the config once and writes each table to -o as
 <name>.<format>, printing a `wrote` line for it. Exit codes: 0 success,
-2 configuration problems, 3 unreadable inputs, 4 computations the data
-cannot support.
+2 configuration problems (an -o that cannot be created or written among
+them), 3 unreadable inputs, 4 computations the data cannot support.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -61,13 +62,22 @@ def _run(command, args) -> int:
         platforms=args.platforms,
     )
     tables = command(config, args)
-    if tables:
-        args.output_dir.mkdir(parents=True, exist_ok=True)
     for table in tables:
         path = args.output_dir / f"{table.name}.{config.format}"
-        path.write_text(table.render(config.format), encoding="utf-8")
+        with _writing(path):
+            args.output_dir.mkdir(parents=True, exist_ok=True)
+            path.write_text(table.render(config.format), encoding="utf-8")
         print(f"wrote {path}")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Name a failure to create -o or to write `path` in it as a ConfigError, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
 def _inputs(config: cfgmod.RunConfig):
@@ -88,10 +98,11 @@ def _accounts(config: cfgmod.RunConfig):
 def cmd_ingest(config, args) -> list[reportmod.Table]:
     platforms = cfgmod.load_platforms(config.platforms)
     dataset = ingest(config.telemetry, platforms, BucketScheme(config.buckets))
-    args.output_dir.mkdir(parents=True, exist_ok=True)
     log_path = args.output_dir / "rejections.csv"
-    with log_path.open("w", encoding="utf-8", newline="") as fh:
-        write_rejection_log(dataset, fh)
+    with _writing(log_path):
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+        with log_path.open("w", encoding="utf-8", newline="") as fh:
+            write_rejection_log(dataset, fh)
     summary = {
         "rows_accepted": len(dataset),
         "rows_rejected": len(dataset.rejections),
@@ -177,10 +188,11 @@ def cmd_synth(args) -> int:
         )
     else:
         scenario = synthmod.default_scenario(seed=args.seed if args.seed is not None else 20241001)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
     telemetry = args.output_dir / "synthetic_telemetry.csv"
     manifest = args.output_dir / "synthetic_manifest.json"
-    synthmod.write_fleet(scenario, telemetry, manifest)
+    with _writing(args.output_dir):
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+        synthmod.write_fleet(scenario, telemetry, manifest)
     print(f"wrote {telemetry}")
     print(f"wrote {manifest}")
     return EXIT_OK

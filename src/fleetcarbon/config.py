@@ -9,14 +9,17 @@ to) ships inside the package.
 builds a dataclass from a decoded JSON object, taking each key's name,
 default and type from its fields: a `float` is a finite number (a JSON
 number or numeric text), an `int` a whole one, a `bool` only JSON true or
-false, a `str` any value through `str()`, a `Path` only non-empty text;
-`X | None` may be null, `tuple[T, ...]` is a JSON list, `dict[str, M]` a
-JSON object of models and a nested dataclass is read the same way. The key
-of a `dict[str, M]` entry fills M's first field (a platform's id, a
-standard's label, a scenario's name), so the entry may not hold it.
-An absent key takes its field's default, or is an error without one. A key
-that names no field, at any depth, would otherwise fall back to its default
-unseen, so the reader names every such key before it builds anything.
+false, a `str` text or a JSON number (read as its text, never null, a
+boolean, a list or an object), a `Path` only non-empty text; `X | None` may
+be null, `tuple[T, ...]` is a JSON list, `dict[str, M]` a JSON object of
+models and a nested dataclass is read the same way. The key of a
+`dict[str, M]` entry fills M's first field (a platform's id, a standard's
+label, a scenario's name), so the entry may not hold it. An absent key
+takes its field's default, or is an error without one. A key that names no
+field, at any depth, would otherwise fall back to its default unseen. So
+one walk both reads and checks a document: each model's unknown keys are
+found before its fields are read, and the unknown keys met before an error
+are named in its place.
 Each model checks its own ranges in `__post_init__`, so a value out of
 range is named by the same ConfigError as a value of the wrong type.
 """
@@ -27,10 +30,10 @@ import functools
 import json
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .errors import ConfigError
 from .factors import EmissionFactorSet, ScenarioSpec
@@ -166,15 +169,28 @@ def _path(value) -> Path:
     return Path(value)
 
 
-_SCALARS: dict[type, Callable] = {float: finite_number, int: _whole, bool: _flag, str: str, Path: _path}
+def _text(value) -> str:
+    """Text, or a JSON number as its text; str() would write null, a boolean or a container as its repr."""
+    if type(value) is str:
+        return value
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not text")
+    return str(value)
+
+
+_SCALARS: dict[type, Callable] = {float: finite_number, int: _whole, bool: _flag, str: _text, Path: _path}
 
 
 def _at(place: str, key: str) -> str:
     return f"{place}.{key}" if place else key
 
 
-def _read(hint, value, where: str, given: dict):
-    """`value`, found at `where` in its document, read as `hint`; `given` fills fields of its models."""
+def _read(hint, value, where: str, given: dict, unknown: list[str]):
+    """`value`, found at `where` in its document, read as `hint`; `given` fills fields of its models.
+
+    Before a model's fields are read, the place of each of its keys that
+    names no field, or one `given` fills, is appended to `unknown`, sorted.
+    """
     convert = _SCALARS.get(hint)
     if convert is not None:
         try:
@@ -183,65 +199,34 @@ def _read(hint, value, where: str, given: dict):
             raise ValueError(f"{where}: {exc}") from None
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if type(None) in args:  # X | None
-        return None if value is None else _read(args[0], value, where, given)
+        return None if value is None else _read(args[0], value, where, given, unknown)
     if origin is tuple:  # tuple[T, ...]
         if not isinstance(value, list):
             raise ValueError(f"{where}: {value!r} is not a list")
-        return tuple(_read(args[0], item, f"{where}[{i}]", given) for i, item in enumerate(value))
+        return tuple(_read(args[0], item, f"{where}[{i}]", given, unknown) for i, item in enumerate(value))
     if origin is dict:  # dict[str, M]: each key fills M's first field
         if not isinstance(value, dict):
             raise ValueError(f"{where}: {value!r} is not a JSON object")
         model, first = args[1], next(iter(_schema(args[1])))
-        return {key: _build(model, item, _at(where, key), {**given, first: key}) for key, item in value.items()}
-    return _build(hint, value, where, given)
-
-
-def _build(cls: type[T], raw, place: str, given: dict) -> T:
-    """Dataclass `cls` from the JSON object `raw`, found at `place`; `given` fills fields `raw` may not hold."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{place or cls.__name__}: {raw!r} is not a JSON object")
+        return {key: _read(model, item, _at(where, key), {**given, first: key}, unknown) for key, item in value.items()}
+    if not isinstance(value, dict):  # a dataclass
+        raise ValueError(f"{where or hint.__name__}: {value!r} is not a JSON object")
+    schema = _schema(hint)
+    unknown += (_at(where, key) for key in sorted(value.keys() - (schema.keys() - given)))
     values = dict(given)
-    for name, (hint, required, _) in _schema(cls).items():
-        if name in raw:
-            values[name] = _read(hint, raw[name], _at(place, name), {})
+    for name, (field_hint, required) in schema.items():
+        if name in value:
+            values[name] = _read(field_hint, value[name], _at(where, name), {}, unknown)
         elif required and name not in given:
-            raise ValueError(f"{_at(place, name)} is missing")
-    return cls(**values)
+            raise ValueError(f"{_at(where, name)} is missing")
+    return hint(**values)
 
 
 @functools.cache
-def _schema(cls: type) -> dict[str, tuple[object, bool, bool]]:
-    """Each field of `cls`: its type, whether it lacks a default, and whether it holds models."""
-    hints, schema = typing.get_type_hints(cls), {}
-    for f in fields(cls):
-        hint = hints[f.name]
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
-        item = args[0] if origin is tuple else args[1] if origin is dict else hint
-        required = f.default is MISSING and f.default_factory is MISSING
-        schema[f.name] = (hint, required, is_dataclass(item))
-    return schema
-
-
-def _unknown(hint, value, where: str, given) -> Iterator[str]:
-    """The place of each key in `value` that names no field of the models `hint` holds, or one `given` fills.
-
-    A model's own keys come first, sorted, then those of its nested models in
-    field order. A value of the wrong shape is left for `_read` to name.
-    """
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple and isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _unknown(args[0], item, f"{where}[{i}]", given)
-    elif origin is dict and isinstance(value, dict):
-        first = next(iter(_schema(args[1])))
-        for key, item in value.items():
-            yield from _unknown(args[1], item, _at(where, key), {*given, first})
-    elif is_dataclass(hint) and isinstance(value, dict):
-        schema = _schema(hint)
-        yield from (_at(where, key) for key in sorted(value.keys() - (schema.keys() - given)))
-        for name, (field_hint, _, nested) in schema.items():
-            if nested and name not in given and name in value:
-                yield from _unknown(field_hint, value[name], _at(where, name), ())
+def _schema(cls: type) -> dict[str, tuple[object, bool]]:
+    """Each field of `cls`: its type, and whether it lacks a default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)}
 
 
 def _reject(unknown: list[str]) -> None:
@@ -255,12 +240,17 @@ def read_model(cls: type[T], raw, place: str = "", /, **given) -> T:
 
     `cls` is a dataclass, `tuple[M, ...]` or `dict[str, M]` of one; a dict
     entry's key fills M's first field. `given` fills fields of each model
-    read, such as a run's intervals taken from another file. Every key in
-    `raw` that names no field, or names one a key or `given` fills, is named
-    in one ValueError before any model is built.
+    read, such as a run's intervals taken from another file. One walk reads
+    and checks `raw`: each model's keys that name no field, or name one a
+    key or `given` fills, are found before its fields are read, and every
+    such key met is named in one ValueError, in place of any error the walk
+    raised after it. A `str` field takes text or a JSON number, as its text.
     """
-    _reject(list(_unknown(cls, raw, place, given.keys())))
-    return _read(cls, raw, place, given)
+    unknown: list[str] = []
+    try:
+        return _read(cls, raw, place, given, unknown)
+    finally:
+        _reject(unknown)
 
 
 def read_document(path: str | Path, what: str, build: Callable[[dict], T], error: type[Exception] = ConfigError) -> T:
@@ -285,10 +275,14 @@ def read_document(path: str | Path, what: str, build: Callable[[dict], T], error
 
 
 def load_platforms(path: str | Path) -> dict[str, PlatformSpec]:
-    """A platform catalog, or the one under "platforms" in a manifest `synth.build_manifest` wrote."""
+    """A platform catalog, or the one under "platforms" in a manifest `synth.build_manifest` wrote.
+
+    A document holding any key of such a manifest is read as one, so a
+    manifest whose "platforms" is misspelt or missing is named as such.
+    """
 
     def build(raw: dict) -> dict[str, PlatformSpec]:
-        if "platforms" not in raw:
+        if raw.keys().isdisjoint(SYNTH_MANIFEST_KEYS):
             return read_model(dict[str, PlatformSpec], raw)
         _reject(sorted(raw.keys() - SYNTH_MANIFEST_KEYS))
         return read_model(dict[str, PlatformSpec], raw["platforms"], "platforms")

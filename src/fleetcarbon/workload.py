@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .cci import J_PER_KWH
-from .config import _reject, finite_number, read_document, read_model
+from .config import _reject, _text, finite_number, read_document, read_model
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
 from .telemetry import PlatformSpec, _epoch, _stamp, finite_sum
@@ -145,8 +145,11 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     machines of each run. Interval records carry run_id, machine_id,
     interval_start, power_w and duty_cycle; records for unknown runs are
     ignored so one interval file can back several manifests, but a record
-    for a machine its run does not list is an error. Every number must be
-    finite, power non-negative and duty cycle within [0, 1]. interval_start
+    for a machine its run does not list is an error. run_id and machine_id
+    follow the manifest's text rule (`config._text`): a JSON number reads
+    as its text, and null, a boolean, a list or an object is an error, so a
+    null run_id is a bad record, not a run the manifest lacks. Every number
+    must be finite, power non-negative and duty cycle within [0, 1]. interval_start
     follows the fleet's grid rule (`telemetry._epoch`), so a stamp within
     5 s of the 300 s grid joins that interval, and one further off is an
     error, as is a second record for the same run, machine and interval.
@@ -176,10 +179,14 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                         end = -1
                     if end != len(line):  # decode raises its own message for what the scanner stopped at
                         rec = _decode_record(line)
-                    run_id = str(rec["run_id"])
+                    run_id = rec["run_id"]
+                    if type(run_id) is not str:  # the check first: nearly every record holds text
+                        run_id = _text(run_id)
                     if run_id not in per_run:
                         continue
-                    machine = str(rec["machine_id"])
+                    machine = rec["machine_id"]
+                    if type(machine) is not str:
+                        machine = _text(machine)
                     if machine not in listed[run_id]:  # on_duty_power would never read it
                         raise ValueError(f"machine {machine!r} is not listed in run {run_id!r}")
                     epoch = _epoch(str(rec["interval_start"]))

@@ -99,6 +99,11 @@ def bundled_json(name, edit):
     return json.dumps(doc).encode()
 
 
+def renamed(mapping, key, new):
+    """`mapping` with `key` renamed to `new` (a misspelling), in place."""
+    mapping[new] = mapping.pop(key)
+
+
 def bundled_intervals(**raw):
     """The bundled run intervals, each keyword's value appended as raw JSON
     text to the first record; the decoder keeps the last of duplicate keys."""
@@ -535,6 +540,22 @@ class TestExitCodes:
             assert log[1:] == [f"244,bad number: tray_power_w '{TRAY_SUM_OVERFLOW}'"]
             assert run_cli(capsys, "cci", "--config", str(cfg_path)) == run_cli(capsys, "cci")
 
+    @pytest.mark.parametrize("command", ("ingest", "report", "lca", "workload", "scenario", "weight", "synth"))
+    def test_output_over_an_existing_file_is_config_error(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        code, _, err = run_cli(capsys, command, "-o", str(taken))
+        assert code == EXIT_CONFIG, err
+        assert f"configuration error: cannot write {taken}: File exists" in err
+        assert taken.read_text() == "kept"
+
+    def test_table_over_a_directory_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "amortization.csv").mkdir()
+        code, out, err = run_cli(capsys, "lca", "-o", str(tmp_path))
+        assert code == EXIT_CONFIG, err
+        assert f"configuration error: cannot write {tmp_path / 'amortization.csv'}: Is a directory" in err
+        assert out == f"wrote {tmp_path / 'manufacturing.csv'}\n"  # the table written before it
+
     def test_bucket_count_of_1e308_runs(self, tmp_path, capsys):
         # ingest makes a cell only for a bucket some row fills, so a vast scheme costs nothing
         cfg_path = tmp_path / "cfg.json"
@@ -550,6 +571,50 @@ class TestExitCodes:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "unknown keys: 'workload_pu', 'incomplete_runs.rejct'" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key,content,named",
+        [
+            (
+                "config",
+                config_json(pue='"x"', incomplete_runs='{"rejct": []}'),
+                "pue: could not convert string to float: 'x'",
+            ),
+            ("config", config_json(workload_pu="1.5", pue='"x"'), "unknown keys: 'workload_pu'"),
+            (
+                "factors",
+                bundled_json(
+                    "factors.json",
+                    lambda d: (
+                        d["standards"]["market"].update(lb_factor="x"),
+                        d["scenarios"]["cfe90"].update(apply_manufacturing_reductions=True),
+                    ),
+                ),
+                "standards.market.lb_factor: could not convert string to float: 'x'",
+            ),
+            (
+                "factors",
+                bundled_json(
+                    "factors.json",
+                    lambda d: (
+                        renamed(d["standards"]["market"], "cfe_impact", "cfe_impac"),
+                        d["scenarios"]["cfe90"].update(operations_factor_g_per_kwh="x"),
+                    ),
+                ),
+                "unknown keys: 'standards.market.cfe_impac'",
+            ),
+        ],
+        ids=["config-value-first", "config-key-first", "factors-value-first", "factors-key-first"],
+    )
+    def test_first_of_two_faults_is_named(self, tmp_path, capsys, key, content, named):
+        """A model's unknown keys are found before its fields are read; unknown keys met before a bad value win."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        cfg_path = bad if key == "config" else write_config(tmp_path, **{key: str(bad)})
+        code, _, err = run_cli(capsys, "report", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG, err
+        assert named in err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_factors_keys_are_named(self, tmp_path):
@@ -640,11 +705,6 @@ class TestExitCodes:
         assert "unknown scenario 'nope'" in err
 
 
-def renamed(mapping, key, new):
-    """`mapping` with `key` renamed to `new` (a misspelling), in place."""
-    mapping[new] = mapping.pop(key)
-
-
 def synth_scenario(**fields):
     """A one-generation synth scenario file; `generation` replaces the generation's fields."""
     generation = fields.pop("generation", {"name": "g", "machines": 1})
@@ -655,6 +715,47 @@ def synth_manifest(edit):
     doc = fleetcarbon.synth.build_manifest(fleetcarbon.synth.default_scenario())
     edit(doc)
     return json.dumps(doc).encode()
+
+
+def not_text_cases():
+    """(id, key, content, command, exit code, message) for each JSON value a text field refuses, in six fields."""
+    for label, value in {"null": None, "true": True, "list": [], "object": {}}.items():
+        raw, refused = json.dumps(value), f"{value!r} is not text"
+        cases = (
+            ("config-standard", "config", config_json(standard=raw), "cci", EXIT_CONFIG, "standard"),
+            (
+                "inventory-component-name",
+                "inventories",
+                bundled_json("inventories.json", lambda d: d["v4i"]["components"][0].update(name=value)),
+                "lca",
+                EXIT_CONFIG,
+                "v4i.components[0].name",
+            ),
+            (
+                "run-workload",
+                "run_manifest",
+                bundled_manifest(workload=value),
+                "workload",
+                EXIT_INGEST,
+                "runs[0].workload",
+            ),
+            (
+                "synth-generation-name",
+                "scenario",
+                synth_scenario(generation={"name": value, "machines": 1}),
+                "synth",
+                EXIT_CONFIG,
+                "generations[0].name",
+            ),
+        )
+        for name, key, content, command, code, place in cases:
+            yield f"{name}-{label}", key, content, command, code, f"{place}: {refused}"
+        for field in ("run_id", "machine_id"):  # the record on line 1 of the bundled intervals
+            content = bundled_intervals(**{field: raw})
+            yield f"run-{field}-{label}", "run_intervals", content, "workload", EXIT_INGEST, f"line 1: {refused}"
+
+
+NOT_TEXT_CASES = list(not_text_cases())
 
 
 class TestMalformedDocuments:
@@ -775,6 +876,7 @@ class TestMalformedDocuments:
                 EXIT_CONFIG,
                 "unknown keys: 'total_row'",
             ),
+            ("platforms", synth_manifest(lambda d: d.pop("platforms")), "ingest", EXIT_CONFIG, "KeyError('platforms')"),
             (
                 "scenario",
                 synth_scenario(generation={"name": "g", "machines": 1, "chip_per_machine": 8}),
@@ -953,6 +1055,7 @@ class TestMalformedDocuments:
                 EXIT_CONFIG,
                 "timestamp '2024-10-01T00:00:07Z' off the 5-minute grid",
             ),
+            *(case[1:6] for case in NOT_TEXT_CASES),
         ],
         ids=[
             "catalog-rectifier-flag-text",
@@ -972,6 +1075,7 @@ class TestMalformedDocuments:
             "inventory-transport-leg-key",
             "run-key",
             "synth-manifest-catalog-key",
+            "synth-manifest-no-platforms",
             "synth-generation-key",
             "synth-scenario-key",
             "synth-negative-intervals",
@@ -1000,6 +1104,7 @@ class TestMalformedDocuments:
             "run-interval-power-true",
             "run-interval-off-grid",
             "synth-start-off-grid",
+            *(case[0] for case in NOT_TEXT_CASES),
         ],
     )
     def test_malformed_document_is_named(self, tmp_path, capsys, key, content, command, expected, named):
@@ -1015,6 +1120,15 @@ class TestMalformedDocuments:
         assert named in err
         assert not out.exists()
 
+
+    def test_number_in_a_text_field_is_its_text(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(bundled_manifest(workload=7))
+        cfg_path = write_config(tmp_path, run_manifest=str(manifest))
+        code, _, err = run_cli(capsys, "workload", "--config", str(cfg_path), "-o", str(tmp_path / "out"))
+        assert code == 0, err
+        rows = {r["run_id"]: r for r in read_csv_table(tmp_path / "out" / "workloads.csv")}
+        assert rows["rlhf-v5e-r1"]["workload"] == "7"
 
 class TestIngestCommand:
     def test_summary_and_rejection_log(self, tmp_path, capsys):
