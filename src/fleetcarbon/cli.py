@@ -12,8 +12,8 @@ values. Without --config the bundled demo configuration is used. Each
 subcommand but synth takes the loaded config and returns the tables it
 writes; `main` loads the config once and writes each table to -o as
 <name>.<format>, printing a `wrote` line for it. Exit codes: 0 success,
-2 configuration problems (an -o that cannot be created or written among
-them), 3 unreadable inputs, 4 computations the data cannot support.
+2 configuration problems (among them an -o or a stdout that cannot be
+written), 3 unreadable inputs, 4 computations the data cannot support.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--platforms", type=Path, default=None, help="platform catalog override")
 
 
-def _run(command, args) -> int:
+def _run(command, args) -> None:
     """Load the config once, run `command` on it and write each table it returns to -o."""
     config = cfgmod.load_config(
         args.config,
@@ -68,7 +69,6 @@ def _run(command, args) -> int:
             args.output_dir.mkdir(parents=True, exist_ok=True)
             path.write_text(table.render(config.format), encoding="utf-8")
         print(f"wrote {path}")
-    return EXIT_OK
 
 
 @contextlib.contextmanager
@@ -126,7 +126,7 @@ def cmd_report(config, args) -> list[reportmod.Table]:
 
 def cmd_cci(config, args) -> list[reportmod.Table]:
     *_, reports = _accounts(config)
-    sys.stdout.write(reportmod.platform_table(reports, config.standard).render(config.format))
+    print(reportmod.platform_table(reports, config.standard).render(config.format), end="")
     return []
 
 
@@ -178,7 +178,7 @@ def cmd_weight(config, args) -> list[reportmod.Table]:
     return [table]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     from . import synth as synthmod  # the one subcommand that generates; the others never import it
 
     if args.scenario_file is not None:
@@ -195,7 +195,6 @@ def cmd_synth(args) -> int:
         synthmod.write_fleet(scenario, telemetry, manifest)
     print(f"wrote {telemetry}")
     print(f"wrote {manifest}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args.func(args)
+            print(end="", flush=True)  # print, not sys.stdout: with file descriptor 1 closed, stdout is None
+        except OSError as exc:  # the loaders and `_writing` name every file, so this one is stdout's
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # what stdout holds then cannot fail at exit
+            raise ConfigError(f"cannot write <stdout>: {exc.strerror or exc}") from None
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

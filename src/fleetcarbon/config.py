@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, TypeVar
 from .errors import ConfigError
 from .factors import EmissionFactorSet, ScenarioSpec
 from .lca import MachineInventory
-from .telemetry import BucketScheme, PlatformSpec
+from .telemetry import BucketScheme, PlatformSpec, _text
 
 if TYPE_CHECKING:
     from .workload import WorkloadRun
@@ -167,15 +167,6 @@ def _path(value) -> Path:
     if not isinstance(value, str) or not value:  # Path("") would name the working directory
         raise ValueError(f"{value!r} is not a path")
     return Path(value)
-
-
-def _text(value) -> str:
-    """Text, or a JSON number as its text; str() would write null, a boolean or a container as its repr."""
-    if type(value) is str:
-        return value
-    if type(value) not in (int, float):
-        raise TypeError(f"{value!r} is not text")
-    return str(value)
 
 
 _SCALARS: dict[type, Callable] = {float: finite_number, int: _whole, bool: _flag, str: _text, Path: _path}

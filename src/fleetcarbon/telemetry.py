@@ -348,6 +348,23 @@ def _csv_rows(fh) -> Iterator:
             yield row if len(row) == size else shaped(row)
 
 
+def _text(value) -> str:
+    """Text, or a JSON number as its text; str() would write null, a boolean or a container as its repr."""
+    if type(value) is str:
+        return value
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not text")
+    return str(value)
+
+
+def _field_text(name: str, value) -> str:
+    """A row's text field by `_text`'s rule, with null as missing ("")."""
+    try:
+        return "" if value is None else _text(value)
+    except TypeError:
+        raise ValueError(f"bad {name} {value!r}") from None
+
+
 def _record_fields(record) -> tuple:
     if not isinstance(record, dict):
         raise ValueError("record is not an object")
@@ -403,13 +420,13 @@ def ingest(
     given, within 5 s of the 300 s grid, onto which it snaps), the three
     numbers' syntax in column order (a boolean is not a number), their
     ranges (duty cycle, FLOPs, the first negative tray reading), the tray
-    count, then the key: a machine_id that is neither text nor a number (a
-    JSON array, object or boolean), a blank or absent one, then a repeated
-    (machine, interval). A raw platform_id or machine_id text is looked up
-    as it stands, and stripped only when that misses; a JSON number, or a
-    JSON timestamp other than null, is read as its text. A complete text
-    row's numbers are parsed by `float` and `int`; any other row's, or one
-    that fails there, by `_numbers`. Every row failing a check is recorded in
+    count, then the key: a bad, blank or absent machine_id, then a repeated
+    (machine, interval). platform_id, interval_start and machine_id are read
+    at their checks by `_field_text`'s rule (so a JSON array, object or
+    boolean is bad), and a platform_id or machine_id text is looked up as it
+    stands, and stripped only when that misses. A complete text row's
+    numbers are parsed by `float` and `int`; any other row's, or one that
+    fails there, by `_numbers`. Every row failing a check is recorded in
     the rejection log with its 1-based row number, a repeated key after
     the first. Complete rows are folded into cells by platform and `scheme`
     bucket, each with its machine power: the exact tray sum, times
@@ -439,13 +456,13 @@ def ingest(
             machine_id, platform_id, raw_ts, raw_power, raw_duty, raw_flops = decode(record)
             platform = verbatim.get(platform_id) if type(platform_id) is str else None
             if platform is None:
-                platform_id = "" if platform_id is None else str(platform_id).strip()
+                platform_id = _field_text("platform_id", platform_id).strip()
                 platform = platforms.get(platform_id)
                 if platform is None:
                     raise ValueError(f"unknown platform_id {platform_id!r}")
             tray_count, scale, bucket_cells = platform
-            if type(raw_ts) is not str:  # a JSON value: null is missing, anything else reads as its text
-                raw_ts = "" if raw_ts is None else str(raw_ts)
+            if type(raw_ts) is not str:
+                raw_ts = _field_text("interval_start", raw_ts)
             epoch = _epoch(raw_ts)
 
             # Most rows are complete text and parse here; any other row, or one this parse
@@ -477,11 +494,7 @@ def ingest(
 
             times = seen.get(machine_id) if type(machine_id) is str else None
             if times is None:  # not a stored id as it stands: normalise it and look again
-                if machine_id is None:
-                    machine_id = ""
-                elif isinstance(machine_id, bool) or not isinstance(machine_id, (str, int, float)):
-                    raise ValueError(f"bad machine_id {machine_id!r}")
-                machine_id = str(machine_id).strip()
+                machine_id = _field_text("machine_id", machine_id).strip()
                 times = seen.get(machine_id)
                 if times is None:  # a blank id is never stored, so every such row is checked here
                     if not machine_id:

@@ -1,25 +1,25 @@
 """Per-step emissions for benchmark runs on multi-machine pods.
 
 Interval power during a run only reflects the job while every machine in
-the pod is actually busy, so intervals where any assigned machine falls
-below the duty-cycle threshold are filtered out before averaging power.
-The per-step figure combines that on-duty power with the measured step
-time and an embodied-emissions rate derived from the machine's
-manufacturing-plus-transport footprint spread over its service life.
+the pod is actually busy, so `read_runs` flags an interval in which any
+machine reads below the duty-cycle threshold (it keeps no duty cycle) and
+`on_duty_power` averages power over the others. Per step, that power times
+the step time adds to an embodied rate: the machine's manufacturing plus
+transport footprint spread over its service life.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .cci import J_PER_KWH
-from .config import _reject, _text, finite_number, read_document, read_model
+from .config import _reject, finite_number, read_document, read_model
 from .errors import ComputationError, IngestError
 from .lca import MachineInventory, machine_manufacturing, machine_transport
-from .telemetry import PlatformSpec, _epoch, _stamp, finite_sum
+from .telemetry import PlatformSpec, _epoch, _stamp, _text, finite_sum
 
 DEFAULT_DUTY_THRESHOLD = 0.8
 
@@ -29,12 +29,11 @@ _DECODER = json.JSONDecoder(parse_float=finite_number, parse_constant=finite_num
 _scan_record, _decode_record = _DECODER.scan_once, _DECODER.decode
 
 
-@dataclass(frozen=True)
-class RunInterval:
-    """Power and duty readings for every pod machine in one interval."""
+class RunInterval(NamedTuple):
+    """The power of each pod machine that reported in one interval; `straggled` if one read below the threshold."""
 
     power_w: dict[str, float]
-    duty_cycle: dict[str, float]
+    straggled: bool
 
 
 @dataclass(frozen=True)
@@ -85,29 +84,22 @@ class StepEmissions:
 def on_duty_power(run: WorkloadRun) -> OnDutyPower:
     """Mean power across machines and intervals where the whole pod is busy.
 
-    An interval counts only if every machine assigned to the run reports a
-    duty cycle at or above `DEFAULT_DUTY_THRESHOLD`; one straggler excludes
-    the interval for all machines.
+    An interval counts only if no machine read below DEFAULT_DUTY_THRESHOLD
+    (`straggled`) and all reported: as many powers as machines, since
+    `read_runs` keeps listed machines only, once each. So one straggler or
+    absentee excludes the interval for all.
     """
     if not run.intervals:
         raise ComputationError(f"run {run.run_id}: no interval samples")
-    included: list[float] = []
-    excluded = 0
-    for interval in run.intervals:
-        # an absent machine reads as NaN, so it is never on duty
-        on_duty = all(
-            interval.duty_cycle.get(machine, math.nan) >= DEFAULT_DUTY_THRESHOLD for machine in run.machines
-        )
-        if not on_duty:
-            excluded += 1
-            continue
-        included.extend(interval.power_w[machine] for machine in run.machines)
-    if not included:
+    machines = len(run.machines)
+    counted = [iv.power_w for iv in run.intervals if not iv.straggled and len(iv.power_w) == machines]
+    if not counted:
         raise ComputationError(f"run {run.run_id}: no on-duty intervals at threshold {DEFAULT_DUTY_THRESHOLD}")
+    total = finite_sum(f"run {run.run_id}", "on-duty power total", (p for power in counted for p in power.values()))
     return OnDutyPower(
-        power_w=finite_sum(f"run {run.run_id}", "on-duty power total", included) / len(included),
-        included_intervals=len(run.intervals) - excluded,
-        excluded_intervals=excluded,
+        power_w=total / (len(counted) * machines),
+        included_intervals=len(counted),
+        excluded_intervals=len(run.intervals) - len(counted),
     )
 
 
@@ -145,14 +137,16 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
     machines of each run. Interval records carry run_id, machine_id,
     interval_start, power_w and duty_cycle; records for unknown runs are
     ignored so one interval file can back several manifests, but a record
-    for a machine its run does not list is an error. run_id and machine_id
-    follow the manifest's text rule (`config._text`): a JSON number reads
-    as its text, and null, a boolean, a list or an object is an error, so a
-    null run_id is a bad record, not a run the manifest lacks. Every number
-    must be finite, power non-negative and duty cycle within [0, 1]. interval_start
-    follows the fleet's grid rule (`telemetry._epoch`), so a stamp within
-    5 s of the 300 s grid joins that interval, and one further off is an
-    error, as is a second record for the same run, machine and interval.
+    for a machine its run does not list is an error. run_id, machine_id and
+    interval_start follow the manifest's text rule (`telemetry._text`): a JSON
+    number reads as its text, and null, a boolean, a list or an object is an
+    error, so a null run_id is a bad record, not a run the manifest lacks.
+    Every number must be finite, power non-negative and duty cycle within
+    [0, 1]; a duty cycle below `DEFAULT_DUTY_THRESHOLD` flags its interval
+    `straggled`, and is not kept. interval_start follows the fleet's grid rule
+    (`telemetry._epoch`), so a stamp within 5 s of the 300 s grid joins that
+    interval, and one further off is an error, as is a second record for the
+    same run, machine and interval.
     """
 
     def build(manifest: dict) -> tuple[WorkloadRun, ...]:
@@ -160,12 +154,11 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
         return read_model(tuple[WorkloadRun, ...], manifest["runs"], "runs", intervals=())
 
     runs = read_document(manifest_path, "run manifest", build, IngestError)
-    per_run: dict[str, dict[int, RunInterval]] = {}  # run id -> snapped interval epoch -> readings
-    listed: dict[str, frozenset[str]] = {}  # run id -> its machines
+    per_run = {}  # run id -> (its machines, power by snapped interval epoch and machine, straggled epochs)
     for run in runs:
         if run.run_id in per_run:
             raise IngestError(f"bad run manifest {manifest_path}: run {run.run_id} listed twice")
-        per_run[run.run_id], listed[run.run_id] = {}, frozenset(run.machines)
+        per_run[run.run_id] = frozenset(run.machines), {}, set()
     try:
         with Path(intervals_path).open("r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -179,21 +172,16 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                         end = -1
                     if end != len(line):  # decode raises its own message for what the scanner stopped at
                         rec = _decode_record(line)
-                    run_id = rec["run_id"]
-                    if type(run_id) is not str:  # the check first: nearly every record holds text
-                        run_id = _text(run_id)
+                    run_id = _text(rec["run_id"])
                     if run_id not in per_run:
                         continue
-                    machine = rec["machine_id"]
-                    if type(machine) is not str:
-                        machine = _text(machine)
-                    if machine not in listed[run_id]:  # on_duty_power would never read it
+                    listed, powers, straggled = per_run[run_id]
+                    machine = _text(rec["machine_id"])
+                    if machine not in listed:  # on_duty_power's count of powers relies on it
                         raise ValueError(f"machine {machine!r} is not listed in run {run_id!r}")
-                    epoch = _epoch(str(rec["interval_start"]))
-                    interval = per_run[run_id].get(epoch)
-                    if interval is None:
-                        interval = per_run[run_id][epoch] = RunInterval({}, {})
-                    if machine in interval.power_w:
+                    epoch = _epoch(_text(rec["interval_start"]))
+                    interval = powers.setdefault(epoch, {})
+                    if machine in interval:
                         raise ValueError(f"repeated key: run {run_id!r}, machine {machine!r}, interval {_stamp(epoch)}")
                     power = rec["power_w"]
                     if type(power) is not float:  # ints and text; the decoder checked every float
@@ -205,8 +193,9 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
                         raise ValueError(f"power_w {power} is negative")
                     if not 0.0 <= duty <= 1.0:
                         raise ValueError(f"duty_cycle {duty} outside [0, 1]")
-                    interval.power_w[machine] = power
-                    interval.duty_cycle[machine] = duty
+                    interval[machine] = power
+                    if duty < DEFAULT_DUTY_THRESHOLD:
+                        straggled.add(epoch)
                 except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                     raise IngestError(
                         f"{intervals_path}: bad interval record at line {line_no}: {exc}"
@@ -215,6 +204,6 @@ def read_runs(manifest_path: str | Path, intervals_path: str | Path) -> tuple[Wo
         raise IngestError(f"cannot read run intervals {intervals_path}: {exc}") from None
 
     return tuple(
-        replace(run, intervals=tuple(interval for _, interval in sorted(per_run[run.run_id].items())))
-        for run in runs
+        replace(run, intervals=tuple(RunInterval(powers[epoch], epoch in straggled) for epoch in sorted(powers)))
+        for run, (_, powers, straggled) in zip(runs, per_run.values())  # per_run holds the runs in manifest order
     )

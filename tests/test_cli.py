@@ -58,12 +58,13 @@ def run_manifest(**run):
     return json.dumps({"runs": [{k: v for k, v in fields.items() if v is not None}]}).encode()
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, stdout=subprocess.PIPE, **popen):
     """Run the CLI in a child interpreter, so an uncaught error shows as a traceback."""
     src = str(Path(fleetcarbon.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "fleetcarbon.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "fleetcarbon.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, **popen,
     )
 
 
@@ -556,6 +557,32 @@ class TestExitCodes:
         assert f"configuration error: cannot write {tmp_path / 'amortization.csv'}: Is a directory" in err
         assert out == f"wrote {tmp_path / 'manufacturing.csv'}\n"  # the table written before it
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full, which refuses every write")
+    @pytest.mark.parametrize("command", ("cci", "lca", "ingest", "synth"))
+    def test_full_stdout_is_config_error(self, tmp_path, command):
+        # a child, so that what the interpreter prints at exit is seen too
+        with open("/dev/full", "w") as full:
+            proc = run_cli_process(command, "-o", str(tmp_path / "out"), stdout=full)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr == "configuration error: cannot write <stdout>: No space left on device\n"
+
+    @pytest.mark.parametrize("command", ("cci", "lca", "ingest", "synth"))
+    def test_stdout_into_a_closed_pipe_is_config_error(self, tmp_path, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the other end now fails with EPIPE
+        try:
+            proc = run_cli_process(command, "-o", str(tmp_path / "out"), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr == "configuration error: cannot write <stdout>: Broken pipe\n"
+
+    @pytest.mark.parametrize("command", ("cci", "lca"))
+    def test_closed_stdout_is_no_crash(self, tmp_path, command):
+        # with file descriptor 1 closed, the child's sys.stdout is None and print writes nothing
+        proc = run_cli_process(command, "-o", str(tmp_path / "out"), stdout=None, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_bucket_count_of_1e308_runs(self, tmp_path, capsys):
         # ingest makes a cell only for a bucket some row fills, so a vast scheme costs nothing
         cfg_path = tmp_path / "cfg.json"
@@ -750,7 +777,7 @@ def not_text_cases():
         )
         for name, key, content, command, code, place in cases:
             yield f"{name}-{label}", key, content, command, code, f"{place}: {refused}"
-        for field in ("run_id", "machine_id"):  # the record on line 1 of the bundled intervals
+        for field in ("run_id", "machine_id", "interval_start"):  # the record on line 1 of the bundled intervals
             content = bundled_intervals(**{field: raw})
             yield f"run-{field}-{label}", "run_intervals", content, "workload", EXIT_INGEST, f"line 1: {refused}"
 

@@ -224,7 +224,7 @@ class TestIngest:
         ]
         assert len(ds) == 3
 
-    @pytest.mark.parametrize("pid", [0, False], ids=["zero", "false"])
+    @pytest.mark.parametrize("pid", [0], ids=["zero"])
     def test_platform_id_given_as_a_json_value_keys_as_its_text(self, pid, platforms):
         row = dict(record(), platform_id=pid)
         ds = ingest([row], {str(pid): spec(pid=str(pid))})
@@ -606,16 +606,39 @@ MACHINE_JSON = [
     (7, "7"), (2.5, "2.5"), (" m-pad ", "m-pad"), (None, None),
     (True, BAD), (False, BAD), (["x"], BAD), ({"id": "m1"}, BAD), ([], BAD),
 ]
+# (raw platform_id, the id it reads as), by the same rule; the catalog holds p1 alone
+PLATFORM_JSON = [
+    ("p1", "p1"), (" p1 ", "p1"), (7, "7"), (None, ""),
+    (True, BAD), (False, BAD), (["p1"], BAD), ({"id": "p1"}, BAD), ([], BAD),
+]
+STAMP = "2024-10-01T00:00:00Z"
+# (raw interval_start, the text it reads as), by the same rule
+STAMP_JSON = [
+    (STAMP, STAMP), (7, "7"), (2.5, "2.5"), (None, ""),
+    (True, BAD), (False, BAD), ([STAMP], BAD), ({"t": STAMP}, BAD), ([], BAD),
+]
 COMPLETE = (("300;442;442", (300.0, 442.0, 442.0)), ("0.5", 0.5), ("1000", 1000))
 
 
-def _expected_verdict(tray, duty, flops, machine, trays_per_machine):
+def _expected_verdict(tray, duty, flops, machine, platform, stamp, trays_per_machine):
     """A grid row's rejection reason, or None, in ingest's documented order.
 
-    Syntax in column order, then the ranges (duty cycle, FLOPs, the first
+    The platform (a bad one, then one the catalog lacks), the timestamp (a
+    bad value, a missing one, then text that is not one), the numbers'
+    syntax in column order, then the ranges (duty cycle, FLOPs, the first
     negative tray reading), then the tray count, then the key: a machine_id
     that is neither text nor a number, then a missing one.
     """
+    if platform[1] is BAD:
+        return f"bad platform_id {platform[0]!r}"
+    if platform[1] != "p1":
+        return f"unknown platform_id {platform[1]!r}"
+    if stamp[1] is BAD:
+        return f"bad interval_start {stamp[0]!r}"
+    if not stamp[1]:
+        return "missing interval_start"
+    if stamp[1] != STAMP:
+        return f"bad timestamp {stamp[1]!r}: Invalid isoformat string: {stamp[1]!r}"
     for name, (raw, value) in zip(("tray_power_w", "duty_cycle", "flops"), (tray, duty, flops)):
         if value is BAD:
             return f"bad number: {name} {raw!r}"
@@ -636,26 +659,30 @@ def _expected_verdict(tray, duty, flops, machine, trays_per_machine):
     return None
 
 
-def _grid(trays, duties, flops, machines=()):
-    """(tray, duty, flops, machine) entries, each a (raw value, what it reads as) pair: every
-    combination of the numbers under its own machine, then each of `machines` on a complete row."""
-    numbers = itertools.product(trays, duties, flops)
-    return [(*n, (f"m{i}", f"m{i}")) for i, n in enumerate(numbers)] + [(*COMPLETE, m) for m in machines]
+def _grid(trays, duties, flops, machines=(), platforms=(), stamps=()):
+    """(tray, duty, flops, machine, platform, stamp) entries, each a (raw value, what it reads as) pair:
+    every combination of the numbers under its own machine, then each of `machines`, `platforms` and
+    `stamps` on a complete row, the last two under machines of their own."""
+    entries = [(*n, None, ("p1", "p1"), (STAMP, STAMP)) for n in itertools.product(trays, duties, flops)]
+    entries += [(*COMPLETE, m, ("p1", "p1"), (STAMP, STAMP)) for m in machines]
+    entries += [(*COMPLETE, None, p, (STAMP, STAMP)) for p in platforms]
+    entries += [(*COMPLETE, None, ("p1", "p1"), ts) for ts in stamps]
+    return [(t, d, f, m or (f"m{i}", f"m{i}"), p, ts) for i, (t, d, f, m, p, ts) in enumerate(entries)]
 
 
 def _grid_rows(grid):
     return [
-        {"machine_id": m[0], "platform_id": "p1", "interval_start": "2024-10-01T00:00:00Z",
+        {"machine_id": m[0], "platform_id": p[0], "interval_start": ts[0],
          "tray_power_w": t[0], "duty_cycle": d[0], "flops": f[0]}
-        for t, d, f, m in grid
+        for t, d, f, m, p, ts in grid
     ]
 
 
 def _expected_ledger(grid):
     """The rejections, exclusions and per-bucket totals the grid must give."""
     rejections, exclusions, cells = [], {}, {}
-    for row_no, (t, d, f, m) in enumerate(grid, start=1):
-        reason = _expected_verdict(t, d, f, m, trays_per_machine=3)
+    for row_no, (t, d, f, m, p, ts) in enumerate(grid, start=1):
+        reason = _expected_verdict(t, d, f, m, p, ts, trays_per_machine=3)
         if reason is not None:
             rejections.append((row_no, reason))
         elif not t[1] or d[1] is None or f[1] is None:
@@ -677,7 +704,8 @@ def test_every_field_value_gets_the_documented_verdict(tmp_path, kind):
     if kind in ("csv-text", "text-dicts"):
         grid = _grid(TRAY_TEXT, DUTY_TEXT, FLOPS_TEXT)
     else:  # JSON values beside text ones, in one row
-        grid = _grid(TRAY_TEXT + TRAY_JSON, DUTY_TEXT + DUTY_JSON, FLOPS_TEXT + FLOPS_JSON, MACHINE_JSON)
+        numbers = (TRAY_TEXT + TRAY_JSON, DUTY_TEXT + DUTY_JSON, FLOPS_TEXT + FLOPS_JSON)
+        grid = _grid(*numbers, MACHINE_JSON, PLATFORM_JSON, STAMP_JSON)
     rows = _grid_rows(grid)
     source = rows
     if kind == "csv-text":

@@ -1,8 +1,11 @@
 import json
 import math
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetcarbon.config import RunPolicy
@@ -10,8 +13,8 @@ from fleetcarbon.errors import ComputationError, IngestError
 from fleetcarbon.lca import machine_manufacturing, machine_transport
 from fleetcarbon.report import workload_table
 from fleetcarbon.workload import (
+    DEFAULT_DUTY_THRESHOLD,
     OnDutyPower,
-    RunInterval,
     WorkloadRun,
     emissions_per_step,
     on_duty_power,
@@ -19,31 +22,38 @@ from fleetcarbon.workload import (
 )
 
 LIFETIME_S = 6 * 8766 * 3600  # 189_345_600
+T0 = datetime(2024, 10, 1, tzinfo=timezone.utc)
 
 
-def interval(power, duty):
-    return RunInterval(power_w=dict(power), duty_cycle=dict(duty))
+def stamp(k, skew_s=0):
+    """The start of interval k, 5k minutes after 2024-10-01T00:00:00Z, moved by `skew_s` seconds."""
+    return (T0 + timedelta(seconds=300 * k + skew_s)).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def run(intervals, machines=("m0", "m1"), step=1.0, complete=True, pid="v5e", flops=None):
-    return WorkloadRun(
-        run_id="r1",
-        workload="bench",
-        platform_id=pid,
-        machines=tuple(machines),
-        intervals=tuple(intervals),
-        step_time_s=step,
-        complete=complete,
-        flops_per_step=flops,
+def read_pod(readings, machines=("m0", "m1"), step=1.0, complete=True, pid="v5e", flops=None):
+    """The run `read_runs` reads from a one-run manifest over `machines` and one record per reading.
+
+    Each reading is (interval index, machine, power W, duty cycle), or that
+    plus a skew in seconds of its stamp.
+    """
+    run = {"run_id": "r1", "workload": "bench", "platform_id": pid, "machines": list(machines),
+           "step_time_s": step, "complete": complete}
+    if flops is not None:
+        run["flops_per_step"] = flops
+    records = (
+        {"run_id": "r1", "machine_id": machine, "interval_start": stamp(k, *skew), "power_w": power, "duty_cycle": duty}
+        for k, machine, power, duty, *skew in readings
     )
+    with tempfile.TemporaryDirectory() as work:
+        manifest, intervals = Path(work) / "runs.json", Path(work) / "intervals.jsonl"
+        manifest.write_text(json.dumps({"runs": [run]}))
+        intervals.write_text("".join(json.dumps(record) + "\n" for record in records))
+        (pod,) = read_runs(manifest, intervals)
+    return pod
 
 
 def constant_run(power=1386.0, duty=1.0, n=6, machines=("m0", "m1"), **kw):
-    intervals = [
-        interval({m: power for m in machines}, {m: duty for m in machines})
-        for _ in range(n)
-    ]
-    return run(intervals, machines=machines, **kw)
+    return read_pod([(k, m, power, duty) for k in range(n) for m in machines], machines=machines, **kw)
 
 
 class TestOnDutyPower:
@@ -53,12 +63,12 @@ class TestOnDutyPower:
         assert result.excluded_intervals == 0
 
     def test_one_machine_dip_excludes_interval_for_all(self):
-        intervals = [
-            interval({"m0": 1000, "m1": 1000}, {"m0": 0.9, "m1": 0.9}),
-            interval({"m0": 2000, "m1": 2000}, {"m0": 0.5, "m1": 0.95}),
-            interval({"m0": 1000, "m1": 1000}, {"m0": 0.85, "m1": 0.88}),
+        readings = [
+            (0, "m0", 1000, 0.9), (0, "m1", 1000, 0.9),
+            (1, "m0", 2000, 0.5), (1, "m1", 2000, 0.95),
+            (2, "m0", 1000, 0.85), (2, "m1", 1000, 0.88),
         ]
-        result = on_duty_power(run(intervals))
+        result = on_duty_power(read_pod(readings))
         assert result.power_w == 1000.0  # the 2000 W interval never counts
         assert result.excluded_intervals == 1
         assert result.included_intervals == 2
@@ -74,12 +84,8 @@ class TestOnDutyPower:
             (1.00, 0.92, 0.88),
             (0.00, 0.00, 0.00),  # idle tail
         ]
-        intervals = []
-        for ds in duties:
-            power = {m: 600 + 900 * d for m, d in zip(machines, ds)}
-            duty = dict(zip(machines, ds))
-            intervals.append(interval(power, duty))
-        r = run(intervals, machines=machines)
+        readings = [(k, m, 600 + 900 * d, d) for k, ds in enumerate(duties) for m, d in zip(machines, ds)]
+        r = read_pod(readings, machines=machines)
 
         oracle_values = []
         for ds in duties:
@@ -97,12 +103,68 @@ class TestOnDutyPower:
 
     def test_no_samples_is_error(self):
         with pytest.raises(ComputationError, match="no interval samples"):
-            on_duty_power(run([]))
+            on_duty_power(read_pod([]))
 
     def test_missing_machine_counts_as_off_duty(self):
-        intervals = [interval({"m0": 1000}, {"m0": 0.9})]  # m1 absent
+        pod = read_pod([(0, "m0", 1000, 0.9)], machines=("m0", "m1"))  # m1 absent
         with pytest.raises(ComputationError, match="no on-duty intervals"):
-            on_duty_power(run(intervals, machines=("m0", "m1")))
+            on_duty_power(pod)
+
+
+# duty cycles at and around the threshold and at the ends of [0, 1], stragglers last
+DUTIES = st.one_of(
+    st.floats(0.8, 1.0),
+    st.sampled_from([0.8, math.nextafter(0.8, 1), 1.0]),
+    st.floats(0.8, 0.81),
+    st.sampled_from([math.nextafter(0.8, 0), 0.79, 0.0]),
+)
+
+
+@st.composite
+def pod_records(draw):
+    """(machines, readings): a pod of 2-5 machines over 1-6 intervals, up to three of its
+    records dropped, the rest shuffled, each stamp skewed by up to 5 s either way."""
+    machines = tuple(f"m{i}" for i in range(draw(st.integers(2, 5))))
+    slots = [(k, machine) for k in range(draw(st.integers(1, 6))) for machine in machines]
+    dropped = draw(st.sets(st.sampled_from(slots), max_size=3))
+    readings = [
+        (k, machine, draw(st.floats(0.0, 5000.0)), draw(DUTIES), draw(st.integers(-5, 5)))
+        for k, machine in slots
+        if (k, machine) not in dropped
+    ]
+    return machines, draw(st.permutations(readings))
+
+
+def on_duty_oracle(machines, readings):
+    """What on_duty_power must give, by brute force: (power hex, included, excluded), or the error text."""
+    by_interval = {}
+    for k, machine, power, duty, _ in readings:
+        by_interval.setdefault(k, {})[machine] = (power, duty)
+    if not by_interval:
+        return "run r1: no interval samples"
+    on_duty = [
+        seen for seen in by_interval.values()
+        if all(m in seen and seen[m][1] >= DEFAULT_DUTY_THRESHOLD for m in machines)
+    ]
+    if not on_duty:
+        return f"run r1: no on-duty intervals at threshold {DEFAULT_DUTY_THRESHOLD}"
+    powers = [power for seen in on_duty for power, _ in seen.values()]
+    return (math.fsum(powers) / len(powers)).hex(), len(on_duty), len(by_interval) - len(on_duty)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(pod=pod_records())
+def test_on_duty_power_of_read_records_matches_brute_force(pod):
+    machines, readings = pod
+    run = read_pod(readings, machines=machines)
+    try:
+        result = on_duty_power(run)
+    except ComputationError as exc:
+        assert str(exc) == on_duty_oracle(machines, readings)
+        return
+    assert (result.power_w.hex(), result.included_intervals, result.excluded_intervals) == on_duty_oracle(
+        machines, readings
+    )
 
 
 POD = tuple(f"m{i:02d}" for i in range(12))
@@ -128,10 +190,7 @@ def pod_oracle():
 
 class TestPodReadingsPerMachine:
     def test_on_duty_power_is_the_mean_of_every_machine_reading(self):
-        intervals = [interval({}, {}) for _ in range(4)]
-        for k, machine, power, duty in pod_readings():
-            intervals[k].power_w[machine], intervals[k].duty_cycle[machine] = power, duty
-        result = on_duty_power(run(intervals, machines=POD))
+        result = on_duty_power(read_pod(pod_readings(), machines=POD))
         assert result.power_w == pod_oracle()
         assert (result.included_intervals, result.excluded_intervals) == (3, 1)
 
@@ -148,6 +207,7 @@ class TestPodReadingsPerMachine:
             )
         )
         (pod_run,) = read_runs(manifest, intervals)
+        assert [sorted(interval.power_w) for interval in pod_run.intervals] == [sorted(POD)] * 4
         result = on_duty_power(pod_run)
         assert result.power_w == pod_oracle()
         assert (result.included_intervals, result.excluded_intervals) == (3, 1)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Size sweep of the telemetry path (synth, ingest, fold_platforms, weighting_table) and of read_runs.
+"""Size sweep of the telemetry path (synth, ingest, fold_platforms, weighting_table) and of the pod path.
 
     python3 tools/bench_sweep.py [--src src] [--rows 10000 100000 1000000]
                                  [--repeat 3] [--work DIR]
@@ -15,7 +15,9 @@ For each size, times in this process:
 - `report.weighting_table` over all five platforms against `v4i`;
 - `workload.read_runs` of a run manifest and a JSON-lines file of that
   many pod interval records (runs of ten machines over the fleet's
-  intervals, cycling over the five platforms).
+  intervals, cycling over the five platforms), and its tracemalloc peak
+  (measured in a separate, untimed run, as for `ingest`);
+- `workload.on_duty_power` over every run it read.
 
 Each time is the median of `--repeat` runs; rows/s is rows over that
 time. `--src` picks the fleetcarbon source tree to measure, so two
@@ -98,6 +100,17 @@ def timed(repeat: int, call) -> tuple[float, object]:
     return statistics.median(times), result
 
 
+def peak_mb(call) -> float:
+    """The tracemalloc peak of one untimed `call`, in MB: tracing slows allocation, so no timed run is traced."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def sweep(rows: int, repeat: int, work: Path) -> dict:
     from fleetcarbon import config, report, synth, telemetry, workload
 
@@ -111,12 +124,7 @@ def sweep(rows: int, repeat: int, work: Path) -> dict:
     factor = factors.factor_for("market")
 
     ingest_s, dataset = timed(repeat, lambda: telemetry.ingest(csv_path, catalog))
-    dataset = None
-    gc.collect()
-    tracemalloc.start()
-    dataset = telemetry.ingest(csv_path, catalog)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    ingest_peak = peak_mb(lambda: telemetry.ingest(csv_path, catalog))
 
     fold_s, _ = timed(repeat, lambda: report.fold_platforms(dataset, inventories, factors, "market", 1.1))
     weight_s, _ = timed(
@@ -126,16 +134,20 @@ def sweep(rows: int, repeat: int, work: Path) -> dict:
     manifest.unlink()
 
     runs_path, intervals_path = pod_files(rows, work)
-    read_runs_s, _ = timed(repeat, lambda: workload.read_runs(runs_path, intervals_path))
+    read_runs_s, runs = timed(repeat, lambda: workload.read_runs(runs_path, intervals_path))
+    on_duty_s, _ = timed(repeat, lambda: [workload.on_duty_power(run) for run in runs])
+    runs = None
+    read_runs_peak = peak_mb(lambda: workload.read_runs(runs_path, intervals_path))
     runs_path.unlink()
     intervals_path.unlink()
     return {
         "rows": rows,
         "synth": {"s": synth_s, "rows_per_s": rows / synth_s},
-        "ingest": {"s": ingest_s, "rows_per_s": rows / ingest_s, "tracemalloc_peak_mb": peak / 2**20},
+        "ingest": {"s": ingest_s, "rows_per_s": rows / ingest_s, "tracemalloc_peak_mb": ingest_peak},
         "fold_platforms": {"s": fold_s, "rows_per_s": rows / fold_s},
         "weighting_table": {"s": weight_s, "rows_per_s": rows / weight_s},
-        "read_runs": {"s": read_runs_s, "records_per_s": rows / read_runs_s},
+        "read_runs": {"s": read_runs_s, "records_per_s": rows / read_runs_s, "tracemalloc_peak_mb": read_runs_peak},
+        "on_duty_power": {"s": on_duty_s, "records_per_s": rows / on_duty_s},
     }
 
 
